@@ -13,7 +13,7 @@ YAML configs through the ``driftlab`` CLI.
 from .benchmarks import (DomainDataset, DomainRecipe, DomainStream,
                          LabeledSet, StreamGuard, build_stream,
                          recipe_conditional_flip, recipe_covariate_shift,
-                         recipe_rotation, split_dataset)
+                         recipe_rotation)
 from .config import (BenchmarkConfig, ExperimentConfig, StrategyConfig,
                      expand_grid, load_config, make_recipes, parse_config,
                      serialize_config)
@@ -26,8 +26,7 @@ from .harness import (RunRecord, execute_run, persist_results, run_experiment,
                       run_id_for)
 from .kmeans import CentroidRouter, fit_kmeans
 from .memory import (ReplayBuffer, build_router_trainset,
-                     compose_replay_trainset, proportional_quotas,
-                     update_replay_buffer)
+                     compose_replay_trainset, update_replay_buffer)
 from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .nn import Classifier, forward, init_classifier, loss_and_grad, predict, softmax

@@ -20,11 +20,11 @@ per-split seed, so streams are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataAccessError, ShapeError, ValidationError
+from .errors import ConfigError, DataAccessError, ShapeError
 from .rng import derive, make_rng
 
 RECIPE_KINDS = ("covariate_shift", "conditional_flip", "rotation")
@@ -116,18 +116,12 @@ class DomainDataset:
     val: LabeledSet
     test: LabeledSet
 
-    def split(self, name: str) -> LabeledSet:
-        if name not in SPLIT_NAMES:
-            raise ValidationError(f"unknown split {name!r}")
-        return getattr(self, name)
-
 
 @dataclass
 class DomainStream:
     domains: list
     dim: int
     n_classes: int
-    recipes: list = field(default_factory=list)
 
     @property
     def n_domains(self) -> int:
@@ -177,32 +171,7 @@ def build_stream(recipes, seed: int) -> DomainStream:
             for name, n in zip(SPLIT_NAMES, sizes)
         ]
         domains.append(DomainDataset(t, *splits))
-    return DomainStream(domains, dim, n_classes, list(recipes))
-
-
-def split_dataset(samples: LabeledSet, ratios, seed: int):
-    """Partition one labeled set into (train, val, test).
-
-    Val/test sizes are floored; the remainder goes to train. The permutation
-    is drawn from the seed, so the same inputs always split identically.
-    """
-    r = np.asarray(ratios, dtype=float)
-    if r.shape != (3,) or (r <= 0).any():
-        raise ValidationError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(r.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"ratios must sum to 1, got {r.sum()!r}")
-    n = len(samples)
-    if n < 3:
-        raise ValidationError(f"need at least 3 samples to split, got {n}")
-    n_val = int(np.floor(r[1] * n))
-    n_test = int(np.floor(r[2] * n))
-    n_train = n - n_val - n_test
-    perm = make_rng(seed, "split").permutation(n)
-    return (
-        samples.subset(perm[:n_train]),
-        samples.subset(perm[n_train:n_train + n_val]),
-        samples.subset(perm[n_train + n_val:]),
-    )
+    return DomainStream(domains, dim, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +278,6 @@ class StreamGuard:
         self.privileged = privileged
         self._current = -1
 
-    @property
-    def current(self) -> int:
-        return self._current
-
-    @property
-    def dim(self) -> int:
-        return self._stream.dim
-
-    @property
-    def n_classes(self) -> int:
-        return self._stream.n_classes
-
     def advance(self, t: int):
         if t != self._current + 1:
             raise DataAccessError(f"domains arrive in order; expected {self._current + 1}, got {t}")
@@ -341,63 +298,3 @@ class StreamGuard:
     def val(self, t: int) -> LabeledSet:
         self._check(t)
         return self._stream.domains[t].val
-
-    def train_size(self, t: int) -> int:
-        # sizes are metadata (used for proportional quotas), not sample access
-        if t > self._current:
-            raise DataAccessError(f"domain {t} has not arrived yet")
-        return len(self._stream.domains[t].train)
-
-
-# ---------------------------------------------------------------------------
-# Columnar text serialization: one sample per line,
-# domain_id,split,label,feature_0,...,feature_{d-1}
-# ---------------------------------------------------------------------------
-
-
-def write_stream(stream: DomainStream, path):
-    with open(path, "w") as fh:
-        for dom in stream.domains:
-            for split_name in SPLIT_NAMES:
-                split = dom.split(split_name)
-                for x, label in zip(split.X, split.y):
-                    feats = ",".join(repr(float(v)) for v in x)
-                    fh.write(f"{dom.domain_id},{split_name},{int(label)},{feats}\n")
-
-
-def read_stream(path) -> DomainStream:
-    rows = {}
-    dim = None
-    max_label = -1
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 4:
-                raise ValidationError(f"line {line_no}: expected domain_id,split,label,features...")
-            t, split_name, label = int(parts[0]), parts[1], int(parts[2])
-            if split_name not in SPLIT_NAMES:
-                raise ValidationError(f"line {line_no}: unknown split {split_name!r}")
-            feats = [float(v) for v in parts[3:]]
-            if dim is None:
-                dim = len(feats)
-            elif len(feats) != dim:
-                raise ValidationError(f"line {line_no}: feature count {len(feats)} != {dim}")
-            rows.setdefault((t, split_name), ([], []))
-            rows[(t, split_name)][0].append(feats)
-            rows[(t, split_name)][1].append(label)
-            max_label = max(max_label, label)
-    if not rows:
-        raise ValidationError("empty stream file")
-    n_domains = max(t for t, _ in rows) + 1
-    domains = []
-    for t in range(n_domains):
-        splits = []
-        for split_name in SPLIT_NAMES:
-            feats, labels = rows.get((t, split_name), ([], []))
-            X = np.asarray(feats, dtype=float).reshape(len(feats), dim)
-            splits.append(LabeledSet(X, np.asarray(labels, dtype=int)))
-        domains.append(DomainDataset(t, *splits))
-    return DomainStream(domains, dim, max_label + 1)

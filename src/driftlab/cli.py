@@ -3,7 +3,7 @@
 Subcommands:
 
 * run <config> [--out DIR] [--jobs N]   execute the experiment, persist results
-* report <DIR>                          re-render comparison tables from CSVs
+* report <DIR>                          print the saved comparison tables
 * project <run_id> --router KIND [--dir DIR]   print one run's PCA rows
 * validate <config>                     check a config, list every violation
 
@@ -21,7 +21,6 @@ import sys
 from .config import load_config
 from .errors import ConfigError, DriftLabError, ValidationError
 from .harness import PROJECTION_HEADER, persist_results, run_experiment
-from .harness_report import render_report_from_dir
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
 
-    p_report = sub.add_parser("report", help="render tables from persisted results")
-    p_report.add_argument("dir", help="results directory containing summary.csv")
+    p_report = sub.add_parser("report", help="print the saved report of an experiment")
+    p_report.add_argument("dir", help="results directory containing report.txt")
 
     p_project = sub.add_parser("project", help="print PCA projection rows of one run")
     p_project.add_argument("run_id", help="run identifier from the result CSVs")
@@ -75,7 +74,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    print(render_report_from_dir(args.dir), end="")
+    path = os.path.join(args.dir, "report.txt")
+    if not os.path.exists(path):
+        raise ValidationError(f"no report.txt under {args.dir!r}; run an experiment first")
+    with open(path) as fh:
+        print(fh.read(), end="")
     return EXIT_OK
 
 

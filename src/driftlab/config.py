@@ -31,12 +31,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .benchmarks import (recipe_conditional_flip, recipe_covariate_shift,
+from .benchmarks import (RECIPE_KINDS as BENCHMARK_KINDS,
+                         recipe_conditional_flip, recipe_covariate_shift,
                          recipe_rotation)
 from .errors import ConfigError
 from .strategies import EXPERT_INIT_MODES, Hyperparams, STRATEGY_NAMES
-
-BENCHMARK_KINDS = ("covariate_shift", "conditional_flip", "rotation")
 
 # scalar knobs that accept a list value for per-domain grid selection
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
@@ -166,12 +165,20 @@ def _validate_benchmark(bench: BenchmarkConfig, problems):
             problems.append(f"{where}.domain_shift: need one vector per domain")
         elif not (flat or nested):
             problems.append(f"{where}.domain_shift: expected a vector or one vector per domain")
-    for t in bench.flip_domains:
+    flips = bench.flip_domains
+    if not isinstance(flips, list):
+        problems.append(f"{where}.flip_domains: expected a list of indices, got {flips!r}")
+        flips = []
+    for t in flips:
         if not isinstance(t, int) or not 0 <= t < bench.n_domains:
             problems.append(f"{where}.flip_domains: index {t!r} outside [0, {bench.n_domains})")
     if bench.kind == "rotation":
         if not isinstance(bench.angles, list) or len(bench.angles) != bench.n_domains:
             problems.append(f"{where}.angles: rotation needs one angle per domain")
+        else:
+            for a in bench.angles:
+                if not isinstance(a, (int, float)) or isinstance(a, bool):
+                    problems.append(f"{where}.angles: expected numbers, got {a!r}")
     for name in ("n_train", "n_val", "n_test"):
         v = getattr(bench, name)
         if not isinstance(v, int) or v < 1:

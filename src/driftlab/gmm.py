@@ -212,46 +212,3 @@ def sample_buffer(gen: GmmGenerator, n_per_class: int, seed: int) -> SyntheticBu
         labels.append(np.full(n_per_class, c))
     data = LabeledSet(np.vstack(blocks), np.concatenate(labels))
     return SyntheticBuffer(gen.domain_id, data)
-
-
-# ---------------------------------------------------------------------------
-# Buffer text serialization: one sample per line, domain_id,label,features...
-# ---------------------------------------------------------------------------
-
-
-def write_buffers(buffers, path):
-    with open(path, "w") as fh:
-        for buf in buffers:
-            for x, label in zip(buf.data.X, buf.data.y):
-                feats = ",".join(repr(float(v)) for v in x)
-                fh.write(f"{buf.domain_id},{int(label)},{feats}\n")
-
-
-def read_buffers(path):
-    rows = {}
-    dim = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ValidationError(f"line {line_no}: expected domain_id,label,features...")
-            t, label = int(parts[0]), int(parts[1])
-            feats = [float(v) for v in parts[2:]]
-            if dim is None:
-                dim = len(feats)
-            elif len(feats) != dim:
-                raise ValidationError(f"line {line_no}: feature count {len(feats)} != {dim}")
-            rows.setdefault(t, ([], []))
-            rows[t][0].append(feats)
-            rows[t][1].append(label)
-    if not rows:
-        raise ValidationError("empty buffer file")
-    out = []
-    for t in sorted(rows):
-        feats, labels = rows[t]
-        data = LabeledSet(np.asarray(feats, dtype=float), np.asarray(labels, dtype=int))
-        out.append(SyntheticBuffer(t, data))
-    return out

@@ -162,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """Execute every (strategy, seed) pair of a config.
 
     Returns the records in config order (strategies outer, seeds inner)
-    and writes per-run checkpoints under <out>/runs/<run_id>/. Persisting
+    and writes each run's <out>/runs/<run_id>/checkpoint.txt. Persisting
     the aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir

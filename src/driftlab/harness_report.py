@@ -1,20 +1,13 @@
 """Plain-text result tables: strategy comparison and router comparison.
 
-The same renderer backs two paths: render_report(records) while persisting
-a finished experiment, and render_report_from_dir() which rebuilds the
-tables from previously persisted CSVs. Aggregation is mean and sample
-standard deviation (ddof=1; a single seed reports std 0) over seeds.
+persist_results writes render_report(records) to report.txt, and
+`driftlab report DIR` prints that file as saved. Aggregation is mean and
+sample standard deviation (ddof=1; a single seed reports std 0) over seeds.
 """
 
 from __future__ import annotations
 
-import csv
-import os
-from collections import OrderedDict
-
 import numpy as np
-
-from .errors import ValidationError
 
 # fixed column layout for router comparisons: non-parametric baseline,
 # synthetic-trained discriminator, real-data upper bound
@@ -28,18 +21,30 @@ def _mean_std(values):
     return mean, std
 
 
-def _render(benchmark, n_seeds, strategy_stats, routing_stats, failures):
-    """strategy_stats: OrderedDict name -> (final_accs, bwts); routing_stats:
-    OrderedDict kind -> overall accuracies; failures: list of lines."""
-    lines = []
-    lines.append("Continual-learning results")
-    lines.append("==========================")
-    lines.append("")
-    lines.append(f"benchmark: {benchmark}")
-    lines.append(f"seeds per strategy: {n_seeds}")
-    lines.append("")
-    lines.append("Final average accuracy A_T over seen domains (mean +/- std over seeds)")
-    lines.append(f"{'strategy':<16} {'A_T':>22} {'BWT (auxiliary)':>22}")
+def render_report(records) -> str:
+    """Comparison tables of a finished experiment's run records, then the
+    runs that failed."""
+    strategy_stats = {}     # name -> (final accuracies, final bwts)
+    routing_stats = {}      # router kind -> overall routing accuracies
+    for rec in records:
+        if not rec.ok:
+            continue
+        accs, bwts = strategy_stats.setdefault(rec.strategy, ([], []))
+        accs.append(rec.final_accuracy)
+        bwts.append(rec.bwt_final)
+        if rec.routing is not None:
+            routing_stats.setdefault(rec.router_kind, []).append(rec.routing.accuracy)
+    benchmark = records[0].benchmark_label if records else "(no runs)"
+    lines = [
+        "Continual-learning results",
+        "==========================",
+        "",
+        f"benchmark: {benchmark}",
+        f"seeds per strategy: {len({rec.seed for rec in records})}",
+        "",
+        "Final average accuracy A_T over seen domains (mean +/- std over seeds)",
+        f"{'strategy':<16} {'A_T':>22} {'BWT (auxiliary)':>22}",
+    ]
     for name, (accs, bwts) in strategy_stats.items():
         mean, std = _mean_std(accs)
         cell = f"{mean:.6f} +/- {std:.6f}"
@@ -51,72 +56,16 @@ def _render(benchmark, n_seeds, strategy_stats, routing_stats, failures):
             bwt_cell = "-"
         lines.append(f"{name:<16} {cell:>22} {bwt_cell:>22}")
     if routing_stats:
-        lines.append("")
-        lines.append("Domain routing accuracy (mean +/- std over seeds)")
-        lines.append(f"{'router':<16} {'accuracy':>22}")
+        lines += ["", "Domain routing accuracy (mean +/- std over seeds)",
+                  f"{'router':<16} {'accuracy':>22}"]
         for kind in ROUTER_ORDER:
-            if kind not in routing_stats:
-                continue
-            mean, std = _mean_std(routing_stats[kind])
-            lines.append(f"{kind:<16} {mean:.6f} +/- {std:.6f}".rstrip())
-    if failures:
-        lines.append("")
-        lines.append("Failed runs")
-        lines.extend(failures)
+            if kind in routing_stats:
+                mean, std = _mean_std(routing_stats[kind])
+                lines.append(f"{kind:<16} {mean:.6f} +/- {std:.6f}".rstrip())
+    failed = [rec for rec in records if not rec.ok]
+    if failed:
+        lines += ["", "Failed runs"]
+        lines += [f"{rec.run_id} {rec.strategy} seed={rec.seed}: {rec.failure}"
+                  for rec in failed]
     lines.append("")
     return "\n".join(lines)
-
-
-def render_report(records) -> str:
-    """Comparison tables straight from in-memory run records."""
-    ok = [r for r in records if r.ok]
-    strategy_stats = OrderedDict()
-    for rec in ok:
-        accs, bwts = strategy_stats.setdefault(rec.strategy, ([], []))
-        accs.append(rec.final_accuracy)
-        bwts.append(rec.bwt_final)
-    routing_stats = OrderedDict()
-    for rec in ok:
-        if rec.routing is not None:
-            routing_stats.setdefault(rec.router_kind, []).append(rec.routing.accuracy)
-    failures = [
-        f"{rec.run_id} {rec.strategy} seed={rec.seed}: {rec.failure}"
-        for rec in records if not rec.ok
-    ]
-    benchmark = records[0].benchmark_label if records else "(no runs)"
-    seeds = {rec.seed for rec in records}
-    return _render(benchmark, len(seeds), strategy_stats, routing_stats, failures)
-
-
-def render_report_from_dir(out_dir) -> str:
-    """Rebuild the comparison tables from persisted summary.csv/routing.csv."""
-    summary_path = os.path.join(out_dir, "summary.csv")
-    if not os.path.exists(summary_path):
-        raise ValidationError(f"no summary.csv under {out_dir!r}; run an experiment first")
-    finals = OrderedDict()      # run_id -> (strategy, seed, t, A_t, bwt)
-    with open(summary_path) as fh:
-        for row in csv.DictReader(fh):
-            t = int(row["t"])
-            prev = finals.get(row["run_id"])
-            if prev is None or t > prev[2]:
-                bwt = float(row["bwt_final"]) if row["bwt_final"] else None
-                finals[row["run_id"]] = (row["strategy"], int(row["seed"]), t,
-                                         float(row["avg_accuracy"]), bwt)
-    strategy_stats = OrderedDict()
-    seeds = set()
-    for strategy, seed, _, a_t, bwt in finals.values():
-        accs, bwts = strategy_stats.setdefault(strategy, ([], []))
-        accs.append(a_t)
-        bwts.append(bwt)
-        seeds.add(seed)
-    routing_stats = OrderedDict()
-    routing_path = os.path.join(out_dir, "routing.csv")
-    if os.path.exists(routing_path):
-        with open(routing_path) as fh:
-            for row in csv.DictReader(fh):
-                if row["domain"] == "overall":
-                    routing_stats.setdefault(row["router_kind"], []).append(
-                        float(row["accuracy"])
-                    )
-    return _render(f"(persisted results: {out_dir})", len(seeds),
-                   strategy_stats, routing_stats, [])

@@ -110,13 +110,6 @@ class CentroidRouter:
             self.domain_ids = np.concatenate([self.domain_ids, ids])
         return self
 
-    def fit(self, per_domain_features, rng: np.random.Generator) -> "CentroidRouter":
-        if not per_domain_features:
-            raise ValidationError("need features for at least one domain")
-        for X in per_domain_features:
-            self.add_domain(X, rng)
-        return self
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.centroids is None:
             raise ValidationError("router has seen no domains")

@@ -1,5 +1,5 @@
-"""Replay memory: per-class quota buffers, quota arithmetic, and trainset
-composition for rehearsal strategies and the synthetic domain router.
+"""Replay memory: per-class quota buffers and trainset composition for
+rehearsal strategies and the synthetic domain router.
 
 The buffer holds a fixed number of samples per class per domain, drawn by
 single-pass reservoir sampling the moment the domain arrives. Entries are
@@ -20,40 +20,6 @@ from .errors import ValidationError
 from .rng import make_rng
 
 BUFFER_SOURCES = ("real", "synthetic")
-
-
-def proportional_quotas(counts, budget: int) -> np.ndarray:
-    """Largest-remainder split of a total budget across groups.
-
-    Quotas are proportional to counts, never exceed them, and sum to
-    min(budget, sum(counts)). Remainder ties go to the lowest index.
-    """
-    counts = np.asarray(counts, dtype=int)
-    if counts.ndim != 1 or len(counts) == 0:
-        raise ValidationError("counts must be a non-empty 1-d sequence")
-    if (counts < 0).any() or budget < 0:
-        raise ValidationError("counts and budget must be non-negative")
-    total = int(counts.sum())
-    if total <= budget:
-        return counts.copy()
-    exact = budget * counts / total
-    quotas = np.floor(exact).astype(int)
-    frac = exact - quotas
-    # hand out the remainder by largest fractional part, lowest index first
-    order = np.lexsort((np.arange(len(counts)), -frac))
-    for i in order[: budget - int(quotas.sum())]:
-        quotas[i] += 1
-    # a +1 can overshoot a tiny group; push the surplus to groups with room
-    for i in np.flatnonzero(quotas > counts):
-        surplus = quotas[i] - counts[i]
-        quotas[i] = counts[i]
-        for j in np.argsort(-(counts - quotas)):
-            if surplus == 0:
-                break
-            take = min(int(counts[j] - quotas[j]), surplus)
-            quotas[j] += take
-            surplus -= take
-    return quotas
 
 
 def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

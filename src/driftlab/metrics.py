@@ -14,21 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
 from .benchmarks import LabeledSet
 from .errors import ContractError, ValidationError
 
 
 def evaluate_accuracy(predictor, data: LabeledSet) -> float:
-    """Fraction of correct predictions. predictor is either a callable
-    mapping (n, d) features to labels or a Classifier."""
+    """Fraction of correct predictions; predictor maps (n, d) features to
+    labels."""
     if len(data) == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
-    if callable(predictor):
-        pred = np.asarray(predictor(data.X))
-    else:
-        pred = nn.predict(predictor, data.X)
-    return float(np.mean(pred == data.y))
+    return float(np.mean(np.asarray(predictor(data.X)) == data.y))
 
 
 class AccuracyMatrix:
@@ -75,9 +70,6 @@ class AccuracyMatrix:
         if np.isnan(v):
             raise ContractError(f"entry ({s}, {t}) was never recorded")
         return float(v)
-
-    def column_filled(self, t: int) -> bool:
-        return not np.isnan(self.values[: t + 1, t]).any()
 
 
 def average_accuracy(matrix: AccuracyMatrix, t: int) -> float:

@@ -48,9 +48,6 @@ class Classifier:
             [b.copy() for b in self.biases],
         )
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_classifier(layer_dims, seed: int) -> Classifier:
     """He-scaled normal weights, zero biases, drawn from a derived stream."""
@@ -60,10 +57,6 @@ def init_classifier(layer_dims, seed: int) -> Classifier:
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Classifier(layer_dims, weights, biases)
-
-
-def zero_grads(model: Classifier):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -90,16 +83,6 @@ def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
         a = a @ w + b
         if i < last:
             a = np.maximum(a, 0.0)
-    return a
-
-
-def hidden_features(model: Classifier, batch: np.ndarray) -> np.ndarray:
-    """Activations of the last hidden layer (the logits if there is none)."""
-    a = _check_batch(model, batch)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-    if model.n_layers == 1:
-        a = a @ model.weights[0] + model.biases[0]
     return a
 
 

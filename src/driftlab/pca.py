@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError
 
 
 @dataclass
@@ -20,38 +20,27 @@ class Projection2D:
     coords: np.ndarray          # (n, 2)
     components: np.ndarray      # (2, d) orthonormal rows
     explained_ratio: np.ndarray  # (2,)
-    mean: np.ndarray            # (d,)
     degenerate: bool            # data had rank < 2
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.mean.shape[0]:
-            raise ShapeError(f"expected batch of shape (n, {self.mean.shape[0]}), got {X.shape}")
-        return (X - self.mean) @ self.components.T
 
 
 def pca_project_2d(X: np.ndarray) -> Projection2D:
     """Project rows of X onto their top two principal axes.
 
-    Requires at least 3 samples and 2 feature dimensions. If the centered
-    data has rank < 2 the projection is flagged degenerate and the missing
-    directions contribute zero coordinates.
+    If the centered data has rank < 2 (always so with fewer than 3 samples
+    or fewer than 2 features) the projection is flagged degenerate and the
+    missing directions contribute zero coordinates.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected (n, d) data, got shape {X.shape}")
-    n, d = X.shape
-    if n < 3 or d < 2:
-        raise ValidationError(f"need at least 3 samples and 2 dimensions, got {X.shape}")
-    mean = X.mean(axis=0)
-    centered = X - mean
+    centered = X - X.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
 
     scale = float(svals[0]) if svals.size else 0.0
     rank2 = svals.size >= 2 and scale > 0 and svals[1] > 1e-12 * scale
     degenerate = not rank2
 
-    components = np.zeros((2, d))
+    components = np.zeros((2, X.shape[1]))
     if scale > 0:
         components[0] = vt[0]
     if rank2:
@@ -69,4 +58,4 @@ def pca_project_2d(X: np.ndarray) -> Projection2D:
         explained[0] = float(svals[0] ** 2) / total
         if rank2:
             explained[1] = float(svals[1] ** 2) / total
-    return Projection2D(centered @ components.T, components, explained, mean, degenerate)
+    return Projection2D(centered @ components.T, components, explained, degenerate)

@@ -33,14 +33,15 @@ is seqft.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields, replace
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .benchmarks import LabeledSet, StreamGuard
 from .errors import ConfigError, ContractError, ValidationError
-from .gmm import FitConfig, fit_generator, sample_buffer, write_buffers
+from .gmm import FitConfig, fit_generator, sample_buffer
 from .kmeans import CentroidRouter
 from .memory import (ReplayBuffer, build_router_trainset,
                      compose_replay_trainset, concat_sets,
@@ -443,98 +444,77 @@ def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization: structured text, exact float round-trip
+# Checkpoints: one text file of named array blocks, exact float round-trip
 # ---------------------------------------------------------------------------
 
 
-def write_classifier(fh, tag: str, model: nn.Classifier):
-    dims = ",".join(str(d) for d in model.layer_dims)
-    fh.write(f"classifier {tag} dims={dims}\n")
+def _classifier_arrays(tag: str, model: nn.Classifier):
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        fh.write(f"W{i}\n")
-        for row in w:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(f"b{i}\n")
-        fh.write(" ".join(repr(float(v)) for v in b) + "\n")
+        yield f"{tag}.W{i}", w
+        yield f"{tag}.b{i}", b
 
 
-def read_classifiers(path):
-    """Parse every classifier block in a checkpoint file; returns
-    {tag: Classifier}. Values round-trip exactly (repr serialization)."""
-    out = {}
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if not line.startswith("classifier "):
-            i += 1
-            continue
-        head = line.split()
-        tag = head[1]
-        dims = [int(d) for d in head[2].split("=", 1)[1].split(",")]
-        weights, biases = [], []
-        i += 1
-        for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            if lines[i] != f"W{layer}":
-                raise ValidationError(f"expected 'W{layer}' at line {i + 1}")
-            i += 1
-            rows = [[float(v) for v in lines[i + r].split()] for r in range(fan_in)]
-            i += fan_in
-            if lines[i] != f"b{layer}":
-                raise ValidationError(f"expected 'b{layer}' at line {i + 1}")
-            i += 1
-            bias = [float(v) for v in lines[i].split()]
-            i += 1
-            w = np.asarray(rows, dtype=float)
-            b = np.asarray(bias, dtype=float)
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise ValidationError(f"bad block shape for layer {layer} of {tag!r}")
-            weights.append(w)
-            biases.append(b)
-        out[tag] = nn.Classifier(dims, weights, biases)
-    if not out:
-        raise ValidationError(f"no classifier blocks in {path}")
-    return out
+def _checkpoint_arrays(strategy: Strategy):
+    """(name, array) for every piece of learned state a checkpoint keeps:
+    the model or the experts, the router, the synthetic buffers and the
+    anchors. A constant router has no state; real replay data is not
+    model state and never leaves the run."""
+    if isinstance(strategy, _ExpertBank):
+        for t, expert in enumerate(strategy.experts):
+            yield from _classifier_arrays(f"expert{t}", expert)
+        router = strategy.router
+        if isinstance(router, CentroidRouter):
+            yield "router.k", np.array(router.n_centroids)
+            yield "router.knn", np.array(router.n_neighbors)
+            yield "router.centroids", router.centroids
+            yield "router.domain_ids", router.domain_ids
+        elif router is not None:
+            yield from _classifier_arrays("router", router)
+    elif strategy.model is not None:
+        yield from _classifier_arrays("model", strategy.model)
+    for buf in getattr(strategy, "synthetic", ()):
+        yield f"buffer{buf.domain_id}.X", buf.data.X
+        yield f"buffer{buf.domain_id}.y", buf.data.y
+    if isinstance(strategy, Ewc):
+        for a, (params, fisher) in enumerate(strategy.ewc.anchors):
+            for i, ((w, b), (fw, fb)) in enumerate(zip(params, fisher)):
+                for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):
+                    yield f"anchor{a}.{label}{i}", arr
 
 
 def save_checkpoint(strategy: Strategy, out_dir):
-    """Write the strategy's learned state as structured text files.
+    """Write the strategy's learned state to <out_dir>/checkpoint.txt.
 
-    Single-model strategies write model.txt; expert-bank strategies write
-    experts.txt and router.txt; strategies holding synthetic buffers write
-    buffers.txt; anchor-based strategies write anchors.txt.
+    Each array is one block: a header line ``<name> <dtype> shape=<d0>x<d1>``
+    (an empty shape for a scalar), then one line of its values in row-major
+    order, each written with repr so that read_arrays restores it exactly.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    if isinstance(strategy, _ExpertBank):
-        with open(os.path.join(out_dir, "experts.txt"), "w") as fh:
-            for t, expert in enumerate(strategy.experts):
-                write_classifier(fh, f"expert{t}", expert)
-        with open(os.path.join(out_dir, "router.txt"), "w") as fh:
-            router = getattr(strategy, "router", None)
-            if router is None:
-                fh.write("router constant 0\n")
-            elif isinstance(router, CentroidRouter):
-                fh.write(f"router centroids k={router.n_centroids} knn={router.n_neighbors}\n")
-                for dom, row in zip(router.domain_ids, router.centroids):
-                    vals = " ".join(repr(float(v)) for v in row)
-                    fh.write(f"{int(dom)} {vals}\n")
-            else:
-                write_classifier(fh, "router", router)
-    elif getattr(strategy, "model", None) is not None:
-        with open(os.path.join(out_dir, "model.txt"), "w") as fh:
-            write_classifier(fh, "model", strategy.model)
-    if getattr(strategy, "synthetic", None):
-        write_buffers(strategy.synthetic, os.path.join(out_dir, "buffers.txt"))
-    ewc_state = getattr(strategy, "ewc", None)
-    if ewc_state is not None and len(ewc_state) > 0:
-        with open(os.path.join(out_dir, "anchors.txt"), "w") as fh:
-            for a, (params, fisher) in enumerate(ewc_state.anchors):
-                fh.write(f"anchor {a} layers={len(params)}\n")
-                for i, ((w, b), (fw, fb)) in enumerate(zip(params, fisher)):
-                    for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):
-                        fh.write(f"{label}{i} shape={'x'.join(map(str, arr.shape))}\n")
-                        flat = " ".join(repr(float(v)) for v in np.ravel(arr))
-                        fh.write(flat + "\n")
+    with open(os.path.join(out_dir, "checkpoint.txt"), "w") as fh:
+        for name, arr in _checkpoint_arrays(strategy):
+            shape = "x".join(str(d) for d in arr.shape)
+            fh.write(f"{name} {arr.dtype.name} shape={shape}\n")
+            fh.write(" ".join(repr(v) for v in arr.ravel().tolist()) + "\n")
+
+
+def read_arrays(path) -> dict:
+    """Parse a checkpoint file into {name: ndarray}, bit-exact in dtype,
+    shape and values."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if len(lines) % 2:
+        raise ValidationError(f"{path}: the last block has no values line")
+    arrays = {}
+    for i in range(0, len(lines), 2):
+        head = lines[i].split(" ")
+        if len(head) != 3 or not head[2].startswith("shape="):
+            raise ValidationError(f"{path}: bad block header on line {i + 1}: {lines[i]!r}")
+        name, dtype, dims = head[0], np.dtype(head[1]), head[2][len("shape="):]
+        shape = tuple(int(d) for d in dims.split("x")) if dims else ()
+        parse = int if dtype.kind in "iu" else float
+        values = [parse(v) for v in lines[i + 1].split()]
+        if len(values) != int(np.prod(shape)) or name in arrays:
+            raise ValidationError(f"{path}: block {name!r} on line {i + 1} is repeated "
+                                  f"or does not hold {shape} values")
+        arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+    return arrays

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from driftlab.benchmarks import (DomainRecipe, LabeledSet, StreamGuard,
-                                 _balanced_labels, build_stream, read_stream,
+                                 _balanced_labels, build_stream,
                                  recipe_conditional_flip, recipe_covariate_shift,
-                                 recipe_rotation, split_dataset, write_stream)
-from driftlab.errors import (ConfigError, DataAccessError, ShapeError,
-                             ValidationError)
+                                 recipe_rotation)
+from driftlab.errors import ConfigError, DataAccessError, ShapeError
 
 
 def two_class_recipes(n_domains=3, shift=(4.0, 0.0), **sizes):
@@ -127,25 +126,6 @@ def test_build_stream_collects_all_recipe_problems():
     assert "below 5 per class" in text
 
 
-def test_split_dataset_floors_val_and_test():
-    data = LabeledSet(np.arange(20, dtype=float).reshape(10, 2), np.zeros(10, dtype=int))
-    train, val, test = split_dataset(data, (0.65, 0.2, 0.15), 4)
-    assert (len(train), len(val), len(test)) == (7, 2, 1)
-    merged = np.sort(np.concatenate([train.X[:, 0], val.X[:, 0], test.X[:, 0]]))
-    assert np.array_equal(merged, data.X[:, 0])  # a partition, nothing lost
-
-
-def test_split_dataset_validates_ratios():
-    data = LabeledSet(np.zeros((10, 2)), np.zeros(10, dtype=int))
-    with pytest.raises(ValidationError):
-        split_dataset(data, (0.5, 0.5, 0.5), 0)
-    with pytest.raises(ValidationError):
-        split_dataset(data, (0.8, -0.1, 0.3), 0)
-    with pytest.raises(ValidationError):
-        split_dataset(LabeledSet(np.zeros((2, 2)), np.zeros(2, dtype=int)),
-                      (0.4, 0.3, 0.3), 0)
-
-
 def test_guard_hides_past_and_future_from_plain_strategies():
     stream = build_stream(two_class_recipes(), 1)
     guard = StreamGuard(stream)
@@ -158,7 +138,6 @@ def test_guard_hides_past_and_future_from_plain_strategies():
         guard.train(0)  # gone for non-privileged strategies
     with pytest.raises(DataAccessError):
         guard.val(0)
-    assert guard.train_size(0) == 60  # sizes stay readable as metadata
 
 
 def test_privileged_guard_sees_past_but_never_future():
@@ -176,23 +155,3 @@ def test_guard_enforces_arrival_order():
     guard = StreamGuard(stream)
     with pytest.raises(DataAccessError):
         guard.advance(1)
-
-
-def test_stream_round_trips_through_text_exactly(tmp_path):
-    stream = build_stream(two_class_recipes(n_domains=2), 77)
-    path = tmp_path / "stream.txt"
-    write_stream(stream, path)
-    back = read_stream(path)
-    assert back.n_domains == stream.n_domains
-    assert back.n_classes == stream.n_classes
-    for dom_a, dom_b in zip(stream.domains, back.domains):
-        for split in ("train", "val", "test"):
-            assert np.array_equal(dom_a.split(split).X, dom_b.split(split).X)
-            assert np.array_equal(dom_a.split(split).y, dom_b.split(split).y)
-
-
-def test_read_stream_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0,train,1\n")
-    with pytest.raises(ValidationError):
-        read_stream(path)

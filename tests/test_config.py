@@ -150,12 +150,18 @@ def test_flip_indices_must_lie_inside_the_stream():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: conditional_flip\n  flip_domains: [3]")
     assert any("flip_domains" in p for p in violations(doc))
+    # a scalar instead of a list is a violation, not a crash
+    assert any("flip_domains: expected a list" in p
+               for p in violations(doc.replace("flip_domains: [3]", "flip_domains: 1")))
 
 
 def test_rotation_needs_one_angle_per_domain():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: rotation\n  angles: [0.0, 0.5]")
     assert any("angles" in p for p in violations(doc))
+    # the right count of angles must also all be numbers
+    assert any("angles: expected numbers" in p
+               for p in violations(doc.replace("[0.0, 0.5]", '[0.0, "x", 1.0]')))
 
 
 def test_seed_list_validation():

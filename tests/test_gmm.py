@@ -6,9 +6,10 @@ import pytest
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import ShapeError, ValidationError
 from driftlab.gmm import (FitConfig, Mixture, buffer_fingerprint, fit_em,
-                          fit_generator, log_likelihood, read_buffers,
-                          sample_buffer, write_buffers)
+                          fit_generator, log_likelihood, sample_buffer)
 from driftlab.rng import make_rng
+from driftlab.strategies import (Hyperparams, read_arrays, save_checkpoint,
+                                 strategy_dispatch)
 
 import oracles
 
@@ -132,10 +133,14 @@ def test_buffers_round_trip_through_text(tmp_path):
     gen = fit_generator(data, 0, 2, FitConfig(n_components=2), 11)
     buffers = [sample_buffer(gen, 10, s) for s in (1, 2)]
     buffers[1].domain_id = 1
-    path = tmp_path / "buffers.txt"
-    write_buffers(buffers, path)
-    back = read_buffers(path)
-    assert [b.domain_id for b in back] == [0, 1]
-    for orig, loaded in zip(buffers, back):
-        assert np.array_equal(orig.data.X, loaded.data.X)
-        assert np.array_equal(orig.data.y, loaded.data.y)
+    strategy = strategy_dispatch("gen_replay", 0, 2, 2, Hyperparams())
+    strategy.synthetic = buffers
+    save_checkpoint(strategy, tmp_path)
+    back = read_arrays(tmp_path / "checkpoint.txt")
+    assert sorted(back) == ["buffer0.X", "buffer0.y", "buffer1.X", "buffer1.y"]
+    for orig in buffers:
+        loaded_X = back[f"buffer{orig.domain_id}.X"]
+        loaded_y = back[f"buffer{orig.domain_id}.y"]
+        assert loaded_X.dtype == orig.data.X.dtype and loaded_y.dtype == orig.data.y.dtype
+        assert np.array_equal(orig.data.X, loaded_X)
+        assert np.array_equal(orig.data.y, loaded_y)

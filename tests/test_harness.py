@@ -2,17 +2,18 @@
 schemas, report rendering, failure isolation, and the CLI."""
 
 import csv
+import filecmp
 import re
+from pathlib import Path
 
 import pytest
 
 from driftlab import cli
-from driftlab.config import parse_config
+from driftlab.config import load_config, parse_config
 from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               SUMMARY_HEADER, benchmark_label, execute_run,
                               persist_results, run_experiment, run_id_for)
-from driftlab.harness_report import (_mean_std, render_report,
-                                     render_report_from_dir)
+from driftlab.harness_report import _mean_std, render_report
 
 TINY_DOC = """
 benchmark:
@@ -195,7 +196,7 @@ def test_checkpoints_land_under_the_run_id(tiny):
     for rec in records:
         run_dir = out / "runs" / rec.run_id
         assert run_dir.is_dir()
-        assert (run_dir / "model.txt").exists() or (run_dir / "experts.txt").exists()
+        assert [p.name for p in run_dir.iterdir()] == ["checkpoint.txt"]
 
 
 def test_parallel_execution_reproduces_serial_results(tiny, tmp_path):
@@ -233,21 +234,16 @@ def test_report_tables_show_each_strategy_and_router(tiny):
         assert fh.read() == text
 
 
-def test_report_from_dir_recovers_the_same_rows(tiny):
-    # the persisted path aggregates CSV values rounded to 6 decimals, so
-    # recovered means may differ from in-memory means by one final digit
-    _, records, out, _ = tiny
-    direct = render_report(records).splitlines()
-    from_dir = render_report_from_dir(str(out)).splitlines()
-    for name in ("seqft", "g2d", "synthetic"):
-        want = [ln for ln in direct if ln.startswith(name)]
-        got = [ln for ln in from_dir if ln.startswith(name)]
-        assert len(want) == 1 and len(got) == 1
-        want_nums = [float(tok) for tok in want[0].split() if tok[0].isdigit() or tok[0] == "-"]
-        got_nums = [float(tok) for tok in got[0].split() if tok[0].isdigit() or tok[0] == "-"]
-        assert len(want_nums) == len(got_nums)
-        for a, b in zip(want_nums, got_nums):
-            assert abs(a - b) <= 2e-6
+def test_one_dimensional_routed_run_keeps_its_results(tmp_path):
+    # a 1-d stream has no second principal axis: the projection degrades
+    # instead of discarding the finished run
+    doc = (TINY_DOC.replace("[[0.0, -1.5], [0.0, 1.5]]", "[[0.0], [4.0]]")
+                   .replace("domain_shift: [6.0, 0.0]", "domain_shift: [8.0]"))
+    records = run_experiment(parse_config(doc), out_dir=str(tmp_path))
+    assert all(r.ok for r in records), [r.failure for r in records]
+    g2d = [r for r in records if r.strategy == "g2d"]
+    assert all(r.routing is not None and r.projection for r in g2d)
+    assert all(pc2 == 0.0 for r in g2d for _, _, _, pc2, _ in r.projection)
 
 
 def test_failing_run_is_contained_and_reported(tmp_path):
@@ -294,7 +290,7 @@ def test_cli_run_report_project_round_trip(tmp_path, capsys):
     assert (out / "matrix.csv").exists()
 
     assert cli.main(["report", str(out)]) == 0
-    assert "Continual-learning results" in capsys.readouterr().out
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
 
     g2d_id = next(row["run_id"] for row in read_rows(out / "routing.csv"))
     assert cli.main(["project", g2d_id, "--router", "synthetic",
@@ -324,3 +320,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAILED" in captured.out
     assert "runs failed" in captured.err
+    assert cli.main(["report", str(out)]) == 0
+    assert "Failed runs" in capsys.readouterr().out
+
+
+def test_shipped_configs_regenerate_the_committed_results(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    for name in ("quickstart", "flip_t2"):
+        cfg = load_config(root / "configs" / f"{name}.yaml")
+        out = tmp_path / name
+        persist_results(run_experiment(cfg, out_dir=str(out)), str(out))
+        assert tree_mismatches(out, root / "results" / name) == [], name
+
+
+def tree_mismatches(left, right):
+    """Relative paths that differ in content or exist on one side only."""
+    cmp = filecmp.dircmp(left, right)
+    _, differ, errors = filecmp.cmpfiles(left, right, cmp.common_files, shallow=False)
+    bad = cmp.left_only + cmp.right_only + differ + errors
+    for sub in cmp.common_dirs:
+        bad += [f"{sub}/{rel}" for rel in tree_mismatches(left / sub, right / sub)]
+    return sorted(bad)

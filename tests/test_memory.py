@@ -1,4 +1,4 @@
-"""Replay buffers: quota arithmetic, reservoir behavior, composition rules."""
+"""Replay buffers: reservoir behavior, per-class quotas, composition rules."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from driftlab.benchmarks import LabeledSet
 from driftlab.errors import ValidationError
 from driftlab.memory import (ReplayBuffer, build_router_trainset,
                              compose_replay_trainset, concat_sets,
-                             proportional_quotas, reservoir_indices,
-                             update_replay_buffer)
+                             reservoir_indices, update_replay_buffer)
 from driftlab.rng import make_rng
 
 
@@ -16,39 +15,6 @@ def labeled(n, dim=2, n_classes=2, seed=0):
     rng = np.random.default_rng(seed)
     return LabeledSet(rng.normal(size=(n, dim)),
                       np.arange(n) % n_classes)
-
-
-def test_quotas_proportional_worked_example():
-    assert proportional_quotas([100, 300], 40).tolist() == [10, 30]
-
-
-def test_quotas_largest_remainder_ties_to_lowest_index():
-    assert proportional_quotas([1, 1, 1], 2).tolist() == [1, 1, 0]
-    assert proportional_quotas([3, 3, 3], 8).tolist() == [3, 3, 2]
-
-
-def test_quotas_return_everything_when_budget_covers_it():
-    assert proportional_quotas([5, 2], 100).tolist() == [5, 2]
-
-
-def test_quotas_never_exceed_group_sizes_and_sum_to_budget():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        counts = rng.integers(0, 40, size=rng.integers(1, 6))
-        budget = int(rng.integers(0, 60))
-        q = proportional_quotas(counts, budget)
-        assert (q <= counts).all()
-        assert (q >= 0).all()
-        assert q.sum() == min(budget, counts.sum())
-
-
-def test_quotas_input_validation():
-    with pytest.raises(ValidationError):
-        proportional_quotas([], 5)
-    with pytest.raises(ValidationError):
-        proportional_quotas([3, -1], 5)
-    with pytest.raises(ValidationError):
-        proportional_quotas([3, 1], -5)
 
 
 def test_reservoir_keeps_everything_when_quota_covers_n():

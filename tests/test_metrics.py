@@ -17,7 +17,7 @@ def test_evaluate_accuracy_with_callable_and_with_classifier():
 
     model = nn.Classifier([1, 2], [np.array([[-1.0, 1.0]])], [np.array([3.0, 0.0])])
     # logits cross at x = 1.5: predicts 0 below, 1 above
-    assert evaluate_accuracy(model, data) == 1.0
+    assert evaluate_accuracy(lambda X: nn.predict(model, X), data) == 1.0
     with pytest.raises(ValidationError):
         evaluate_accuracy(rule, LabeledSet(np.zeros((0, 1)), np.zeros(0, dtype=int)))
 
@@ -96,14 +96,6 @@ def test_bwt_needs_two_domains_and_filled_cells():
     m.record(0, 0, 0.9)
     with pytest.raises(ContractError):
         bwt(m)
-
-
-def test_column_filled():
-    m = AccuracyMatrix(2)
-    m.record(0, 1, 0.5)
-    assert not m.column_filled(1)
-    m.record(1, 1, 0.5)
-    assert m.column_filled(1)
 
 
 def test_routing_accuracy_and_confusion():

@@ -25,7 +25,6 @@ def test_init_shapes_and_zero_biases():
     assert [w.shape for w in model.weights] == [(4, 7), (7, 3)]
     assert [b.shape for b in model.biases] == [(7,), (3,)]
     assert all(not b.any() for b in model.biases)
-    assert model.parameter_count() == 4 * 7 + 7 + 7 * 3 + 3
 
 
 def test_init_deterministic_in_seed():
@@ -110,14 +109,6 @@ def test_predict_is_argmax_of_forward():
     model = small_model()
     X, _ = random_batch(model, n=20)
     assert np.array_equal(nn.predict(model, X), np.argmax(nn.forward(model, X), axis=1))
-
-
-def test_hidden_features_are_last_relu_layer():
-    model = small_model((3, 6, 2))
-    X, _ = random_batch(model)
-    feats = nn.hidden_features(model, X)
-    assert feats.shape == (len(X), 6)
-    assert (feats >= 0).all()
 
 
 def test_copy_is_independent():

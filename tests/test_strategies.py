@@ -6,12 +6,11 @@ import pytest
 
 from driftlab import nn
 from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
-from driftlab.errors import ConfigError, ContractError
+from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.strategies import (EXPERT_INIT_MODES, STRATEGY_NAMES,
-                                 Hyperparams, read_classifiers,
-                                 save_checkpoint, strategy_dispatch,
-                                 write_classifier)
+                                 Hyperparams, read_arrays, save_checkpoint,
+                                 strategy_dispatch)
 
 import oracles
 
@@ -232,13 +231,22 @@ def test_strategy_seeds_make_runs_reproducible():
     assert not params_equal(a.model, c.model)
 
 
+def classifier_from_arrays(arrays, tag):
+    """Rebuild the classifier saved under ``tag`` from read_arrays output."""
+    n_layers = sum(1 for key in arrays if key.startswith(f"{tag}.W"))
+    weights = [arrays[f"{tag}.W{i}"] for i in range(n_layers)]
+    biases = [arrays[f"{tag}.b{i}"] for i in range(n_layers)]
+    dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+    return nn.Classifier(dims, weights, biases)
+
+
 def test_classifier_text_block_round_trips_exactly(tmp_path):
     model = nn.init_classifier([3, 5, 2], 8)
     model.weights[0][0, 0] = -1.2345678901234567e-8
-    path = tmp_path / "model.txt"
-    with open(path, "w") as fh:
-        write_classifier(fh, "model", model)
-    back = read_classifiers(path)["model"]
+    strategy = strategy_dispatch("seqft", 0, 3, 2, small_hp())
+    strategy.model = model
+    save_checkpoint(strategy, tmp_path)
+    back = classifier_from_arrays(read_arrays(tmp_path / "checkpoint.txt"), "model")
     assert back.layer_dims == model.layer_dims
     assert params_equal(model, back)
 
@@ -248,22 +256,93 @@ def test_checkpoints_cover_each_strategy_family(tmp_path):
 
     g2d = run_stream("g2d", stream)
     save_checkpoint(g2d, tmp_path / "g2d")
-    experts = read_classifiers(tmp_path / "g2d" / "experts.txt")
-    assert set(experts) == {"expert0", "expert1"}
-    assert params_equal(experts["expert1"], g2d.experts[1])
-    router = read_classifiers(tmp_path / "g2d" / "router.txt")["router"]
-    assert params_equal(router, g2d.router)
-    assert (tmp_path / "g2d" / "buffers.txt").exists()
+    arrays = read_arrays(tmp_path / "g2d" / "checkpoint.txt")
+    assert {key.split(".")[0] for key in arrays if key.startswith("expert")} == \
+        {"expert0", "expert1"}
+    assert params_equal(classifier_from_arrays(arrays, "expert1"), g2d.experts[1])
+    assert params_equal(classifier_from_arrays(arrays, "router"), g2d.router)
+    assert {"buffer0.X", "buffer0.y", "buffer1.X", "buffer1.y"} <= set(arrays)
 
     centroid = run_stream("centroid_router", stream)
     save_checkpoint(centroid, tmp_path / "centroid")
-    text = (tmp_path / "centroid" / "router.txt").read_text()
-    assert text.startswith("router centroids")
+    arrays = read_arrays(tmp_path / "centroid" / "checkpoint.txt")
+    assert np.array_equal(arrays["router.centroids"], centroid.router.centroids)
 
     ewc = run_stream("ewc", stream)
     save_checkpoint(ewc, tmp_path / "ewc")
-    assert (tmp_path / "ewc" / "model.txt").exists()
-    assert (tmp_path / "ewc" / "anchors.txt").exists()
+    arrays = read_arrays(tmp_path / "ewc" / "checkpoint.txt")
+    assert params_equal(classifier_from_arrays(arrays, "model"), ewc.model)
+    assert any(key.startswith("anchor") for key in arrays)
+
+
+def held_arrays(strategy):
+    """Every array of learned state the strategy holds, read straight from
+    its attributes, under its checkpoint block name."""
+    def classifier(tag, model):
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            yield f"{tag}.W{i}", w
+            yield f"{tag}.b{i}", b
+
+    out = {}
+    if hasattr(strategy, "experts"):
+        for t, expert in enumerate(strategy.experts):
+            out.update(classifier(f"expert{t}", expert))
+        router = strategy.router
+        if strategy.router_kind == "centroid":
+            out.update({"router.k": np.array(router.n_centroids),
+                        "router.knn": np.array(router.n_neighbors),
+                        "router.centroids": router.centroids,
+                        "router.domain_ids": router.domain_ids})
+        else:
+            out.update(classifier("router", router))
+    else:
+        out.update(classifier("model", strategy.model))
+    for buf in getattr(strategy, "synthetic", []):
+        out[f"buffer{buf.domain_id}.X"] = buf.data.X
+        out[f"buffer{buf.domain_id}.y"] = buf.data.y
+    if hasattr(strategy, "ewc"):
+        for a, (params, fisher) in enumerate(strategy.ewc.anchors):
+            for i, ((w, b), (fw, fb)) in enumerate(zip(params, fisher)):
+                out.update({f"anchor{a}.W{i}": w, f"anchor{a}.b{i}": b,
+                            f"anchor{a}.FW{i}": fw, f"anchor{a}.Fb{i}": fb})
+    return out
+
+
+def test_checkpoint_round_trips_every_held_array(tmp_path):
+    stream = small_stream(n_domains=2)
+    expected_blocks = {"seqft": 4, "ewc": 4 + 2 * 8, "er": 4, "gen_replay": 4 + 2 * 2,
+                       "g2d": 2 * 4 + 4 + 2 * 2, "oracle_router": 2 * 4 + 4,
+                       "centroid_router": 2 * 4 + 4, "mtl": 4}
+    for name in STRATEGY_NAMES:
+        strategy = run_stream(name, stream)
+        save_checkpoint(strategy, tmp_path / name)
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["checkpoint.txt"]
+        back = read_arrays(tmp_path / name / "checkpoint.txt")
+        held = held_arrays(strategy)
+        assert len(held) == expected_blocks[name], name
+        assert list(back) == list(held), name
+        for key, arr in held.items():
+            arr = np.asarray(arr)
+            assert back[key].dtype == arr.dtype, (name, key)
+            assert back[key].shape == arr.shape, (name, key)
+            assert np.array_equal(back[key], arr), (name, key)
+    # er's replay buffer holds real training data, which never leaves the run
+    assert not any(key.startswith("buffer") for key in
+                   read_arrays(tmp_path / "er" / "checkpoint.txt"))
+    # a one-domain g2d routes by the constant, which has no state to write
+    save_checkpoint(run_stream("g2d", small_stream(n_domains=1)), tmp_path / "constant")
+    assert sorted(read_arrays(tmp_path / "constant" / "checkpoint.txt")) == \
+        ["buffer0.X", "buffer0.y", "expert0.W0", "expert0.W1", "expert0.b0", "expert0.b1"]
+
+
+def test_read_arrays_rejects_malformed_blocks(tmp_path):
+    path = tmp_path / "checkpoint.txt"
+    path.write_text("model.W0 float64 shape=2x2\n1.0 2.0 3.0\n")
+    with pytest.raises(ValidationError, match="model.W0"):
+        read_arrays(path)
+    path.write_text("model.W0 float64\n1.0\n")
+    with pytest.raises(ValidationError, match="header"):
+        read_arrays(path)
 
 
 def test_predictions_match_oracle_forward_pass():
