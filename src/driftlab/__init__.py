@@ -29,8 +29,9 @@ from .memory import (ReplayBuffer, build_router_trainset,
                      compose_replay_trainset, update_replay_buffer)
 from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
-from .nn import Classifier, forward, init_classifier, loss_and_grad, predict, softmax
-from .optim import OptimizerState, adam_step, apply_step, sgd_step
+from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_grad,
+                 predict, softmax)
+from .optim import OptimizerState, apply_step
 from .pca import Projection2D, pca_project_2d
 from .rng import derive, make_rng
 from .strategies import (Hyperparams, STRATEGY_NAMES, Strategy,

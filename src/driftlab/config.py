@@ -129,6 +129,9 @@ def _check_positive_float(value, name, problems, allow_zero=False):
 
 
 def _validate_benchmark(bench: BenchmarkConfig, problems):
+    """Returns the smallest class count of a training split (the balanced
+    split gives the remainder to the lower classes), or None when the
+    section is too broken to tell."""
     where = "benchmark"
     if bench.kind not in BENCHMARK_KINDS:
         problems.append(f"{where}.kind: {bench.kind!r} is not one of {', '.join(BENCHMARK_KINDS)}")
@@ -183,9 +186,16 @@ def _validate_benchmark(bench: BenchmarkConfig, problems):
         v = getattr(bench, name)
         if not isinstance(v, int) or v < 1:
             problems.append(f"{where}.{name}: expected integer >= 1, got {v!r}")
+    if dim is None or not isinstance(bench.n_train, int):
+        return None
+    if bench.n_train < 5 * len(means):
+        problems.append(f"{where}.n_train: {bench.n_train} is below 5 per class "
+                        f"for {len(means)} classes")
+    return bench.n_train // len(means)
 
 
-def _validate_strategy(sc: StrategyConfig, idx: int, problems):
+def _validate_strategy(sc: StrategyConfig, idx: int, per_class, problems):
+    """per_class is what _validate_benchmark returned."""
     where = f"strategies[{idx}]"
     if sc.name not in STRATEGY_NAMES:
         problems.append(
@@ -211,6 +221,12 @@ def _validate_strategy(sc: StrategyConfig, idx: int, problems):
     _check_positive_float(sc.router_learning_rate, f"{where}.router_learning_rate", problems)
     _check_positive_int(sc.n_centroids, f"{where}.n_centroids", problems)
     _check_positive_int(sc.n_neighbors, f"{where}.n_neighbors", problems)
+    if sc.name in ("gen_replay", "g2d") and per_class is not None:
+        grid = sc.gmm_components if isinstance(sc.gmm_components, list) else [sc.gmm_components]
+        for k in grid:
+            if isinstance(k, int) and k > per_class:
+                problems.append(f"{where}.gmm_components: {k} exceeds the {per_class} "
+                                f"training samples of the smallest class")
     if sc.expert_init not in EXPERT_INIT_MODES:
         problems.append(
             f"{where}.expert_init: expected one of {', '.join(EXPERT_INIT_MODES)}, "
@@ -241,14 +257,14 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"missing required field {key!r} ({kind.__name__})")
 
     bench = _build_section(BenchmarkConfig, raw.get("benchmark", {}), "benchmark", problems)
-    _validate_benchmark(bench, problems)
+    per_class = _validate_benchmark(bench, problems)
 
     raw_strategies = raw.get("strategies", [])
     strategies = []
     if isinstance(raw_strategies, list) and raw_strategies:
         for i, entry in enumerate(raw_strategies):
             sc = _build_section(StrategyConfig, entry, f"strategies[{i}]", problems)
-            _validate_strategy(sc, i, problems)
+            _validate_strategy(sc, i, per_class, problems)
             strategies.append(sc)
         names = [sc.name for sc in strategies]
         dupes = sorted({n for n in names if names.count(n) > 1})

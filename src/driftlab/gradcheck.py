@@ -21,20 +21,15 @@ from .rng import make_rng
 REL_FLOOR = 1e-3
 
 
-def _iter_params(model):
-    for i in range(model.n_layers):
-        yield i, "w", model.weights[i]
-        yield i, "b", model.biases[i]
-
-
 def finite_diff_check(model, batch, labels, h: float = 1e-5, *,
                       loss_fn=None, max_params: int = 2000, seed: int = 0) -> float:
     """Max relative discrepancy between analytic and central-difference gradients.
 
-    ``loss_fn(model) -> (loss, grads)`` defaults to mean cross-entropy on
-    (batch, labels); pass a custom one to check an augmented loss. All
-    parameters are checked when the model has at most ``max_params``;
-    otherwise a seeded random subset of max(100, max_params) coordinates.
+    ``loss_fn(model) -> (loss, grad)``, with grad in the layout of
+    ``model.params``, defaults to mean cross-entropy on (batch, labels);
+    pass a custom one to check an augmented loss. All parameters are
+    checked when the model has at most ``max_params``; otherwise a seeded
+    random subset of max(100, max_params) coordinates.
 
     Relative error per coordinate is |a - n| / max(|a|, |n|, REL_FLOOR).
     """
@@ -49,31 +44,24 @@ def finite_diff_check(model, batch, labels, h: float = 1e-5, *,
         def loss_fn(m):
             return nn.loss_and_grad(m, x, y)
 
-    _, grads = loss_fn(model)
-    analytic = {("w", i): dw for i, (dw, _) in enumerate(grads)}
-    analytic.update({("b", i): db for i, (_, db) in enumerate(grads)})
-
-    coords = []
-    for i, kind, arr in _iter_params(model):
-        for flat in range(arr.size):
-            coords.append((i, kind, flat))
-    if len(coords) > max_params:
+    _, analytic = loss_fn(model)
+    params = model.params
+    coords = range(params.size)
+    if params.size > max_params:
         rng = make_rng(seed, "gradcheck")
-        keep = rng.choice(len(coords), size=max(100, max_params), replace=False)
-        coords = [coords[k] for k in sorted(keep)]
+        coords = sorted(rng.choice(params.size, size=max(100, max_params), replace=False))
 
     worst = 0.0
-    for i, kind, flat in coords:
-        arr = model.weights[i] if kind == "w" else model.biases[i]
-        original = arr.flat[flat]
-        arr.flat[flat] = original + h
+    for k in coords:
+        original = params[k]
+        params[k] = original + h
         loss_plus, _ = loss_fn(model)
-        arr.flat[flat] = original - h
+        params[k] = original - h
         loss_minus, _ = loss_fn(model)
-        arr.flat[flat] = original
+        params[k] = original
 
         numeric = (loss_plus - loss_minus) / (2.0 * h)
-        a = analytic[(kind, i)].flat[flat]
+        a = analytic[k]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), REL_FLOOR)
         if rel > worst:
             worst = rel

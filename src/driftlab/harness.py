@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -60,7 +61,8 @@ class RunRecord:
     routing: RoutingReport = None
     projection: list = field(default_factory=list)     # rows for projection.csv
     duration: float = 0.0
-    failure: str = ""
+    failure: str = ""        # "Type: message"; empty for a run that finished
+    traceback: str = ""      # the failure's full traceback
 
     @property
     def ok(self) -> bool:
@@ -120,6 +122,7 @@ def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int) -> RunRecord:
         _execute_into(record, cfg, strategy_cfg, seed)
     except Exception as exc:   # a failing run must not sink its siblings
         record.failure = f"{type(exc).__name__}: {exc}"
+        record.traceback = traceback.format_exc()
     record.duration = time.perf_counter() - start
     return record
 
@@ -162,7 +165,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """Execute every (strategy, seed) pair of a config.
 
     Returns the records in config order (strategies outer, seeds inner)
-    and writes each run's <out>/runs/<run_id>/checkpoint.txt. Persisting
+    and writes each run's <out>/runs/<run_id>/checkpoint.txt, or the
+    traceback of a failed run to <out>/runs/<run_id>/failure.txt. Persisting
     the aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
@@ -178,10 +182,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
 def _run_task(payload):
     cfg, sc, seed, out = payload
     record = execute_run(cfg, sc, seed)
+    run_dir = os.path.join(out, "runs", record.run_id)
+    if not record.ok:
+        os.makedirs(run_dir, exist_ok=True)
+        with open(os.path.join(run_dir, "failure.txt"), "w") as fh:
+            fh.write(record.traceback)
     # checkpoint in the worker: strategies do not cross process boundaries
     strategy = getattr(record, "_strategy", None)
     if strategy is not None:
-        save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
+        save_checkpoint(strategy, run_dir)
         record._strategy = None
     return record
 

@@ -18,7 +18,9 @@ from .rng import make_rng
 class Classifier:
     """An MLP: ``layer_dims = [d, h1, ..., C]``, weights[i] of shape (dims[i], dims[i+1]).
 
-    Hidden activations are ReLU; the final layer emits raw logits.
+    Hidden activations are ReLU; the final layer emits raw logits. All
+    parameters live in one contiguous float64 vector ``params`` laid out
+    W0, b0, W1, b1, ...; ``weights[i]`` and ``biases[i]`` are views into it.
     Instances are mutated only by optimizer steps.
     """
 
@@ -26,8 +28,17 @@ class Classifier:
         if len(layer_dims) < 2:
             raise ValidationError(f"layer_dims needs at least [input, output], got {layer_dims}")
         self.layer_dims = [int(d) for d in layer_dims]
-        self.weights = weights
-        self.biases = biases
+        arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        views = layer_views(self, self.params)
+        if [a.shape for a in arrays] != [v.shape for pair in views for v in pair]:
+            raise ShapeError(f"parameter shapes {[a.shape for a in arrays]} do not fit "
+                             f"layer_dims {self.layer_dims}")
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
+
+    def __reduce__(self):
+        return Classifier, (self.layer_dims, self.weights, self.biases)
 
     @property
     def n_inputs(self) -> int:
@@ -39,14 +50,25 @@ class Classifier:
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     def copy(self) -> "Classifier":
-        return Classifier(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Classifier(self.layer_dims, self.weights, self.biases)
+
+
+def layer_views(model: Classifier, vec: np.ndarray):
+    """[(W, b), ...] per layer: reshaped views into a vector in the layout
+    of ``model.params``, so writing a view writes the vector."""
+    dims = model.layer_dims
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if vec.shape != (size,):
+        raise ShapeError(f"expected a vector of {size} parameters, got shape {vec.shape}")
+    views, start = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        mid = start + fan_in * fan_out
+        views.append((vec[start:mid].reshape(fan_in, fan_out), vec[mid:mid + fan_out]))
+        start = mid + fan_out
+    return views
 
 
 def init_classifier(layer_dims, seed: int) -> Classifier:
@@ -75,15 +97,19 @@ def _check_batch(model: Classifier, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
-    """Logits for a batch, shape (n, C). Deterministic; no dropout anywhere."""
-    a = _check_batch(model, batch)
+def _activations(model: Classifier, x: np.ndarray) -> list:
+    """Post-activation values of every layer: the input first, logits last."""
+    out = [x]
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return a
+        a = out[-1] @ w + b
+        out.append(np.maximum(a, 0.0) if i < last else a)
+    return out
+
+
+def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
+    """Logits for a batch, shape (n, C). Deterministic; no dropout anywhere."""
+    return _activations(model, _check_batch(model, batch))[-1]
 
 
 def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
@@ -92,8 +118,8 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     Forward caches post-activation values per layer; backward applies the
     standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
 
-    Returns (loss, grads) with grads a list of (dW, db) shaped like the
-    parameters.
+    Returns (loss, grad) with grad one vector in the layout of
+    ``model.params``.
     """
     x = _check_batch(model, batch)
     y = np.asarray(labels)
@@ -106,15 +132,7 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     if y.min() < 0 or y.max() >= c:
         raise ValidationError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
 
-    last = model.n_layers - 1
-    activations = [x]
-    a = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-        activations.append(a)
-
+    activations = _activations(model, x)
     logits = activations[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -124,13 +142,15 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grads = [None] * model.n_layers
-    for i in range(last, -1, -1):
-        a_prev = activations[i]
-        grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
+    grad = np.empty_like(model.params)
+    views = layer_views(model, grad)
+    for i in range(model.n_layers - 1, -1, -1):
+        dw, db = views[i]
+        dw[...] = activations[i].T @ delta
+        db[...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
-    return loss, grads
+    return loss, grad
 
 
 def predict(model: Classifier, batch: np.ndarray) -> np.ndarray:

@@ -1,18 +1,18 @@
-"""SGD and Adam steps over Classifier parameters."""
+"""SGD and Adam steps over a Classifier's flat parameter vector."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .nn import Classifier
+from .nn import Classifier, layer_views
 
 
 class OptimizerState:
     """Per-model optimizer state.
 
-    kind is "sgd" or "adam". Adam keeps first/second moment accumulators
-    shaped like the parameters plus a step counter; SGD keeps only the
+    kind is "sgd" or "adam". Adam keeps first/second moment vectors in the
+    layout of ``Classifier.params`` plus a step counter; SGD keeps only the
     counter. The counter increments by exactly one per applied step.
     """
 
@@ -31,65 +31,33 @@ class OptimizerState:
         self.m = None
         self.v = None
 
-    def _ensure_moments(self, model: Classifier):
-        if self.m is None:
-            self.m = [(np.zeros_like(w), np.zeros_like(b))
-                      for w, b in zip(model.weights, model.biases)]
-            self.v = [(np.zeros_like(w), np.zeros_like(b))
-                      for w, b in zip(model.weights, model.biases)]
 
+def apply_step(model: Classifier, grad: np.ndarray, state: OptimizerState) -> Classifier:
+    """One in-place step on ``model.params`` with a gradient in its layout.
 
-def _check_grads(model: Classifier, grads):
-    if len(grads) != model.n_layers:
-        raise ValidationError(f"expected {model.n_layers} gradient pairs, got {len(grads)}")
-    for i, (dw, db) in enumerate(grads):
-        if dw.shape != model.weights[i].shape or db.shape != model.biases[i].shape:
-            raise ValidationError(f"gradient shape mismatch at layer {i}")
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise NumericError(f"non-finite gradient at layer {i}")
-
-
-def sgd_step(model: Classifier, grads, state: OptimizerState) -> Classifier:
-    """theta <- theta - lr * g, in place."""
-    if state.kind != "sgd":
-        raise ValidationError(f"sgd_step called with optimizer kind {state.kind!r}")
-    _check_grads(model, grads)
-    lr = state.learning_rate
-    for (w, b), (dw, db) in zip(zip(model.weights, model.biases), grads):
-        w -= lr * dw
-        b -= lr * db
+    SGD: theta <- theta - lr * g. Adam: bias-corrected,
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    """
+    if not isinstance(grad, np.ndarray) or grad.shape != model.params.shape:
+        raise ValidationError(f"expected a gradient vector of shape {model.params.shape}")
+    if not np.isfinite(grad).all():
+        bad = np.flatnonzero(~np.isfinite(grad))[0]
+        index = layer_views(model, np.arange(grad.size))
+        layer = next(i for i, (_, b) in enumerate(index) if bad <= b[-1])
+        raise NumericError(f"non-finite gradient at layer {layer}")
     state.step_count += 1
-    return model
-
-
-def adam_step(model: Classifier, grads, state: OptimizerState) -> Classifier:
-    """Bias-corrected Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
-    if state.kind != "adam":
-        raise ValidationError(f"adam_step called with optimizer kind {state.kind!r}")
-    _check_grads(model, grads)
-    state._ensure_moments(model)
-    state.step_count += 1
+    if state.kind == "sgd":
+        model.params -= state.learning_rate * grad
+        return model
+    if state.m is None:
+        state.m = np.zeros_like(grad)
+        state.v = np.zeros_like(grad)
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    for i, (dw, db) in enumerate(grads):
-        mw, mb = state.m[i]
-        vw, vb = state.v[i]
-        mw *= b1
-        mw += (1 - b1) * dw
-        mb *= b1
-        mb += (1 - b1) * db
-        vw *= b2
-        vw += (1 - b2) * dw * dw
-        vb *= b2
-        vb += (1 - b2) * db * db
-        model.weights[i] -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-        model.biases[i] -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
+    model.params -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     return model
-
-
-def apply_step(model: Classifier, grads, state: OptimizerState) -> Classifier:
-    if state.kind == "sgd":
-        return sgd_step(model, grads, state)
-    return adam_step(model, grads, state)

@@ -49,7 +49,7 @@ from .memory import (ReplayBuffer, build_router_trainset,
 from .optim import OptimizerState
 from .rng import derive, make_rng
 from .training import (EwcState, estimate_fisher_diag, ewc_penalty,
-                       snapshot_params, train_classifier)
+                       train_classifier)
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
@@ -133,7 +133,6 @@ class _SingleModel(Strategy):
     def __init__(self, seed, dim, n_classes, hp=None):
         super().__init__(seed, dim, n_classes, hp)
         self.model = None
-        self.train_logs = []
 
     def _fresh_model(self, hp: Hyperparams) -> nn.Classifier:
         dims = [self.dim, *hp.hidden, self.n_classes]
@@ -141,12 +140,9 @@ class _SingleModel(Strategy):
 
     def _fit(self, data: LabeledSet, t: int, hp: Hyperparams, penalty=None):
         opt = OptimizerState(hp.optimizer, hp.learning_rate)
-        log = train_classifier(
-            self.model, data, epochs=hp.epochs, batch_size=hp.batch_size,
-            opt=opt, seed=derive(self.seed, "domain", t, "train"), penalty=penalty,
-        )
-        self.train_logs.append(log)
-        return log
+        train_classifier(self.model, data, epochs=hp.epochs, batch_size=hp.batch_size,
+                         opt=opt, seed=derive(self.seed, "domain", t, "train"),
+                         penalty=penalty)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.model is None:
@@ -192,7 +188,7 @@ class Ewc(_SingleModel):
             self.model, data, derive(self.seed, "domain", t, "fisher"),
             n_samples=hp.fisher_samples,
         )
-        self.ewc.add_anchor(snapshot_params(self.model), fisher)
+        self.ewc.add_anchor(self.model.params.copy(), fisher)
         self.last_trained = t
 
 
@@ -449,7 +445,7 @@ def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int,
 
 
 def _classifier_arrays(tag: str, model: nn.Classifier):
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (w, b) in enumerate(nn.layer_views(model, model.params)):
         yield f"{tag}.W{i}", w
         yield f"{tag}.b{i}", b
 
@@ -476,8 +472,10 @@ def _checkpoint_arrays(strategy: Strategy):
         yield f"buffer{buf.domain_id}.X", buf.data.X
         yield f"buffer{buf.domain_id}.y", buf.data.y
     if isinstance(strategy, Ewc):
+        model = strategy.model
         for a, (params, fisher) in enumerate(strategy.ewc.anchors):
-            for i, ((w, b), (fw, fb)) in enumerate(zip(params, fisher)):
+            for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(model, params),
+                                                       nn.layer_views(model, fisher))):
                 for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):
                     yield f"anchor{a}.{label}{i}", arr
 

@@ -32,7 +32,7 @@ def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
     """Stochastic training with a fixed shuffle stream.
 
     penalty, if given, is called once per batch as penalty(model) and must
-    return (extra_loss, grads) with grads shaped like the model parameters;
+    return (extra_loss, grad) with grad in the layout of ``model.params``;
     both are added before the optimizer step. The log records the mean
     total loss (data + penalty) per epoch. epochs=0 is a no-op that leaves
     the model untouched.
@@ -55,15 +55,14 @@ def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
         total, batches = 0.0, 0
         for b, start in enumerate(range(0, n, batch_size)):
             idx = order[start:start + batch_size]
-            loss, grads = nn.loss_and_grad(model, data.X[idx], data.y[idx])
+            loss, grad = nn.loss_and_grad(model, data.X[idx], data.y[idx])
             if penalty is not None:
-                ploss, pgrads = penalty(model)
+                ploss, pgrad = penalty(model)
                 loss += ploss
-                grads = [(dw + pw, db + pb)
-                         for (dw, db), (pw, pb) in zip(grads, pgrads)]
+                grad = grad + pgrad
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-            apply_step(model, grads, opt)
+            apply_step(model, grad, opt)
             total += loss
             batches += 1
             steps += 1
@@ -78,8 +77,8 @@ def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
 
 @dataclass
 class EwcState:
-    """Frozen anchors: one (parameter snapshot, diagonal Fisher) pair per
-    finished domain."""
+    """Frozen anchors: one (parameter snapshot, diagonal Fisher) pair of
+    vectors in the layout of ``Classifier.params`` per finished domain."""
 
     anchors: list = field(default_factory=list)
 
@@ -90,16 +89,12 @@ class EwcState:
         return len(self.anchors)
 
 
-def snapshot_params(model: nn.Classifier):
-    return [(w.copy(), b.copy()) for w, b in zip(model.weights, model.biases)]
-
-
 def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
                          n_samples: int = None):
     """Diagonal empirical Fisher: mean squared gradient of the log-likelihood
     of labels drawn from the model's own predictions.
 
-    Returns per-layer (F_w, F_b) arrays, entrywise >= 0.
+    Returns one vector in the layout of ``model.params``, entrywise >= 0.
     """
     if len(data) == 0:
         raise ValidationError("cannot estimate Fisher on an empty dataset")
@@ -112,17 +107,13 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
     else:
         raise ValidationError(f"n_samples must be in [1, {n}], got {n_samples}")
     probs = nn.softmax(nn.forward(model, data.X[idx]))
-    fisher = [(np.zeros_like(w), np.zeros_like(b))
-              for w, b in zip(model.weights, model.biases)]
+    fisher = np.zeros_like(model.params)
     for row, x in zip(probs, data.X[idx]):
         y_hat = rng.choice(model.n_outputs, p=row)
         # single-sample cross-entropy gradient == gradient of -log p(y_hat|x)
-        _, grads = nn.loss_and_grad(model, x[None, :], np.array([y_hat]))
-        for (fw, fb), (dw, db) in zip(fisher, grads):
-            fw += dw ** 2
-            fb += db ** 2
-    m = len(idx)
-    return [(fw / m, fb / m) for fw, fb in fisher]
+        _, grad = nn.loss_and_grad(model, x[None, :], np.array([y_hat]))
+        fisher += grad ** 2
+    return fisher / len(idx)
 
 
 def ewc_penalty(model: nn.Classifier, state: EwcState, lam: float):
@@ -133,20 +124,14 @@ def ewc_penalty(model: nn.Classifier, state: EwcState, lam: float):
     """
     if lam < 0:
         raise ValidationError(f"penalty strength must be >= 0, got {lam}")
-    zero = [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(model.weights, model.biases)]
+    grad = np.zeros_like(model.params)
     if lam == 0 or not state.anchors:
-        return 0.0, zero
+        return 0.0, grad
     loss = 0.0
-    grads = zero
-    for params, fisher in state.anchors:
-        if len(params) != model.n_layers or any(
-            p[0].shape != w.shape for p, w in zip(params, model.weights)
-        ):
+    for anchor, fisher in state.anchors:
+        if anchor.shape != model.params.shape:
             raise ValidationError("anchor shapes do not match the model")
-        for i, ((w_star, b_star), (fw, fb)) in enumerate(zip(params, fisher)):
-            dw = model.weights[i] - w_star
-            db = model.biases[i] - b_star
-            loss += 0.5 * lam * (float((fw * dw ** 2).sum()) + float((fb * db ** 2).sum()))
-            grads[i] = (grads[i][0] + lam * fw * dw, grads[i][1] + lam * fb * db)
-    return loss, grads
+        d = model.params - anchor
+        loss += 0.5 * lam * float((fisher * d ** 2).sum())
+        grad += lam * fisher * d
+    return loss, grad

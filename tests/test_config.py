@@ -164,6 +164,23 @@ def test_rotation_needs_one_angle_per_domain():
                for p in violations(doc.replace("[0.0, 0.5]", '[0.0, "x", 1.0]')))
 
 
+def test_configs_that_can_never_run_are_rejected():
+    # fewer than 5 training samples per class: build_stream would refuse
+    assert any("n_train: 6 is below 5 per class" in p
+               for p in violations(VALID_DOC.replace("n_train: 200", "n_train: 6")))
+    # more mixture components than the smallest class has samples: every
+    # generator fit would fail; the check covers each grid value
+    small = VALID_DOC.replace("n_train: 200", "n_train: 12")
+    doc = small.replace("n_per_class: 20", "n_per_class: 20\n    gmm_components: [1, 7]")
+    assert any("gmm_components: 7 exceeds the 6" in p for p in violations(doc))
+    # an odd split leaves the smaller count on the higher class
+    assert violations(doc.replace("n_train: 12", "n_train: 13"))
+    parse_config(small.replace("n_per_class: 20", "n_per_class: 20\n    gmm_components: 6"))
+    # strategies without generators ignore gmm_components
+    parse_config(small.replace("epochs: 10\n  - name: g2d",
+                               "epochs: 10\n    gmm_components: 7\n  - name: g2d"))
+
+
 def test_seed_list_validation():
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[]")))
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[1, two]")))

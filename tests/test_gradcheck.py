@@ -25,25 +25,21 @@ def test_sabotaged_gradient_is_detected():
     model, X, y = make_case(seed=2)
 
     def bad_loss_fn(m):
-        loss, grads = nn.loss_and_grad(m, X, y)
-        (dw, db), rest = grads[0], grads[1:]
-        return loss, [(dw + 1e-2, db)] + rest
+        loss, grad = nn.loss_and_grad(m, X, y)
+        nn.layer_views(m, grad)[0][0][...] += 1e-2
+        return loss, grad
 
     assert finite_diff_check(model, X, y, loss_fn=bad_loss_fn) > 1e-3
 
 
 def test_custom_loss_fn_with_quadratic_penalty():
     model, X, y = make_case(seed=3)
-    anchors = [w.copy() + 0.1 for w in model.weights]
+    anchor = model.params + 0.1
 
     def loss_fn(m):
-        loss, grads = nn.loss_and_grad(m, X, y)
-        penalty = 0.0
-        out = []
-        for (dw, db), w, a in zip(grads, m.weights, anchors):
-            penalty += 0.5 * float(((w - a) ** 2).sum())
-            out.append((dw + (w - a), db))
-        return loss + penalty, out
+        loss, grad = nn.loss_and_grad(m, X, y)
+        d = m.params - anchor
+        return loss + 0.5 * float((d ** 2).sum()), grad + d
 
     assert finite_diff_check(model, X, y, loss_fn=loss_fn) < 1e-6
 
@@ -73,8 +69,6 @@ def test_empty_batch_is_rejected():
 
 def test_check_leaves_parameters_untouched():
     model, X, y = make_case(seed=5)
-    before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
+    before = model.params.copy()
     finite_diff_check(model, X, y)
-    after = list(model.weights) + list(model.biases)
-    for b_arr, a_arr in zip(before, after):
-        assert np.array_equal(b_arr, a_arr)
+    assert np.array_equal(before, model.params)

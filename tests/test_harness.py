@@ -246,17 +246,20 @@ def test_one_dimensional_routed_run_keeps_its_results(tmp_path):
     assert all(pc2 == 0.0 for r in g2d for _, _, _, pc2, _ in r.projection)
 
 
+# a valid config whose g2d runs diverge: every SGD step overflows
+DIVERGING_DOC = TINY_DOC.replace(
+    "n_per_class: 12", "n_per_class: 12\n    optimizer: sgd\n    learning_rate: 1.0e+300")
+
+
 def test_failing_run_is_contained_and_reported(tmp_path):
-    doc = TINY_DOC.replace("n_train: 60", "n_train: 12") \
-                  .replace("n_per_class: 12", "n_per_class: 12\n    gmm_components: 7")
-    cfg = parse_config(doc)
+    cfg = parse_config(DIVERGING_DOC)
     records = run_experiment(cfg, out_dir=str(tmp_path))
     by_name = {}
     for rec in records:
         by_name.setdefault(rec.strategy, []).append(rec)
     assert all(r.ok for r in by_name["seqft"])
     assert all(not r.ok for r in by_name["g2d"])
-    assert "ValidationError" in by_name["g2d"][0].failure
+    assert "NumericError" in by_name["g2d"][0].failure
 
     paths = persist_results(records, str(tmp_path))
     ids_in_matrix = {row["run_id"] for row in read_rows(paths["matrix.csv"])}
@@ -264,6 +267,25 @@ def test_failing_run_is_contained_and_reported(tmp_path):
     report = render_report(records)
     assert "Failed runs" in report
     assert by_name["g2d"][0].run_id in report
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_run_leaves_its_traceback(tmp_path, jobs):
+    cfg = parse_config(DIVERGING_DOC)
+    records = run_experiment(cfg, out_dir=str(tmp_path), jobs=jobs)
+    for rec in records:
+        run_dir = tmp_path / "runs" / rec.run_id
+        if rec.ok:
+            assert not (run_dir / "failure.txt").exists()
+            continue
+        assert rec.failure.startswith("NumericError: non-finite loss")
+        text = (run_dir / "failure.txt").read_text()
+        assert text == rec.traceback
+        assert text.startswith("Traceback (most recent call last):")
+        assert "train_classifier" in text
+        assert text.rstrip().endswith(rec.failure)
+        assert not (run_dir / "checkpoint.txt").exists()
+    assert sum(not rec.ok for rec in records) == 2
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):
@@ -310,11 +332,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     failing = tmp_path / "failing.yaml"
-    failing.write_text(
-        TINY_DOC.replace("n_train: 60", "n_train: 12")
-                .replace("n_per_class: 12", "n_per_class: 12\n    gmm_components: 7")
-                .replace("seeds: [21, 22]", "seeds: [21]")
-    )
+    failing.write_text(DIVERGING_DOC.replace("seeds: [21, 22]", "seeds: [21]"))
     out = tmp_path / "failout"
     assert cli.main(["run", str(failing), "--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -78,9 +78,9 @@ def test_loss_matches_reference_cross_entropy():
 def test_grads_match_independent_finite_differences():
     model = small_model((3, 4, 3), seed=21)
     X, y = random_batch(model, n=5, seed=9)
-    _, grads = nn.loss_and_grad(model, X, y)
+    _, grad = nn.loss_and_grad(model, X, y)
     numeric = oracles.numeric_mlp_grads(model.weights, model.biases, X, y)
-    for (dw, db), (nw, nb) in zip(grads, numeric):
+    for (dw, db), (nw, nb) in zip(nn.layer_views(model, grad), numeric):
         assert np.allclose(dw, nw, atol=1e-7)
         assert np.allclose(db, nb, atol=1e-7)
 
@@ -88,9 +88,11 @@ def test_grads_match_independent_finite_differences():
 def test_grad_shapes_mirror_parameters():
     model = small_model()
     X, y = random_batch(model)
-    _, grads = nn.loss_and_grad(model, X, y)
-    assert len(grads) == model.n_layers
-    for (dw, db), w, b in zip(grads, model.weights, model.biases):
+    _, grad = nn.loss_and_grad(model, X, y)
+    assert grad.shape == model.params.shape
+    views = nn.layer_views(model, grad)
+    assert len(views) == model.n_layers
+    for (dw, db), w, b in zip(views, model.weights, model.biases):
         assert dw.shape == w.shape and db.shape == b.shape
 
 

@@ -302,7 +302,8 @@ def held_arrays(strategy):
         out[f"buffer{buf.domain_id}.y"] = buf.data.y
     if hasattr(strategy, "ewc"):
         for a, (params, fisher) in enumerate(strategy.ewc.anchors):
-            for i, ((w, b), (fw, fb)) in enumerate(zip(params, fisher)):
+            for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(strategy.model, params),
+                                                       nn.layer_views(strategy.model, fisher))):
                 out.update({f"anchor{a}.W{i}": w, f"anchor{a}.b{i}": b,
                             f"anchor{a}.FW{i}": fw, f"anchor{a}.Fb{i}": fb})
     return out

@@ -7,8 +7,10 @@ from driftlab import nn
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import NumericError, ValidationError
 from driftlab.optim import OptimizerState
+from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
+from driftlab.strategies import Hyperparams, strategy_dispatch
 from driftlab.training import (EwcState, estimate_fisher_diag, ewc_penalty,
-                               snapshot_params, train_classifier)
+                               train_classifier)
 
 import oracles
 
@@ -25,19 +27,14 @@ def fresh_model(seed=1, dims=(2, 8, 2)):
     return nn.init_classifier(list(dims), seed)
 
 
-def params_of(model):
-    return [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-
-
 def test_zero_epochs_is_a_no_op():
     model = fresh_model()
-    before = params_of(model)
+    before = model.params.copy()
     log = train_classifier(model, separable_data(), epochs=0, batch_size=16,
                            opt=OptimizerState("adam", 0.01), seed=0)
     assert log.n_steps == 0
     assert log.epoch_losses.shape == (0,)
-    for b_arr, a_arr in zip(before, params_of(model)):
-        assert np.array_equal(b_arr, a_arr)
+    assert np.array_equal(before, model.params)
 
 
 def test_training_is_deterministic_in_seed():
@@ -46,7 +43,7 @@ def test_training_is_deterministic_in_seed():
     for m, seed in ((m1, 5), (m2, 5), (m3, 6)):
         train_classifier(m, data, epochs=3, batch_size=16,
                          opt=OptimizerState("adam", 0.01), seed=seed)
-    assert all(np.array_equal(a, b) for a, b in zip(params_of(m1), params_of(m2)))
+    assert np.array_equal(m1.params, m2.params)
     assert not np.array_equal(m1.weights[0], m3.weights[0])
 
 
@@ -70,21 +67,18 @@ def test_labels_outside_model_range_are_rejected():
 def test_zero_penalty_hook_changes_nothing():
     data = separable_data()
     plain, hooked = fresh_model(), fresh_model()
-    zero = lambda m: (0.0, [(np.zeros_like(w), np.zeros_like(b))
-                            for w, b in zip(m.weights, m.biases)])
+    zero = lambda m: (0.0, np.zeros_like(m.params))
     train_classifier(plain, data, epochs=3, batch_size=16,
                      opt=OptimizerState("adam", 0.01), seed=2)
     train_classifier(hooked, data, epochs=3, batch_size=16,
                      opt=OptimizerState("adam", 0.01), seed=2, penalty=zero)
-    for a, b in zip(params_of(plain), params_of(hooked)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(plain.params, hooked.params)
 
 
 def test_penalty_gradients_are_applied():
     data = separable_data()
     plain, hooked = fresh_model(), fresh_model()
-    pull = lambda m: (0.0, [(np.full_like(w, 0.1), np.full_like(b, 0.1))
-                            for w, b in zip(m.weights, m.biases)])
+    pull = lambda m: (0.0, np.full_like(m.params, 0.1))
     train_classifier(plain, data, epochs=1, batch_size=80,
                      opt=OptimizerState("sgd", 0.5), seed=2)
     train_classifier(hooked, data, epochs=1, batch_size=80,
@@ -94,8 +88,7 @@ def test_penalty_gradients_are_applied():
 
 def test_non_finite_loss_is_reported_with_location():
     model = fresh_model()
-    bad = lambda m: (np.inf, [(np.zeros_like(w), np.zeros_like(b))
-                              for w, b in zip(m.weights, m.biases)])
+    bad = lambda m: (np.inf, np.zeros_like(m.params))
     with pytest.raises(NumericError, match="epoch 0, batch 0"):
         train_classifier(model, separable_data(), epochs=1, batch_size=16,
                          opt=OptimizerState("adam", 0.01), seed=0, penalty=bad)
@@ -110,10 +103,8 @@ def test_fisher_is_nonnegative_and_shaped_like_params():
     model = fresh_model()
     data = separable_data()
     fisher = estimate_fisher_diag(model, data, seed=3)
-    assert len(fisher) == model.n_layers
-    for (fw, fb), w, b in zip(fisher, model.weights, model.biases):
-        assert fw.shape == w.shape and fb.shape == b.shape
-        assert (fw >= 0).all() and (fb >= 0).all()
+    assert fisher.shape == model.params.shape
+    assert (fisher >= 0).all()
 
 
 def test_fisher_with_deterministic_predictive_matches_closed_form():
@@ -133,8 +124,9 @@ def test_fisher_with_deterministic_predictive_matches_closed_form():
         gw, gb = oracles.linear_softmax_grad(W, b, x, y_hat)
         want_w += gw ** 2
         want_b += gb ** 2
-    assert np.allclose(fisher[0][0], want_w / 3, atol=1e-12)
-    assert np.allclose(fisher[0][1], want_b / 3, atol=1e-12)
+    (fw, fb), = nn.layer_views(model, fisher)
+    assert np.allclose(fw, want_w / 3, atol=1e-12)
+    assert np.allclose(fb, want_b / 3, atol=1e-12)
 
 
 def test_fisher_approaches_expected_fisher_on_large_samples():
@@ -145,8 +137,9 @@ def test_fisher_approaches_expected_fisher_on_large_samples():
     model = nn.Classifier([2, 2], [W.copy()], [b.copy()])
     fisher = estimate_fisher_diag(model, LabeledSet(X, np.zeros(1500, dtype=int)), seed=4)
     want_w, want_b = oracles.expected_fisher_linear_softmax(W, b, X)
-    assert np.allclose(fisher[0][0], want_w, rtol=0.15, atol=0.01)
-    assert np.allclose(fisher[0][1], want_b, rtol=0.15, atol=0.01)
+    (fw, fb), = nn.layer_views(model, fisher)
+    assert np.allclose(fw, want_w, rtol=0.15, atol=0.01)
+    assert np.allclose(fb, want_b, rtol=0.15, atol=0.01)
 
 
 def test_fisher_subsample_bounds():
@@ -165,8 +158,7 @@ def test_fisher_subsample_bounds():
 
 
 def unit_fisher(model):
-    return [(np.ones_like(w), np.ones_like(b))
-            for w, b in zip(model.weights, model.biases)]
+    return np.ones_like(model.params)
 
 
 def test_penalty_worked_example():
@@ -174,41 +166,40 @@ def test_penalty_worked_example():
     model = nn.Classifier([1, 2], [np.array([[1.0, -1.0]])], [np.zeros(2)])
     anchor = nn.Classifier([1, 2], [np.array([[0.0, 0.0]])], [np.zeros(2)])
     state = EwcState()
-    state.add_anchor(snapshot_params(anchor), unit_fisher(anchor))
-    loss, grads = ewc_penalty(model, state, 1.0)
+    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
+    loss, grad = ewc_penalty(model, state, 1.0)
     assert loss == 1.0
-    assert np.array_equal(grads[0][0], np.array([[1.0, -1.0]]))
-    assert np.array_equal(grads[0][1], np.zeros(2))
+    assert np.array_equal(grad, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_penalty_vanishes_at_lam_zero_or_without_anchors():
     model = fresh_model()
-    loss, grads = ewc_penalty(model, EwcState(), 5.0)
+    loss, grad = ewc_penalty(model, EwcState(), 5.0)
     assert loss == 0.0
-    assert all(not dw.any() and not db.any() for dw, db in grads)
+    assert grad.shape == model.params.shape and not grad.any()
     state = EwcState()
-    state.add_anchor(snapshot_params(model), unit_fisher(model))
-    loss, grads = ewc_penalty(model, state, 0.0)
+    state.add_anchor(model.params + 1.0, unit_fisher(model))
+    loss, grad = ewc_penalty(model, state, 0.0)
     assert loss == 0.0
-    assert all(not dw.any() and not db.any() for dw, db in grads)
+    assert grad.shape == model.params.shape and not grad.any()
 
 
 def test_penalty_sums_over_anchors():
     model = nn.Classifier([1, 1], [np.array([[2.0]])], [np.zeros(1)])
     anchor = nn.Classifier([1, 1], [np.array([[0.0]])], [np.zeros(1)])
     state = EwcState()
-    state.add_anchor(snapshot_params(anchor), unit_fisher(anchor))
-    state.add_anchor(snapshot_params(anchor), unit_fisher(anchor))
-    loss, grads = ewc_penalty(model, state, 1.0)
+    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
+    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
+    loss, grad = ewc_penalty(model, state, 1.0)
     assert loss == 2.0 * (0.5 * 4.0)  # two identical anchors
-    assert grads[0][0][0, 0] == 4.0
+    assert np.array_equal(grad, [4.0, 0.0])
 
 
 def test_penalty_rejects_mismatched_anchor_shapes():
     model = fresh_model(dims=(2, 4, 2))
     other = fresh_model(dims=(2, 6, 2))
     state = EwcState()
-    state.add_anchor(snapshot_params(other), unit_fisher(other))
+    state.add_anchor(other.params.copy(), unit_fisher(other))
     with pytest.raises(ValidationError):
         ewc_penalty(model, state, 1.0)
 
@@ -220,7 +211,19 @@ def test_penalty_negative_lam_rejected():
 
 
 def test_snapshot_is_decoupled_from_the_live_model():
-    model = fresh_model()
-    snap = snapshot_params(model)
-    model.weights[0][0, 0] += 9.0
-    assert snap[0][0][0, 0] != model.weights[0][0, 0]
+    # ewc's anchor for domain 0 must not follow the model through domain 1
+    recipes = recipe_covariate_shift([[0.0, -1.5], [0.0, 1.5]], [6.0, 0.0], 1.0,
+                                     n_domains=2, n_train=40, n_val=10, n_test=10)
+    stream = build_stream(recipes, seed=3)
+    ewc = strategy_dispatch("ewc", 5, stream.dim, stream.n_classes,
+                            Hyperparams(hidden=(4,), epochs=2, batch_size=16))
+    guard = StreamGuard(stream)
+    guard.advance(0)
+    ewc.train_on_domain(0, guard)
+    anchor, _ = ewc.ewc.anchors[0]
+    after_domain0 = ewc.model.params.copy()
+    assert np.array_equal(anchor, after_domain0)
+    guard.advance(1)
+    ewc.train_on_domain(1, guard)
+    assert np.array_equal(anchor, after_domain0)
+    assert not np.array_equal(anchor, ewc.model.params)
