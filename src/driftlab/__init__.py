@@ -34,8 +34,7 @@ from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_gra
 from .optim import OptimizerState, apply_step
 from .pca import Projection2D, pca_project_2d
 from .rng import derive, make_rng
-from .strategies import (Hyperparams, STRATEGY_NAMES, Strategy,
-                         strategy_dispatch)
+from .strategies import STRATEGY_NAMES, Strategy, strategy_dispatch
 from .training import (EwcState, TrainLog, estimate_fisher_diag, ewc_penalty,
                        train_classifier)
 

@@ -27,7 +27,7 @@ reports every violation at once, and serialize(parse(text)) round-trips.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
@@ -35,7 +35,7 @@ from .benchmarks import (RECIPE_KINDS as BENCHMARK_KINDS,
                          recipe_conditional_flip, recipe_covariate_shift,
                          recipe_rotation)
 from .errors import ConfigError
-from .strategies import EXPERT_INIT_MODES, Hyperparams, STRATEGY_NAMES
+from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 
 # scalar knobs that accept a list value for per-domain grid selection
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
@@ -329,21 +329,11 @@ def make_recipes(bench: BenchmarkConfig):
 def expand_grid(sc: StrategyConfig):
     """All hyperparameter combinations of a strategy section, in documented
     order: grid fields vary in their declaration order, later fields
-    fastest. A config without list values yields exactly one combination.
+    fastest. Each combination is a copy of the section with one scalar per
+    grid field; a config without list values yields exactly one.
     """
     axes = []
     for name in GRID_FIELDS:
         value = getattr(sc, name)
         axes.append([(name, v) for v in (value if isinstance(value, list) else [value])])
-    combos = []
-    for assignment in itertools.product(*axes):
-        kwargs = dict(assignment)
-        kwargs.update(
-            hidden=tuple(sc.hidden),
-            optimizer=sc.optimizer,
-            fisher_samples=sc.fisher_samples,
-            router_hidden=tuple(sc.router_hidden),
-            expert_init=sc.expert_init,
-        )
-        combos.append(Hyperparams(**kwargs))
-    return combos
+    return [replace(sc, **dict(point)) for point in itertools.product(*axes)]

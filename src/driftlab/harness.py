@@ -107,22 +107,31 @@ def _select_and_train(strategy, grid, t, guard):
     return best
 
 
-def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int) -> RunRecord:
-    """One strategy under one seed, start to finish. Failures are captured
-    in the record instead of propagating, so sibling runs continue."""
-    record = RunRecord(
-        run_id=run_id_for(cfg, strategy_cfg.name, seed),
-        strategy=strategy_cfg.name,
+def _new_record(cfg: ExperimentConfig, strategy_name: str, seed: int) -> RunRecord:
+    return RunRecord(
+        run_id=run_id_for(cfg, strategy_name, seed),
+        strategy=strategy_name,
         seed=seed,
         benchmark_label=benchmark_label(cfg),
         n_domains=cfg.benchmark.n_domains,
     )
+
+
+def _fail(record: RunRecord, exc: Exception):
+    """Call from an except block: keep the failure and its traceback."""
+    record.failure = f"{type(exc).__name__}: {exc}"
+    record.traceback = traceback.format_exc()
+
+
+def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int) -> RunRecord:
+    """One strategy under one seed, start to finish. Failures are captured
+    in the record instead of propagating, so sibling runs continue."""
+    record = _new_record(cfg, strategy_cfg.name, seed)
     start = time.perf_counter()
     try:
         _execute_into(record, cfg, strategy_cfg, seed)
     except Exception as exc:   # a failing run must not sink its siblings
-        record.failure = f"{type(exc).__name__}: {exc}"
-        record.traceback = traceback.format_exc()
+        _fail(record, exc)
     record.duration = time.perf_counter() - start
     return record
 
@@ -166,31 +175,47 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
 
     Returns the records in config order (strategies outer, seeds inner)
     and writes each run's <out>/runs/<run_id>/checkpoint.txt, or the
-    traceback of a failed run to <out>/runs/<run_id>/failure.txt. Persisting
-    the aggregate CSVs is a separate step (persist_results).
+    traceback of a failed run to <out>/runs/<run_id>/failure.txt. Under
+    jobs > 1 a run whose worker dies (BrokenProcessPool) becomes a failed
+    record too, and the runs that finished keep theirs. Persisting the
+    aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    tasks = [(sc, seed) for sc in cfg.strategies for seed in cfg.seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_task, [(cfg, sc, seed, out) for sc, seed in tasks]))
-    else:
-        records = [_run_task((cfg, sc, seed, out)) for sc, seed in tasks]
-    return records
+    tasks = [(cfg, sc, seed, out) for sc in cfg.strategies for seed in cfg.seeds]
+    if jobs <= 1:
+        return [_run_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        return [_pool_result(future, task) for future, task in zip(futures, tasks)]
 
 
-def _run_task(payload):
-    cfg, sc, seed, out = payload
-    record = execute_run(cfg, sc, seed)
+def _pool_result(future, task) -> RunRecord:
+    try:
+        return future.result()
+    except Exception as exc:   # the worker died before it could report
+        cfg, sc, seed, out = task
+        record = _new_record(cfg, sc.name, seed)
+        _fail(record, exc)
+        _write_failure(record, out)
+        return record
+
+
+def _write_failure(record: RunRecord, out):
     run_dir = os.path.join(out, "runs", record.run_id)
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "failure.txt"), "w") as fh:
+        fh.write(record.traceback)
+
+
+def _run_task(task) -> RunRecord:
+    cfg, sc, seed, out = task
+    record = execute_run(cfg, sc, seed)
     if not record.ok:
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "failure.txt"), "w") as fh:
-            fh.write(record.traceback)
+        _write_failure(record, out)
     # checkpoint in the worker: strategies do not cross process boundaries
     strategy = getattr(record, "_strategy", None)
     if strategy is not None:
-        save_checkpoint(strategy, run_dir)
+        save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
         record._strategy = None
     return record
 

@@ -6,7 +6,7 @@ single-pass reservoir sampling the moment the domain arrives. Entries are
 never revisited afterwards: admitting a new domain appends to the store and
 leaves existing entries untouched, so no past stream data is ever read
 again. The same container serves real rehearsal (experience replay) and
-synthetic rehearsal (generative replay); composition is source-agnostic.
+synthetic rehearsal (generative replay).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from .benchmarks import LabeledSet
 from .errors import ValidationError
 from .rng import make_rng
-
-BUFFER_SOURCES = ("real", "synthetic")
 
 
 def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -36,14 +34,9 @@ def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ReplayBuffer:
-    """Per-domain, per-class-quota sample store with a source tag."""
+    """Per-domain, per-class-quota sample store."""
 
-    source: str = "real"
     stored: dict = field(default_factory=dict)   # domain id -> LabeledSet
-
-    def __post_init__(self):
-        if self.source not in BUFFER_SOURCES:
-            raise ValidationError(f"source must be one of {BUFFER_SOURCES}, got {self.source!r}")
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.stored.values())
@@ -93,11 +86,8 @@ def concat_sets(parts) -> LabeledSet:
 
 
 def compose_replay_trainset(current: LabeledSet, buffer: ReplayBuffer) -> LabeledSet:
-    """Current domain's data plus every buffered sample, class labels only.
-
-    The buffer's source tag plays no role here: identical contents compose
-    to identical trainsets whether the samples are real or synthetic.
-    """
+    """Current domain's data plus every buffered sample, class labels only,
+    whether the samples are real or synthetic."""
     if not buffer.stored:
         return current
     parts = [current] + [buffer.stored[t] for t in buffer.domains]

@@ -26,15 +26,15 @@ strategies differ only in what the samples are used for.
 
 Seeds derive from (run seed, domain index, role) and never from the strategy
 name, which makes the documented degenerate equalities exact: ewc with
-lam=0 walks seqft's trajectory bit for bit, and mtl on a one-domain stream
-is seqft.
+lam=0 walks seqft's trajectory bit for bit, mtl on a one-domain stream is
+seqft, and under sequential expert init expert t of every expert bank is
+seqft's model after domain t.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,67 +57,54 @@ STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
 EXPERT_INIT_MODES = ("sequential", "fresh")
 
 
-@dataclass
-class Hyperparams:
-    """Resolved (scalar) training knobs for one strategy on one domain.
-
-    hidden and router_hidden are architecture lists and are fixed for the
-    life of a strategy; every other field may vary per domain when the
-    config supplies a grid.
-    """
-
-    hidden: tuple = (32,)
-    epochs: int = 40
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    optimizer: str = "adam"
-    lam: float = 1.0               # anchor penalty strength
-    fisher_samples: int = None     # None = use the whole train split
-    quota: int = 15                # real samples kept per class per domain
-    n_per_class: int = 15          # synthetic samples drawn per class per domain
-    gmm_components: int = 1
-    router_hidden: tuple = (32,)
-    router_epochs: int = 80
-    router_learning_rate: float = 0.01
-    n_centroids: int = 5
-    n_neighbors: int = 1
-    expert_init: str = "sequential"
-
-    def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
-        self.router_hidden = tuple(int(h) for h in self.router_hidden)
-        if self.expert_init not in EXPERT_INIT_MODES:
-            raise ValidationError(
-                f"expert_init must be one of {EXPERT_INIT_MODES}, got {self.expert_init!r}"
-            )
-
-
 class Strategy:
     """Base contract: train_on_domain(t, guard) in stream order, then
-    predict(x) without domain identity."""
+    predict(x) without domain identity.
+
+    hp is a config.StrategyConfig whose grid fields hold one scalar each
+    (one point of config.expand_grid). The base keeps one classifier,
+    ``model``; every model a strategy trains, expert and router included,
+    is built by _new_model and trained by _train.
+    """
 
     name = "base"
     privileged = False    # may the guard reveal past domains' real data?
     router_kind = None    # set by strategies that self-route
 
-    def __init__(self, seed: int, dim: int, n_classes: int, hp: Hyperparams = None):
+    def __init__(self, seed: int, dim: int, n_classes: int, hp):
         self.seed = int(seed)
         self.dim = int(dim)
         self.n_classes = int(n_classes)
-        self.hp = hp if hp is not None else Hyperparams()
+        self.hp = hp
         self.last_trained = -1
+        self.model = None
 
-    def _enter(self, t: int):
+    def train_on_domain(self, t: int, guard: StreamGuard, hp=None):
         if t != self.last_trained + 1:
             raise ContractError(
                 f"domains must arrive in order: expected {self.last_trained + 1}, got {t}"
             )
+        self._learn(t, guard, hp or self.hp)
+        self.last_trained = t
 
-    def train_on_domain(self, t: int, guard: StreamGuard, hp: Hyperparams = None):
+    def _learn(self, t: int, guard: StreamGuard, hp):
         raise NotImplementedError
+
+    def _new_model(self, hidden, n_outputs: int, *seed_labels) -> nn.Classifier:
+        dims = [self.dim, *hidden, n_outputs]
+        return nn.init_classifier(dims, derive(self.seed, *seed_labels))
+
+    def _train(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
+               epochs: int, learning_rate: float, hp, penalty=None) -> nn.Classifier:
+        opt = OptimizerState(hp.optimizer, learning_rate)
+        train_classifier(model, data, epochs=epochs, batch_size=hp.batch_size, opt=opt,
+                         seed=derive(self.seed, "domain", t, role), penalty=penalty)
+        return model
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if self.model is None:
+            raise ContractError("predict before any training")
+        return nn.predict(self.model, X)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         raise ContractError(f"strategy {self.name!r} has no domain router")
@@ -127,163 +114,135 @@ class Strategy:
         return copy.deepcopy(self)
 
 
-class _SingleModel(Strategy):
-    """Shared plumbing for strategies that keep one classifier."""
-
-    def __init__(self, seed, dim, n_classes, hp=None):
-        super().__init__(seed, dim, n_classes, hp)
-        self.model = None
-
-    def _fresh_model(self, hp: Hyperparams) -> nn.Classifier:
-        dims = [self.dim, *hp.hidden, self.n_classes]
-        return nn.init_classifier(dims, derive(self.seed, "init"))
-
-    def _fit(self, data: LabeledSet, t: int, hp: Hyperparams, penalty=None):
-        opt = OptimizerState(hp.optimizer, hp.learning_rate)
-        train_classifier(self.model, data, epochs=hp.epochs, batch_size=hp.batch_size,
-                         opt=opt, seed=derive(self.seed, "domain", t, "train"),
-                         penalty=penalty)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.model is None:
-            raise ContractError("predict before any training")
-        return nn.predict(self.model, X)
-
-
-class SeqFT(_SingleModel):
+class SeqFT(Strategy):
     """Sequential finetuning: nothing protects past domains."""
 
     name = "seqft"
 
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         if self.model is None:
-            self.model = self._fresh_model(hp)
-        self._fit(guard.train(t), t, hp)
-        self.last_trained = t
+            self.model = self._new_model(hp.hidden, self.n_classes, "init")
+        self._train(self.model, guard.train(t), t, "train", hp.epochs, hp.learning_rate, hp)
 
 
-class Ewc(_SingleModel):
+class Ewc(Strategy):
     """Sequential finetuning with a quadratic pull toward per-domain anchors."""
 
     name = "ewc"
 
-    def __init__(self, seed, dim, n_classes, hp=None):
+    def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
         self.ewc = EwcState()
 
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         if self.model is None:
-            self.model = self._fresh_model(hp)
+            self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
         penalty = None
         if hp.lam > 0 and len(self.ewc) > 0:
-            lam = hp.lam
-            penalty = lambda m: ewc_penalty(m, self.ewc, lam)
-        self._fit(data, t, hp, penalty=penalty)
+            penalty = lambda m: ewc_penalty(m, self.ewc, hp.lam)
+        self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate, hp, penalty)
         fisher = estimate_fisher_diag(
             self.model, data, derive(self.seed, "domain", t, "fisher"),
             n_samples=hp.fisher_samples,
         )
         self.ewc.add_anchor(self.model.params.copy(), fisher)
-        self.last_trained = t
 
 
-class Er(_SingleModel):
+class Er(Strategy):
     """Experience replay: rehearse real samples kept under per-class quotas."""
 
     name = "er"
 
-    def __init__(self, seed, dim, n_classes, hp=None):
+    def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.buffer = ReplayBuffer(source="real")
+        self.buffer = ReplayBuffer()
 
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         if self.model is None:
-            self.model = self._fresh_model(hp)
+            self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
-        self._fit(compose_replay_trainset(data, self.buffer), t, hp)
+        self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
+                    hp.epochs, hp.learning_rate, hp)
         update_replay_buffer(self.buffer, data, t, hp.quota,
                              derive(self.seed, "domain", t, "reservoir"))
-        self.last_trained = t
 
 
-class _GeneratorMixin:
-    """Fit a per-domain generator and freeze one synthetic buffer draw.
+def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
+    """Fit domain t's generator and freeze one synthetic buffer draw.
 
-    The seeds depend only on (run seed, domain), so every strategy holding
-    this mixin draws byte-identical buffers under the same run seed.
+    The seeds depend only on (run seed, domain), so gen_replay and g2d draw
+    byte-identical buffers under the same run seed.
     """
-
-    def _draw_buffer(self, data: LabeledSet, t: int, hp: Hyperparams):
-        gen = fit_generator(
-            data, t, self.n_classes, FitConfig(n_components=hp.gmm_components),
-            derive(self.seed, "domain", t, "generator"),
-        )
-        buf = sample_buffer(gen, hp.n_per_class, derive(self.seed, "domain", t, "buffer"))
-        self.generators.append(gen)
-        self.synthetic.append(buf)
-        return buf
+    gen = fit_generator(data, t, n_classes, FitConfig(n_components=hp.gmm_components),
+                        derive(seed, "domain", t, "generator"))
+    return sample_buffer(gen, hp.n_per_class, derive(seed, "domain", t, "buffer"))
 
 
-class GenReplay(_SingleModel, _GeneratorMixin):
+class GenReplay(Strategy):
     """Generative replay: past domains are rehearsed through synthetic
     samples; the current domain contributes its real training split."""
 
     name = "gen_replay"
 
-    def __init__(self, seed, dim, n_classes, hp=None):
+    def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.generators = []
         self.synthetic = []
-        self.buffer = ReplayBuffer(source="synthetic")
+        self.buffer = ReplayBuffer()
 
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         if self.model is None:
-            self.model = self._fresh_model(hp)
+            self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
-        self._fit(compose_replay_trainset(data, self.buffer), t, hp)
-        buf = self._draw_buffer(data, t, hp)
+        self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
+                    hp.epochs, hp.learning_rate, hp)
+        buf = _draw_buffer(self.seed, self.n_classes, data, t, hp)
+        self.synthetic.append(buf)
         # quota equals the per-class draw, so the whole buffer is stored
         update_replay_buffer(self.buffer, buf.data, t, hp.n_per_class,
                              derive(self.seed, "domain", t, "reservoir"))
-        self.last_trained = t
 
 
 class _ExpertBank(Strategy):
-    """Shared plumbing for router strategies: a frozen expert per domain.
+    """Router strategies: a frozen expert per domain and a router that
+    sends each point to one of them.
 
     Expert t starts from expert t-1's checkpoint by default (a config flag
     switches to fresh initialization) and is never touched again after its
-    domain finishes.
+    domain finishes. The router is None while a single domain has been seen
+    (routing is constant), a Classifier over domain ids retrained from
+    scratch after each later domain, or a CentroidRouter.
     """
 
-    def __init__(self, seed, dim, n_classes, hp=None):
+    def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
         self.experts = []
+        self.router = None
 
-    def _train_expert(self, data: LabeledSet, t: int, hp: Hyperparams):
-        dims = [self.dim, *hp.hidden, self.n_classes]
+    def _train_expert(self, data: LabeledSet, t: int, hp):
         if t == 0:
-            model = nn.init_classifier(dims, derive(self.seed, "init"))
+            model = self._new_model(hp.hidden, self.n_classes, "init")
         elif hp.expert_init == "sequential":
             model = self.experts[-1].copy()
         else:
-            model = nn.init_classifier(dims, derive(self.seed, "domain", t, "init"))
-        opt = OptimizerState(hp.optimizer, hp.learning_rate)
-        train_classifier(model, data, epochs=hp.epochs, batch_size=hp.batch_size,
-                         opt=opt, seed=derive(self.seed, "domain", t, "train"))
-        self.experts.append(model)
+            model = self._new_model(hp.hidden, self.n_classes, "domain", t, "init")
+        self.experts.append(self._train(model, data, t, "train",
+                                        hp.epochs, hp.learning_rate, hp))
+
+    def _train_router(self, trainset: LabeledSet, t: int, hp):
+        router = self._new_model(hp.router_hidden, t + 1, "domain", t, "router_init")
+        self.router = self._train(router, trainset, t, "router",
+                                  hp.router_epochs, hp.router_learning_rate, hp)
 
     def route(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if not self.experts:
+            raise ContractError("route before any training")
+        X = np.asarray(X, dtype=float)
+        if self.router is None:
+            return np.zeros(X.shape[0], dtype=int)
+        if isinstance(self.router, CentroidRouter):
+            return self.router.predict(X)
+        return nn.predict(self.router, X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
@@ -297,70 +256,28 @@ class _ExpertBank(Strategy):
         return out
 
 
-class _MlpRouted(_ExpertBank):
-    """Expert bank routed by a softmax classifier over domain ids.
-
-    The router is retrained from scratch after each domain with output
-    arity equal to the number of seen domains; with a single domain it is
-    the constant function.
-    """
-
-    def __init__(self, seed, dim, n_classes, hp=None):
-        super().__init__(seed, dim, n_classes, hp)
-        self.router = None
-
-    def _router_trainset(self, t: int, guard: StreamGuard) -> LabeledSet:
-        raise NotImplementedError
-
-    def _retrain_router(self, t: int, guard: StreamGuard, hp: Hyperparams):
-        if t == 0:
-            self.router = None    # one domain: routing is constant
-            return
-        trainset = self._router_trainset(t, guard)
-        dims = [self.dim, *hp.router_hidden, t + 1]
-        self.router = nn.init_classifier(dims, derive(self.seed, "domain", t, "router_init"))
-        opt = OptimizerState(hp.optimizer, hp.router_learning_rate)
-        train_classifier(self.router, trainset, epochs=hp.router_epochs,
-                         batch_size=hp.batch_size, opt=opt,
-                         seed=derive(self.seed, "domain", t, "router"))
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        if not self.experts:
-            raise ContractError("route before any training")
-        X = np.asarray(X, dtype=float)
-        if self.router is None:
-            return np.zeros(X.shape[0], dtype=int)
-        return nn.predict(self.router, X)
-
-
-class G2d(_MlpRouted, _GeneratorMixin):
+class G2d(_ExpertBank):
     """Frozen experts routed by a discriminator trained only on synthetic
-    buffers: each finished domain leaves behind a generator, and routing
+    buffers: each finished domain leaves behind a buffer, and routing
     learns to tell the buffers apart by their domain of origin (the current
     domain's buffer included)."""
 
     name = "g2d"
     router_kind = "synthetic"
 
-    def __init__(self, seed, dim, n_classes, hp=None):
+    def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.generators = []
         self.synthetic = []
 
-    def _router_trainset(self, t, guard):
-        return build_router_trainset(self.synthetic)
-
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         data = guard.train(t)
         self._train_expert(data, t, hp)
-        self._draw_buffer(data, t, hp)
-        self._retrain_router(t, guard, hp)
-        self.last_trained = t
+        self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
+        if t > 0:
+            self._train_router(build_router_trainset(self.synthetic), t, hp)
 
 
-class OracleRouter(_MlpRouted):
+class OracleRouter(_ExpertBank):
     """g2d with the router trained on real data of every seen domain.
 
     Privileged: quantifies how much routing accuracy the synthetic buffers
@@ -370,15 +287,11 @@ class OracleRouter(_MlpRouted):
     router_kind = "oracle"
     privileged = True
 
-    def _router_trainset(self, t, guard):
-        return build_router_trainset([(i, guard.train(i)) for i in range(t + 1)])
-
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         self._train_expert(guard.train(t), t, hp)
-        self._retrain_router(t, guard, hp)
-        self.last_trained = t
+        if t > 0:
+            trainset = build_router_trainset([(i, guard.train(i)) for i in range(t + 1)])
+            self._train_router(trainset, t, hp)
 
 
 class CentroidRouted(_ExpertBank):
@@ -387,27 +300,15 @@ class CentroidRouted(_ExpertBank):
     name = "centroid_router"
     router_kind = "centroid"
 
-    def __init__(self, seed, dim, n_classes, hp=None):
-        super().__init__(seed, dim, n_classes, hp)
-        self.router = None
-
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
+    def _learn(self, t, guard, hp):
         data = guard.train(t)
         self._train_expert(data, t, hp)
         if self.router is None:
             self.router = CentroidRouter(hp.n_centroids, hp.n_neighbors)
         self.router.add_domain(data.X, make_rng(self.seed, "domain", t, "centroids"))
-        self.last_trained = t
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        if self.router is None:
-            raise ContractError("route before any training")
-        return self.router.predict(X)
 
 
-class Mtl(_SingleModel):
+class Mtl(Strategy):
     """Joint training on every seen domain, retrained from scratch per step.
 
     Privileged upper bound: after the final domain it has trained on the
@@ -416,22 +317,19 @@ class Mtl(_SingleModel):
     name = "mtl"
     privileged = True
 
-    def train_on_domain(self, t, guard, hp=None):
-        self._enter(t)
-        hp = hp or self.hp
-        self.model = self._fresh_model(hp)
+    def _learn(self, t, guard, hp):
+        self.model = self._new_model(hp.hidden, self.n_classes, "init")
         union = concat_sets([guard.train(i) for i in range(t + 1)])
-        self._fit(union, t, hp)
-        self.last_trained = t
+        self._train(self.model, union, t, "train", hp.epochs, hp.learning_rate, hp)
 
 
 _REGISTRY = {cls.name: cls for cls in
              (SeqFT, Ewc, Er, GenReplay, G2d, OracleRouter, CentroidRouted, Mtl)}
 
 
-def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int,
-                      hp: Hyperparams = None) -> Strategy:
-    """Instantiate a strategy by its registered name."""
+def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:
+    """Instantiate a strategy by its registered name; hp is a
+    config.StrategyConfig with scalar grid fields."""
     if name not in _REGISTRY:
         raise ConfigError(
             f"unknown strategy {name!r}; valid names: {', '.join(STRATEGY_NAMES)}"

@@ -50,23 +50,26 @@ def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
     n = len(data)
     epoch_losses = np.empty(epochs)
     steps = 0
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total, batches = 0.0, 0
-        for b, start in enumerate(range(0, n, batch_size)):
-            idx = order[start:start + batch_size]
-            loss, grad = nn.loss_and_grad(model, data.X[idx], data.y[idx])
-            if penalty is not None:
-                ploss, pgrad = penalty(model)
-                loss += ploss
-                grad = grad + pgrad
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-            apply_step(model, grad, opt)
-            total += loss
-            batches += 1
-            steps += 1
-        epoch_losses[epoch] = total / batches
+    # a diverging run overflows before its loss turns non-finite; the
+    # NumericError below reports it, so NumPy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            total, batches = 0.0, 0
+            for b, start in enumerate(range(0, n, batch_size)):
+                idx = order[start:start + batch_size]
+                loss, grad = nn.loss_and_grad(model, data.X[idx], data.y[idx])
+                if penalty is not None:
+                    ploss, pgrad = penalty(model)
+                    loss += ploss
+                    grad = grad + pgrad
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
+                apply_step(model, grad, opt)
+                total += loss
+                batches += 1
+                steps += 1
+            epoch_losses[epoch] = total / batches
     return TrainLog(epoch_losses, steps)
 
 

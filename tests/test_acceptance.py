@@ -14,14 +14,14 @@ import pytest
 
 from driftlab import nn
 from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
-from driftlab.config import load_config, make_recipes, parse_config
+from driftlab.config import StrategyConfig, load_config, make_recipes, parse_config
 from driftlab.gmm import FitConfig, fit_em
 from driftlab.gradcheck import finite_diff_check
 from driftlab.harness import execute_run, persist_results, run_experiment
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.metrics import AccuracyMatrix, average_accuracy
 from driftlab.rng import derive, make_rng
-from driftlab.strategies import Hyperparams, strategy_dispatch
+from driftlab.strategies import strategy_dispatch
 from driftlab.training import EwcState, ewc_penalty
 
 import oracles
@@ -219,10 +219,10 @@ def run_tiny(name, stream, seed, hp):
 
 def test_c08_zero_lambda_ewc_is_seqft_and_unlimited_er_is_mtl_data():
     stream = tiny_stream()
-    hp = Hyperparams(hidden=(8,), epochs=4, batch_size=16)
+    hp = StrategyConfig(hidden=[8], epochs=4, batch_size=16)
     seqft = run_tiny("seqft", stream, 17, hp)
-    ewc = run_tiny("ewc", stream, 17, Hyperparams(hidden=(8,), epochs=4,
-                                                  batch_size=16, lam=0.0))
+    ewc = run_tiny("ewc", stream, 17, StrategyConfig(hidden=[8], epochs=4,
+                                                     batch_size=16, lam=0.0))
     for wa, wb in zip(seqft.model.weights, ewc.model.weights):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(seqft.model.biases, ewc.model.biases):
@@ -230,8 +230,8 @@ def test_c08_zero_lambda_ewc_is_seqft_and_unlimited_er_is_mtl_data():
 
     T = stream.n_domains
     er = strategy_dispatch("er", 17, stream.dim, stream.n_classes,
-                           Hyperparams(hidden=(8,), epochs=4, batch_size=16,
-                                       quota=stream.domains[0].train.X.shape[0]))
+                           StrategyConfig(hidden=[8], epochs=4, batch_size=16,
+                                          quota=stream.domains[0].train.X.shape[0]))
     guard = StreamGuard(stream)
     for t in range(T - 1):
         guard.advance(t)

@@ -216,7 +216,7 @@ def test_grid_expansion_counts_and_defaults():
     single = expand_grid(cfg.strategies[0])
     assert len(single) == 1
     assert single[0].epochs == 10
-    assert single[0].hidden == (32,)
+    assert single[0].hidden == [32]
 
     gridded = parse_config(VALID_DOC.replace(
         "epochs: 10\n    n_per_class: 20",

@@ -8,8 +8,8 @@ from driftlab.errors import ShapeError, ValidationError
 from driftlab.gmm import (FitConfig, Mixture, buffer_fingerprint, fit_em,
                           fit_generator, log_likelihood, sample_buffer)
 from driftlab.rng import make_rng
-from driftlab.strategies import (Hyperparams, read_arrays, save_checkpoint,
-                                 strategy_dispatch)
+from driftlab.config import StrategyConfig
+from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
 
 import oracles
 
@@ -133,7 +133,7 @@ def test_buffers_round_trip_through_text(tmp_path):
     gen = fit_generator(data, 0, 2, FitConfig(n_components=2), 11)
     buffers = [sample_buffer(gen, 10, s) for s in (1, 2)]
     buffers[1].domain_id = 1
-    strategy = strategy_dispatch("gen_replay", 0, 2, 2, Hyperparams())
+    strategy = strategy_dispatch("gen_replay", 0, 2, 2, StrategyConfig())
     strategy.synthetic = buffers
     save_checkpoint(strategy, tmp_path)
     back = read_arrays(tmp_path / "checkpoint.txt")

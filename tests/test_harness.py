@@ -3,12 +3,15 @@ schemas, report rendering, failure isolation, and the CLI."""
 
 import csv
 import filecmp
+import multiprocessing
+import os
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from driftlab import cli
+from driftlab import cli, harness
 from driftlab.config import load_config, parse_config
 from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               SUMMARY_HEADER, benchmark_label, execute_run,
@@ -251,6 +254,7 @@ DIVERGING_DOC = TINY_DOC.replace(
     "n_per_class: 12", "n_per_class: 12\n    optimizer: sgd\n    learning_rate: 1.0e+300")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failing_run_is_contained_and_reported(tmp_path):
     cfg = parse_config(DIVERGING_DOC)
     records = run_experiment(cfg, out_dir=str(tmp_path))
@@ -286,6 +290,39 @@ def test_failed_run_leaves_its_traceback(tmp_path, jobs):
         assert text.rstrip().endswith(rec.failure)
         assert not (run_dir / "checkpoint.txt").exists()
     assert sum(not rec.ok for rec in records) == 2
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched execute_run only when forked")
+def test_a_dead_worker_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(TINY_DOC)
+    cfg = parse_config(TINY_DOC)
+    out = tmp_path / "out"
+    seqft_ids = [run_id_for(cfg, "seqft", seed) for seed in cfg.seeds]
+    g2d_ids = [run_id_for(cfg, "g2d", seed) for seed in cfg.seeds]
+    execute_run = harness.execute_run
+
+    def execute_or_die(cfg, sc, seed):
+        if sc.name != "g2d":
+            return execute_run(cfg, sc, seed)
+        # die once both seqft runs are done, so that only g2d is lost
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and not all(
+                (out / "runs" / run_id / "checkpoint.txt").exists() for run_id in seqft_ids):
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "execute_run", execute_or_die)
+    assert cli.main(["run", str(config_path), "--out", str(out), "--jobs", "2"]) == 2
+    stdout = capsys.readouterr().out
+    assert stdout.count("FAILED (BrokenProcessPool") == 2
+    assert {row["run_id"] for row in read_rows(out / "matrix.csv")} == set(seqft_ids)
+    for run_id in seqft_ids:
+        assert (out / "runs" / run_id / "checkpoint.txt").exists()
+    for run_id in g2d_ids:
+        assert "BrokenProcessPool" in (out / "runs" / run_id / "failure.txt").read_text()
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab import nn
+from driftlab.config import StrategyConfig
 from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
 
 layer_dims = st.lists(st.integers(1, 8), min_size=2, max_size=4)
@@ -77,7 +78,7 @@ def test_checkpoint_blocks_are_the_per_layer_arrays(dims, seed):
     fisher_layers = per_layer_arrays(dims, seed + 2)
     flat = lambda pairs: np.concatenate([a.ravel() for pair in pairs for a in pair])
 
-    strategy = strategy_dispatch("ewc", 0, dims[0], dims[-1])
+    strategy = strategy_dispatch("ewc", 0, dims[0], dims[-1], StrategyConfig())
     strategy.model = nn.Classifier(dims, [w for w, _ in layers], [b for _, b in layers])
     strategy.ewc.add_anchor(flat(anchor_layers), flat(fisher_layers))
     with tempfile.TemporaryDirectory() as out:

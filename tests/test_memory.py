@@ -39,7 +39,7 @@ def test_reservoir_inclusion_is_roughly_uniform():
 
 
 def test_update_admits_quota_per_class():
-    buffer = ReplayBuffer(source="real")
+    buffer = ReplayBuffer()
     update_replay_buffer(buffer, labeled(40), domain_id=0, per_class_quota=6, seed=1)
     stored = buffer.stored[0]
     assert np.bincount(stored.y).tolist() == [6, 6]
@@ -47,7 +47,7 @@ def test_update_admits_quota_per_class():
 
 
 def test_update_is_append_only():
-    buffer = ReplayBuffer(source="real")
+    buffer = ReplayBuffer()
     update_replay_buffer(buffer, labeled(40, seed=1), 0, 5, seed=1)
     frozen_X = buffer.stored[0].X.copy()
     update_replay_buffer(buffer, labeled(40, seed=2), 1, 5, seed=2)
@@ -73,11 +73,6 @@ def test_update_rejects_duplicate_domains_and_dim_changes():
         update_replay_buffer(buffer, labeled(20), 1, 0, seed=0)
 
 
-def test_buffer_source_tag_is_validated():
-    with pytest.raises(ValidationError):
-        ReplayBuffer(source="imaginary")
-
-
 def test_compose_prepends_current_and_flattens_buffer():
     buffer = ReplayBuffer()
     update_replay_buffer(buffer, labeled(20, seed=3), 0, 4, seed=3)
@@ -91,18 +86,6 @@ def test_compose_prepends_current_and_flattens_buffer():
 def test_compose_with_empty_buffer_is_identity():
     current = labeled(10)
     assert compose_replay_trainset(current, ReplayBuffer()) is current
-
-
-def test_compose_is_source_agnostic():
-    data = labeled(20, seed=6)
-    real, synth = ReplayBuffer(source="real"), ReplayBuffer(source="synthetic")
-    update_replay_buffer(real, data, 0, 4, seed=6)
-    update_replay_buffer(synth, data, 0, 4, seed=6)
-    current = labeled(10, seed=7)
-    a = compose_replay_trainset(current, real)
-    b = compose_replay_trainset(current, synth)
-    assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.y, b.y)
 
 
 def test_concat_sets_validation():

@@ -6,11 +6,11 @@ import pytest
 
 from driftlab import nn
 from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
+from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
-from driftlab.strategies import (EXPERT_INIT_MODES, STRATEGY_NAMES,
-                                 Hyperparams, read_arrays, save_checkpoint,
-                                 strategy_dispatch)
+from driftlab.strategies import (EXPERT_INIT_MODES, STRATEGY_NAMES, read_arrays,
+                                 save_checkpoint, strategy_dispatch)
 
 import oracles
 
@@ -24,10 +24,10 @@ def small_stream(n_domains=3, seed=11, shift=6.0, n_train=60):
 
 
 def small_hp(**overrides):
-    base = dict(hidden=(8,), epochs=4, batch_size=16, learning_rate=0.02,
-                router_hidden=(8,), router_epochs=8, n_per_class=10, quota=8)
+    base = dict(hidden=[8], epochs=4, batch_size=16, learning_rate=0.02,
+                router_hidden=[8], router_epochs=8, n_per_class=10, quota=8)
     base.update(overrides)
-    return Hyperparams(**base)
+    return StrategyConfig(**base)
 
 
 def run_stream(name, stream, seed=3, hp=None):
@@ -130,6 +130,22 @@ def test_fresh_expert_init_differs_from_sequential():
     assert params_equal(seq.experts[0], fresh.experts[0])  # first expert shares the seed
     assert not params_equal(seq.experts[1], fresh.experts[1])
     assert tuple(EXPERT_INIT_MODES) == ("sequential", "fresh")
+
+
+def test_sequential_experts_are_seqft_snapshots():
+    stream = small_stream()
+    seqft = strategy_dispatch("seqft", 3, stream.dim, stream.n_classes, small_hp())
+    guard = StreamGuard(stream)
+    snapshots = []
+    for t in range(stream.n_domains):
+        guard.advance(t)
+        seqft.train_on_domain(t, guard)
+        snapshots.append(seqft.model.copy())
+    for name in ("g2d", "centroid_router"):
+        bank = run_stream(name, stream, seed=3, hp=small_hp(expert_init="sequential"))
+        assert len(bank.experts) == len(snapshots)
+        for t, snap in enumerate(snapshots):
+            assert np.array_equal(bank.experts[t].params, snap.params), (name, t)
 
 
 def test_ewc_with_zero_lambda_walks_seqft_bit_for_bit():

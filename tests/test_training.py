@@ -8,7 +8,8 @@ from driftlab.benchmarks import LabeledSet
 from driftlab.errors import NumericError, ValidationError
 from driftlab.optim import OptimizerState
 from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
-from driftlab.strategies import Hyperparams, strategy_dispatch
+from driftlab.config import StrategyConfig
+from driftlab.strategies import strategy_dispatch
 from driftlab.training import (EwcState, estimate_fisher_diag, ewc_penalty,
                                train_classifier)
 
@@ -216,7 +217,7 @@ def test_snapshot_is_decoupled_from_the_live_model():
                                      n_domains=2, n_train=40, n_val=10, n_test=10)
     stream = build_stream(recipes, seed=3)
     ewc = strategy_dispatch("ewc", 5, stream.dim, stream.n_classes,
-                            Hyperparams(hidden=(4,), epochs=2, batch_size=16))
+                            StrategyConfig(hidden=[4], epochs=2, batch_size=16))
     guard = StreamGuard(stream)
     guard.advance(0)
     ewc.train_on_domain(0, guard)
