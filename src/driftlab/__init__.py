@@ -10,13 +10,10 @@ numpy, deterministic under a documented 64-bit seed tree, and driven by
 YAML configs through the ``driftlab`` CLI.
 """
 
-from .benchmarks import (DomainDataset, DomainRecipe, DomainStream,
-                         LabeledSet, StreamGuard, build_stream,
-                         recipe_conditional_flip, recipe_covariate_shift,
-                         recipe_rotation)
+from .benchmarks import (DomainDataset, DomainStream, LabeledSet, StreamGuard,
+                         build_stream)
 from .config import (BenchmarkConfig, ExperimentConfig, StrategyConfig,
-                     expand_grid, load_config, make_recipes, parse_config,
-                     serialize_config)
+                     expand_grid, load_config, parse_config, serialize_config)
 from .errors import (ConfigError, ContractError, DataAccessError,
                      DriftLabError, NumericError, ShapeError, ValidationError)
 from .gmm import (FitConfig, GmmGenerator, Mixture, SyntheticBuffer, fit_em,

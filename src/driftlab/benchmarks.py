@@ -14,21 +14,40 @@ Three kinds of shift are supported:
   the same feature region carries different labels in different domains.
 * ``rotation`` -- class means rotate in the first two coordinates.
 
+The benchmark section of a config (``BenchmarkConfig``) is the only
+description of a stream: ``validate_benchmark`` holds every rule it must
+satisfy, and ``build_stream`` samples it after checking those rules.
+
 All sampling is hierarchically seeded: stream seed -> per-domain seed ->
 per-split seed, so streams are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataAccessError, ShapeError
 from .rng import derive, make_rng
 
-RECIPE_KINDS = ("covariate_shift", "conditional_flip", "rotation")
+BENCHMARK_KINDS = ("covariate_shift", "conditional_flip", "rotation")
 SPLIT_NAMES = ("train", "val", "test")
+
+
+@dataclass
+class BenchmarkConfig:
+    kind: str = "covariate_shift"
+    n_domains: int = 2
+    class_means: list = field(default_factory=lambda: [[0.0, 0.0], [0.0, 6.0]])
+    variance: object = 1.0
+    domain_shift: list = None
+    flip_domains: list = field(default_factory=list)
+    angles: list = None
+    n_train: int = 500
+    n_val: int = 100
+    n_test: int = 200
 
 
 @dataclass
@@ -55,58 +74,119 @@ class LabeledSet:
         return LabeledSet(self.X[idx], self.y[idx])
 
 
-@dataclass
-class DomainRecipe:
-    """Generative description of one domain."""
+def _is_number(v) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
-    kind: str
-    class_means: np.ndarray        # (C, d)
-    variances: np.ndarray          # (d,) strictly positive
-    rotation_angle: float = 0.0    # radians, applied to means in coords (0, 1)
-    flip_labels: bool = False
-    n_train: int = 500
-    n_val: int = 100
-    n_test: int = 200
 
-    def __post_init__(self):
-        if self.kind not in RECIPE_KINDS:
-            raise ConfigError(f"unknown recipe kind {self.kind!r}; expected one of {RECIPE_KINDS}")
-        self.class_means = np.asarray(self.class_means, dtype=float)
-        self.variances = np.asarray(self.variances, dtype=float)
-        if self.class_means.ndim != 2:
-            raise ConfigError(f"class_means must be (C, d), got shape {self.class_means.shape}")
-        if self.variances.shape != (self.class_means.shape[1],):
-            raise ConfigError("variances must have one entry per feature dimension")
-        if (self.variances <= 0).any():
-            raise ConfigError("variances must be strictly positive")
-        if self.rotation_angle != 0.0 and self.class_means.shape[1] < 2:
-            raise ConfigError("rotation requires feature dimension >= 2")
+def _is_count(v, minimum=1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
 
-    @property
-    def n_classes(self) -> int:
-        return self.class_means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.class_means.shape[1]
+def validate_benchmark(bench: BenchmarkConfig, problems):
+    """Append every violation of the benchmark section to problems.
 
-    def effective_means(self) -> np.ndarray:
-        """Class means after rotating coords (0, 1) by rotation_angle."""
-        means = self.class_means.copy()
-        if self.rotation_angle != 0.0:
-            c, s = np.cos(self.rotation_angle), np.sin(self.rotation_angle)
-            xy = means[:, :2] @ np.array([[c, s], [-s, c]])
-            means[:, :2] = xy
-        return means
+    Returns the smallest class count of a training split (the balanced
+    split gives the remainder to the lower classes), or None when the
+    section is too broken to tell.
+    """
+    where = "benchmark"
+    before = len(problems)
+    if bench.kind not in BENCHMARK_KINDS:
+        problems.append(f"{where}.kind: {bench.kind!r} is not one of {', '.join(BENCHMARK_KINDS)}")
+    if not _is_count(bench.n_domains):
+        problems.append(f"{where}.n_domains: expected integer >= 1, got {bench.n_domains!r}")
+        return None
+    means = bench.class_means
+    dim = None
+    if (not isinstance(means, list) or len(means) < 2
+            or not all(isinstance(row, list) and row for row in means)):
+        problems.append(f"{where}.class_means: expected >= 2 rows of numbers")
+    else:
+        dim = len(means[0])
+        if any(len(row) != dim for row in means):
+            problems.append(f"{where}.class_means: rows have unequal lengths")
+            dim = None
+        if not all(_is_number(v) for row in means for v in row):
+            problems.append(f"{where}.class_means: entries must be finite numbers")
+    if bench.kind == "rotation" and dim is not None and dim < 2:
+        problems.append(f"{where}.class_means: rotation needs at least 2 features, got {dim}")
+    variances = bench.variance if isinstance(bench.variance, list) else [bench.variance]
+    if isinstance(bench.variance, list) and dim is not None and len(variances) != dim:
+        problems.append(f"{where}.variance: expected {dim} entries, got {len(variances)}")
+    if not variances or not all(_is_number(v) and v > 0 for v in variances):
+        problems.append(f"{where}.variance: expected positive finite numbers, "
+                        f"got {bench.variance!r}")
+    shift = bench.domain_shift
+    if shift is not None and dim is not None:
+        nested = isinstance(shift, list) and all(isinstance(row, list) for row in shift)
+        rows = shift if nested else [shift]
+        if not isinstance(shift, list) or not shift:
+            problems.append(f"{where}.domain_shift: expected a vector or one vector per domain")
+        elif nested and len(shift) != bench.n_domains:
+            problems.append(f"{where}.domain_shift: need one vector per domain")
+        elif any(len(row) != dim for row in rows):
+            problems.append(f"{where}.domain_shift: vector must have length {dim}")
+        elif not all(_is_number(v) for row in rows for v in row):
+            problems.append(f"{where}.domain_shift: entries must be finite numbers")
+    flips = bench.flip_domains
+    if not isinstance(flips, list):
+        problems.append(f"{where}.flip_domains: expected a list of indices, got {flips!r}")
+        flips = []
+    for t in flips:
+        if not _is_count(t, minimum=0) or t >= bench.n_domains:
+            problems.append(f"{where}.flip_domains: index {t!r} outside [0, {bench.n_domains})")
+    angles = bench.angles
+    if bench.kind == "rotation" and (not isinstance(angles, list)
+                                     or len(angles) != bench.n_domains):
+        problems.append(f"{where}.angles: rotation needs one angle per domain")
+    elif angles is not None and not isinstance(angles, list):
+        problems.append(f"{where}.angles: expected a list of numbers, got {angles!r}")
+    for a in angles if isinstance(angles, list) else []:
+        if not _is_number(a):
+            problems.append(f"{where}.angles: expected finite numbers, got {a!r}")
+    for name in ("n_train", "n_val", "n_test"):
+        v = getattr(bench, name)
+        if not _is_count(v):
+            problems.append(f"{where}.{name}: expected integer >= 1, got {v!r}")
+    if dim is None or not _is_count(bench.n_train, minimum=0):
+        return None
+    if bench.n_train < 5 * len(means):
+        problems.append(f"{where}.n_train: {bench.n_train} is below 5 per class "
+                        f"for {len(means)} classes")
+    if len(problems) == before:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, (domain_means, _) in enumerate(_domains(bench)):
+                if not np.isfinite(domain_means).all():
+                    problems.append(f"{where}: the class means of domain {t} overflow")
+    return bench.n_train // len(means)
 
-    def label_permutation(self) -> np.ndarray:
-        """Cluster index -> label. Identity unless the domain is flipped."""
-        c = self.n_classes
-        if not self.flip_labels:
-            return np.arange(c)
-        if c == 2:
-            return np.array([1, 0])
-        return (np.arange(c) + 1) % c  # cyclic shift for C > 2
+
+def _domains(bench: BenchmarkConfig):
+    """Yields each domain's (class means, cluster -> label) pair, for a
+    section that passed validate_benchmark."""
+    base = np.asarray(bench.class_means, dtype=float)
+    n_classes, dim = base.shape
+    identity = np.arange(n_classes)
+    if bench.kind == "rotation":
+        for angle in bench.angles:
+            means = base.copy()
+            if angle != 0.0:
+                c, s = np.cos(angle), np.sin(angle)
+                means[:, :2] = means[:, :2] @ np.array([[c, s], [-s, c]])
+            yield means, identity
+        return
+    shift = np.asarray(bench.domain_shift if bench.domain_shift is not None else [0.0] * dim,
+                       dtype=float)
+    if shift.ndim == 1:
+        # one direction, applied cumulatively: domain t is shifted by t * shift
+        shift = np.outer(np.arange(bench.n_domains), shift)
+    # swap for two classes, cyclic shift otherwise
+    flipped = (identity + 1) % n_classes
+    flips = set(bench.flip_domains) if bench.kind == "conditional_flip" else set()
+    for t in range(bench.n_domains):
+        yield base + shift[t], (flipped if t in flips else identity)
 
 
 @dataclass
@@ -135,128 +215,33 @@ def _balanced_labels(n: int, n_classes: int) -> np.ndarray:
     return np.repeat(np.arange(n_classes), counts)
 
 
-def _sample_split(recipe: DomainRecipe, n: int, rng: np.random.Generator) -> LabeledSet:
-    clusters = _balanced_labels(n, recipe.n_classes)
-    means = recipe.effective_means()
-    sigma = np.sqrt(recipe.variances)
-    X = means[clusters] + rng.normal(size=(n, recipe.dim)) * sigma
-    y = recipe.label_permutation()[clusters]
+def _sample_split(means, labels, sigma, n: int, rng: np.random.Generator) -> LabeledSet:
+    clusters = _balanced_labels(n, means.shape[0])
+    X = means[clusters] + rng.normal(size=(n, means.shape[1])) * sigma
+    y = labels[clusters]
     order = rng.permutation(n)
     return LabeledSet(X[order], y[order])
 
 
-def build_stream(recipes, seed: int) -> DomainStream:
-    """Materialize a stream: one dataset per recipe, deterministic in seed."""
-    if not recipes:
-        raise ConfigError("need at least one recipe")
-    dim, n_classes = recipes[0].dim, recipes[0].n_classes
+def build_stream(bench: BenchmarkConfig, seed: int) -> DomainStream:
+    """Materialize a stream: one dataset per domain, deterministic in seed.
+    Raises ConfigError carrying every violation of the section."""
     problems = []
-    for t, recipe in enumerate(recipes):
-        if recipe.dim != dim or recipe.n_classes != n_classes:
-            problems.append(
-                f"recipe {t}: dims/classes ({recipe.dim}, {recipe.n_classes}) "
-                f"differ from recipe 0 ({dim}, {n_classes})"
-            )
-        if recipe.n_train < 5 * n_classes:
-            problems.append(f"recipe {t}: n_train={recipe.n_train} below 5 per class")
+    validate_benchmark(bench, problems)
     if problems:
         raise ConfigError(problems)
-
+    n_classes, dim = len(bench.class_means), len(bench.class_means[0])
+    sigma = np.sqrt(np.full(dim, bench.variance, dtype=float))
+    sizes = (bench.n_train, bench.n_val, bench.n_test)
     domains = []
-    for t, recipe in enumerate(recipes):
+    for t, (means, labels) in enumerate(_domains(bench)):
         dseed = derive(seed, "domain", t)
-        sizes = (recipe.n_train, recipe.n_val, recipe.n_test)
         splits = [
-            _sample_split(recipe, n, make_rng(dseed, name))
+            _sample_split(means, labels, sigma, n, make_rng(dseed, name))
             for name, n in zip(SPLIT_NAMES, sizes)
         ]
         domains.append(DomainDataset(t, *splits))
     return DomainStream(domains, dim, n_classes)
-
-
-# ---------------------------------------------------------------------------
-# Recipe builders
-# ---------------------------------------------------------------------------
-
-
-def _per_domain_shifts(shifts, dim: int, n_domains: int) -> np.ndarray:
-    arr = np.asarray(shifts, dtype=float)
-    if arr.ndim == 1:
-        # one direction, applied cumulatively: domain t is shifted by t * arr
-        if arr.shape != (dim,):
-            raise ConfigError(f"shift vector must have length {dim}, got {arr.shape}")
-        return np.outer(np.arange(n_domains), arr)
-    if arr.shape != (n_domains, dim):
-        raise ConfigError(f"expected {n_domains} shift vectors of length {dim}, got {arr.shape}")
-    return arr
-
-
-def recipe_covariate_shift(base_means, shifts, variance, *, n_domains=None,
-                           n_train=500, n_val=100, n_test=200):
-    """Domains whose class means translate while the labeling rule follows.
-
-    ``shifts`` is either a per-domain (T, d) array or a single direction
-    applied cumulatively (domain t shifted by t * shifts).
-    """
-    base = np.asarray(base_means, dtype=float)
-    var = _as_variances(variance, base.shape[1])
-    shift_arr = np.asarray(shifts, dtype=float)
-    if n_domains is None:
-        if shift_arr.ndim != 2:
-            raise ConfigError("n_domains is required when a single shift direction is given")
-        n_domains = shift_arr.shape[0]
-    per_domain = _per_domain_shifts(shifts, base.shape[1], n_domains)
-    return [
-        DomainRecipe("covariate_shift", base + per_domain[t], var,
-                     n_train=n_train, n_val=n_val, n_test=n_test)
-        for t in range(n_domains)
-    ]
-
-
-def recipe_conditional_flip(base_means, variance, flip_domains, n_domains, *,
-                            shifts=None, n_train=500, n_val=100, n_test=200):
-    """Domains sharing a feature mixture, with labels permuted in flip_domains.
-
-    With ``shifts=None`` the feature distribution is identical across
-    domains (maximal interference); an optional shift separates domains in
-    feature space while keeping the flip.
-    """
-    base = np.asarray(base_means, dtype=float)
-    var = _as_variances(variance, base.shape[1])
-    flips = set(int(t) for t in flip_domains)
-    bad = [t for t in flips if t >= n_domains or t < 0]
-    if bad:
-        raise ConfigError(f"flip domain indices {sorted(bad)} outside [0, {n_domains})")
-    if shifts is None:
-        per_domain = np.zeros((n_domains, base.shape[1]))
-    else:
-        per_domain = _per_domain_shifts(shifts, base.shape[1], n_domains)
-    return [
-        DomainRecipe("conditional_flip", base + per_domain[t], var,
-                     flip_labels=(t in flips),
-                     n_train=n_train, n_val=n_val, n_test=n_test)
-        for t in range(n_domains)
-    ]
-
-
-def recipe_rotation(base_means, variance, angles, *, n_train=500, n_val=100, n_test=200):
-    """Domains whose class means rotate in the first two coordinates."""
-    base = np.asarray(base_means, dtype=float)
-    var = _as_variances(variance, base.shape[1])
-    return [
-        DomainRecipe("rotation", base.copy(), var, rotation_angle=float(a),
-                     n_train=n_train, n_val=n_val, n_test=n_test)
-        for a in angles
-    ]
-
-
-def _as_variances(variance, dim: int) -> np.ndarray:
-    arr = np.asarray(variance, dtype=float)
-    if arr.ndim == 0:
-        return np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigError(f"variance must be scalar or length {dim}, got {arr.shape}")
-    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
-from .benchmarks import (RECIPE_KINDS as BENCHMARK_KINDS,
-                         recipe_conditional_flip, recipe_covariate_shift,
-                         recipe_rotation)
+from .benchmarks import BenchmarkConfig, validate_benchmark
 from .errors import ConfigError
 from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 
@@ -41,20 +39,6 @@ from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
                "n_per_class", "gmm_components", "router_epochs",
                "router_learning_rate", "n_centroids", "n_neighbors")
-
-
-@dataclass
-class BenchmarkConfig:
-    kind: str = "covariate_shift"
-    n_domains: int = 2
-    class_means: list = field(default_factory=lambda: [[0.0, 0.0], [0.0, 6.0]])
-    variance: object = 1.0
-    domain_shift: list = None
-    flip_domains: list = field(default_factory=list)
-    angles: list = None
-    n_train: int = 500
-    n_val: int = 100
-    n_test: int = 200
 
 
 @dataclass
@@ -128,74 +112,9 @@ def _check_positive_float(value, name, problems, allow_zero=False):
             problems.append(f"{name}: expected number {bound}, got {v!r}")
 
 
-def _validate_benchmark(bench: BenchmarkConfig, problems):
-    """Returns the smallest class count of a training split (the balanced
-    split gives the remainder to the lower classes), or None when the
-    section is too broken to tell."""
-    where = "benchmark"
-    if bench.kind not in BENCHMARK_KINDS:
-        problems.append(f"{where}.kind: {bench.kind!r} is not one of {', '.join(BENCHMARK_KINDS)}")
-    if not isinstance(bench.n_domains, int) or bench.n_domains < 1:
-        problems.append(f"{where}.n_domains: expected integer >= 1, got {bench.n_domains!r}")
-        return
-    means = bench.class_means
-    dim = None
-    if (not isinstance(means, list) or len(means) < 2
-            or not all(isinstance(row, list) and row for row in means)):
-        problems.append(f"{where}.class_means: expected >= 2 rows of numbers")
-    else:
-        dim = len(means[0])
-        if any(len(row) != dim for row in means):
-            problems.append(f"{where}.class_means: rows have unequal lengths")
-            dim = None
-    if isinstance(bench.variance, list):
-        if dim is not None and len(bench.variance) != dim:
-            problems.append(f"{where}.variance: expected {dim} entries, got {len(bench.variance)}")
-        for v in bench.variance:
-            if not isinstance(v, (int, float)) or v <= 0:
-                problems.append(f"{where}.variance: entries must be positive numbers")
-                break
-    elif not isinstance(bench.variance, (int, float)) or bench.variance <= 0:
-        problems.append(f"{where}.variance: expected a positive number, got {bench.variance!r}")
-    if bench.domain_shift is not None and dim is not None:
-        shift = bench.domain_shift
-        flat = isinstance(shift, list) and all(isinstance(v, (int, float)) for v in shift)
-        nested = (isinstance(shift, list)
-                  and all(isinstance(row, list) and len(row) == dim for row in shift))
-        if flat and len(shift) != dim:
-            problems.append(f"{where}.domain_shift: vector must have length {dim}")
-        elif nested and len(shift) != bench.n_domains:
-            problems.append(f"{where}.domain_shift: need one vector per domain")
-        elif not (flat or nested):
-            problems.append(f"{where}.domain_shift: expected a vector or one vector per domain")
-    flips = bench.flip_domains
-    if not isinstance(flips, list):
-        problems.append(f"{where}.flip_domains: expected a list of indices, got {flips!r}")
-        flips = []
-    for t in flips:
-        if not isinstance(t, int) or not 0 <= t < bench.n_domains:
-            problems.append(f"{where}.flip_domains: index {t!r} outside [0, {bench.n_domains})")
-    if bench.kind == "rotation":
-        if not isinstance(bench.angles, list) or len(bench.angles) != bench.n_domains:
-            problems.append(f"{where}.angles: rotation needs one angle per domain")
-        else:
-            for a in bench.angles:
-                if not isinstance(a, (int, float)) or isinstance(a, bool):
-                    problems.append(f"{where}.angles: expected numbers, got {a!r}")
-    for name in ("n_train", "n_val", "n_test"):
-        v = getattr(bench, name)
-        if not isinstance(v, int) or v < 1:
-            problems.append(f"{where}.{name}: expected integer >= 1, got {v!r}")
-    if dim is None or not isinstance(bench.n_train, int):
-        return None
-    if bench.n_train < 5 * len(means):
-        problems.append(f"{where}.n_train: {bench.n_train} is below 5 per class "
-                        f"for {len(means)} classes")
-    return bench.n_train // len(means)
-
-
-def _validate_strategy(sc: StrategyConfig, idx: int, per_class, problems):
-    """per_class is what _validate_benchmark returned."""
+def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problems):
+    """per_class is what validate_benchmark returned; when it is not None,
+    n_train is a valid integer."""
     where = f"strategies[{idx}]"
     if sc.name not in STRATEGY_NAMES:
         problems.append(
@@ -212,8 +131,14 @@ def _validate_strategy(sc: StrategyConfig, idx: int, per_class, problems):
     if sc.optimizer not in ("sgd", "adam"):
         problems.append(f"{where}.optimizer: expected 'sgd' or 'adam', got {sc.optimizer!r}")
     _check_positive_float(sc.lam, f"{where}.lam", problems, allow_zero=True)
-    if sc.fisher_samples is not None:
+    if isinstance(sc.fisher_samples, list):
+        problems.append(f"{where}.fisher_samples: expected one integer, not a grid list")
+    elif sc.fisher_samples is not None:
         _check_positive_int(sc.fisher_samples, f"{where}.fisher_samples", problems)
+        if (per_class is not None and isinstance(sc.fisher_samples, int)
+                and sc.fisher_samples > n_train):
+            problems.append(f"{where}.fisher_samples: {sc.fisher_samples} exceeds "
+                            f"n_train {n_train}")
     _check_positive_int(sc.quota, f"{where}.quota", problems)
     _check_positive_int(sc.n_per_class, f"{where}.n_per_class", problems)
     _check_positive_int(sc.gmm_components, f"{where}.gmm_components", problems)
@@ -257,14 +182,14 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"missing required field {key!r} ({kind.__name__})")
 
     bench = _build_section(BenchmarkConfig, raw.get("benchmark", {}), "benchmark", problems)
-    per_class = _validate_benchmark(bench, problems)
+    per_class = validate_benchmark(bench, problems)
 
     raw_strategies = raw.get("strategies", [])
     strategies = []
     if isinstance(raw_strategies, list) and raw_strategies:
         for i, entry in enumerate(raw_strategies):
             sc = _build_section(StrategyConfig, entry, f"strategies[{i}]", problems)
-            _validate_strategy(sc, i, per_class, problems)
+            _validate_strategy(sc, i, bench.n_train, per_class, problems)
             strategies.append(sc)
         names = [sc.name for sc in strategies]
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -308,22 +233,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def make_recipes(bench: BenchmarkConfig):
-    """Turn the benchmark section into per-domain recipes."""
-    sizes = dict(n_train=bench.n_train, n_val=bench.n_val, n_test=bench.n_test)
-    if bench.kind == "rotation":
-        return recipe_rotation(bench.class_means, bench.variance, bench.angles, **sizes)
-    if bench.kind == "conditional_flip":
-        return recipe_conditional_flip(
-            bench.class_means, bench.variance, bench.flip_domains,
-            bench.n_domains, shifts=bench.domain_shift, **sizes,
-        )
-    dim = len(bench.class_means[0])
-    shift = bench.domain_shift if bench.domain_shift is not None else [0.0] * dim
-    return recipe_covariate_shift(bench.class_means, shift, bench.variance,
-                                  n_domains=bench.n_domains, **sizes)
 
 
 def expand_grid(sc: StrategyConfig):

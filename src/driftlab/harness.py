@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import StreamGuard, build_stream
-from .config import ExperimentConfig, expand_grid, make_recipes, serialize_config
+from .config import ExperimentConfig, expand_grid, serialize_config
 from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
@@ -137,8 +137,7 @@ def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int) -> RunRecord:
 
 
 def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int):
-    recipes = make_recipes(cfg.benchmark)
-    stream = build_stream(recipes, derive(seed, "stream"))
+    stream = build_stream(cfg.benchmark, derive(seed, "stream"))
     grid = expand_grid(strategy_cfg)
     strategy = strategy_dispatch(strategy_cfg.name, seed, stream.dim,
                                  stream.n_classes, grid[0])

@@ -94,26 +94,14 @@ def compose_replay_trainset(current: LabeledSet, buffer: ReplayBuffer) -> Labele
     return concat_sets(parts)
 
 
-def build_router_trainset(buffers) -> LabeledSet:
+def build_router_trainset(sets) -> LabeledSet:
     """Per-domain sample sets relabeled by origin: features keep their
-    values, targets become domain ids. This is the discriminator's training
-    set. Accepts synthetic buffers (or any object with domain_id and data)
-    and plain (domain_id, LabeledSet) pairs for the real-data variant.
+    values, targets become domain ids, the position of each set in the
+    list. This is the discriminator's training set, built from synthetic
+    buffers or, for the real-data variant, from real training splits.
     """
-    if not buffers:
-        raise ValidationError("need at least one buffer")
-    tagged = []
-    for buf in buffers:
-        if isinstance(buf, tuple):
-            tagged.append((int(buf[0]), buf[1]))
-        else:
-            tagged.append((int(buf.domain_id), buf.data))
-    seen = set()
-    for domain_id, _ in tagged:
-        if domain_id in seen:
-            raise ValidationError(f"duplicate buffer for domain {domain_id}")
-        seen.add(domain_id)
-    tagged.sort(key=lambda pair: pair[0])
-    X = np.vstack([data.X for _, data in tagged])
-    y = np.concatenate([np.full(len(data), domain_id) for domain_id, data in tagged])
+    if not sets:
+        raise ValidationError("need at least one set")
+    X = np.vstack([data.X for data in sets])
+    y = np.concatenate([np.full(len(data), t) for t, data in enumerate(sets)])
     return LabeledSet(X, y)

@@ -274,7 +274,7 @@ class G2d(_ExpertBank):
         self._train_expert(data, t, hp)
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
         if t > 0:
-            self._train_router(build_router_trainset(self.synthetic), t, hp)
+            self._train_router(build_router_trainset([b.data for b in self.synthetic]), t, hp)
 
 
 class OracleRouter(_ExpertBank):
@@ -290,7 +290,7 @@ class OracleRouter(_ExpertBank):
     def _learn(self, t, guard, hp):
         self._train_expert(guard.train(t), t, hp)
         if t > 0:
-            trainset = build_router_trainset([(i, guard.train(i)) for i in range(t + 1)])
+            trainset = build_router_trainset([guard.train(i) for i in range(t + 1)])
             self._train_router(trainset, t, hp)
 
 

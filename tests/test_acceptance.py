@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from driftlab import nn
-from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
-from driftlab.config import StrategyConfig, load_config, make_recipes, parse_config
+from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
+from driftlab.config import StrategyConfig, load_config, parse_config
 from driftlab.gmm import FitConfig, fit_em
 from driftlab.gradcheck import finite_diff_check
 from driftlab.harness import execute_run, persist_results, run_experiment
@@ -201,11 +201,9 @@ def test_c07_quasi_oracle_sandwich_holds_within_a_point(t4):
 
 
 def tiny_stream(seed=31):
-    recipes = recipe_covariate_shift(
-        [[0.0, -1.5], [0.0, 1.5]], [6.0, 0.0], 1.0,
-        n_domains=3, n_train=60, n_val=20, n_test=30,
-    )
-    return build_stream(recipes, seed)
+    bench = BenchmarkConfig(n_domains=3, class_means=[[0.0, -1.5], [0.0, 1.5]],
+                            domain_shift=[6.0, 0.0], n_train=60, n_val=20, n_test=30)
+    return build_stream(bench, seed)
 
 
 def run_tiny(name, stream, seed, hp):
@@ -290,7 +288,7 @@ def test_c10_g2d_predictions_decompose_exactly_on_a_100_point_fixture(t4):
     cfg, records, _ = t4
     seed = cfg.seeds[0]
     strategy = records[("g2d", seed)]._strategy
-    stream = build_stream(make_recipes(cfg.benchmark), derive(seed, "stream"))
+    stream = build_stream(cfg.benchmark, derive(seed, "stream"))
     X = np.vstack([d.test.X[:25] for d in stream.domains])
     y = np.concatenate([d.test.y[:25] for d in stream.domains])
     assert X.shape[0] == 100

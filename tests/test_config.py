@@ -5,9 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftlab.config import (GRID_FIELDS, expand_grid, load_config,
-                             make_recipes, parse_config, serialize_config)
+from driftlab.benchmarks import (BENCHMARK_KINDS, BenchmarkConfig, _domains,
+                                 build_stream)
+from driftlab.config import (GRID_FIELDS, expand_grid, load_config, parse_config,
+                             serialize_config)
 from driftlab.errors import ConfigError
 from driftlab.strategies import STRATEGY_NAMES
 
@@ -144,6 +149,23 @@ def test_benchmark_geometry_violations():
         VALID_DOC.replace("variance: 1.0", "variance: [1.0, 2.0, 3.0]")))
     assert any("n_train" in p for p in violations(
         VALID_DOC.replace("n_train: 200", "n_train: 0")))
+    # every entry where a number is expected must be a finite number, not a
+    # string, a bool, NaN or infinity; each of these passed and then failed
+    # or built non-finite features in every run
+    for old, new, field in [
+        ("[[0.0, 0.0], [0.0, 4.0]]", '[["a", 0.0], [0.0, 3.0]]', "class_means"),
+        ("[[0.0, 0.0], [0.0, 4.0]]", "[[.inf, 0.0], [0.0, 3.0]]", "class_means"),
+        ("[[0.0, 0.0], [0.0, 4.0]]", "[[true, 0.0], [0.0, 3.0]]", "class_means"),
+        ("[5.0, 0.0]", '[[0.0, "x"], [1.0, 1.0], [2.0, 2.0]]', "domain_shift"),
+        ("[5.0, 0.0]", "[.nan, 0.0]", "domain_shift"),
+        ("variance: 1.0", "variance: .inf", "variance"),
+        ("variance: 1.0", "variance: true", "variance"),
+        ("n_domains: 3", "n_domains: true", "n_domains"),
+    ]:
+        assert any(f"benchmark.{field}:" in p for p in violations(VALID_DOC.replace(old, new)))
+    # finite entries whose shifted means overflow
+    assert any("class means of domain 2 overflow" in p for p in violations(
+        VALID_DOC.replace("[5.0, 0.0]", "[1.0e+308, 0.0]")))
 
 
 def test_flip_indices_must_lie_inside_the_stream():
@@ -160,8 +182,15 @@ def test_rotation_needs_one_angle_per_domain():
                             "kind: rotation\n  angles: [0.0, 0.5]")
     assert any("angles" in p for p in violations(doc))
     # the right count of angles must also all be numbers
-    assert any("angles: expected numbers" in p
+    assert any("angles: expected finite numbers" in p
                for p in violations(doc.replace("[0.0, 0.5]", '[0.0, "x", 1.0]')))
+    assert any("angles: expected finite numbers" in p
+               for p in violations(doc.replace("[0.0, 0.5]", "[0.0, .nan, 1.0]")))
+    # a rotation turns the first two coordinates, so it needs two features
+    one_d = doc.replace("[0.0, 0.5]", "[0.0, 0.5, 1.0]").replace(
+        "[[0.0, 0.0], [0.0, 4.0]]", "[[0.0], [4.0]]").replace("[5.0, 0.0]", "[5.0]")
+    assert violations(one_d) == [
+        "benchmark.class_means: rotation needs at least 2 features, got 1"]
 
 
 def test_configs_that_can_never_run_are_rejected():
@@ -176,6 +205,17 @@ def test_configs_that_can_never_run_are_rejected():
     # an odd split leaves the smaller count on the higher class
     assert violations(doc.replace("n_train: 12", "n_train: 13"))
     parse_config(small.replace("n_per_class: 20", "n_per_class: 20\n    gmm_components: 6"))
+    # fisher_samples is one integer (not a grid field) no larger than the
+    # training split the Fisher diagonal is estimated on
+    def ewc_with_fisher(value):
+        return VALID_DOC.replace("name: seqft\n    epochs: 10",
+                                 f"name: ewc\n    epochs: 10\n    fisher_samples: {value}")
+
+    assert any("fisher_samples: expected one integer" in p
+               for p in violations(ewc_with_fisher("[10, 20]")))
+    assert any("fisher_samples: 1000 exceeds n_train 200" in p
+               for p in violations(ewc_with_fisher(1000)))
+    assert parse_config(ewc_with_fisher(200)).strategies[0].fisher_samples == 200
     # strategies without generators ignore gmm_components
     parse_config(small.replace("epochs: 10\n  - name: g2d",
                                "epochs: 10\n    gmm_components: 7\n  - name: g2d"))
@@ -235,39 +275,108 @@ def test_grid_order_varies_later_fields_fastest():
         [(5, 0.1), (5, 0.2), (10, 0.1), (10, 0.2)]
 
 
+# The per-domain values a parsed benchmark section stands for: one
+# (class means, cluster -> label) pair per domain.
+
 def test_make_recipes_covariate_vector_accumulates():
     cfg = parse_config(VALID_DOC)
-    recipes = make_recipes(cfg.benchmark)
-    assert len(recipes) == 3
+    domains = list(_domains(cfg.benchmark))
+    assert len(domains) == 3
     base = np.asarray(cfg.benchmark.class_means)
-    for t, recipe in enumerate(recipes):
-        assert recipe.kind == "covariate_shift"
-        assert not recipe.flip_labels
-        assert np.allclose(recipe.class_means, base + t * np.array([5.0, 0.0]))
+    for t, (means, labels) in enumerate(domains):
+        assert labels.tolist() == [0, 1]
+        assert np.allclose(means, base + t * np.array([5.0, 0.0]))
 
 
 def test_make_recipes_covariate_matrix_is_per_domain():
     doc = VALID_DOC.replace("domain_shift: [5.0, 0.0]",
                             "domain_shift: [[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]]")
     cfg = parse_config(doc)
-    recipes = make_recipes(cfg.benchmark)
+    domains = list(_domains(cfg.benchmark))
     base = np.asarray(cfg.benchmark.class_means)
-    assert np.allclose(recipes[1].class_means, base + np.array([1.0, 0.0]))
-    assert np.allclose(recipes[2].class_means, base + np.array([9.0, 9.0]))
+    assert np.allclose(domains[1][0], base + np.array([1.0, 0.0]))
+    assert np.allclose(domains[2][0], base + np.array([9.0, 9.0]))
 
 
 def test_make_recipes_flip_marks_only_listed_domains():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: conditional_flip\n  flip_domains: [1]")
     cfg = parse_config(doc)
-    recipes = make_recipes(cfg.benchmark)
-    assert [r.flip_labels for r in recipes] == [False, True, False]
+    assert [labels.tolist() for _, labels in _domains(cfg.benchmark)] == \
+        [[0, 1], [1, 0], [0, 1]]
 
 
 def test_make_recipes_rotation_carries_angles():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: rotation\n  angles: [0.0, 0.7, 1.4]")
     cfg = parse_config(doc)
-    recipes = make_recipes(cfg.benchmark)
-    assert [r.rotation_angle for r in recipes] == [0.0, 0.7, 1.4]
-    assert all(r.kind == "rotation" for r in recipes)
+    base = np.asarray(cfg.benchmark.class_means)
+    for angle, (means, labels) in zip([0.0, 0.7, 1.4], _domains(cfg.benchmark)):
+        c, s = np.cos(angle), np.sin(angle)
+        assert np.allclose(means, base @ np.array([[c, s], [-s, c]]))
+        assert labels.tolist() == [0, 1]
+
+
+# Random benchmark sections, mostly valid: about one draw in twenty breaks
+# a rule, with a NaN, an infinity, a string, a bool or a finite float of any
+# magnitude and sign for a number, a vector of random length, a missing
+# angle list, a flip index past the stream or too few training samples.
+WILD = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), "x", True]),
+                 st.floats(allow_nan=False, allow_infinity=False))
+COORDS = st.floats(-10.0, 10.0)
+VARIANCES = st.floats(0.01, 100.0)
+
+
+def rarely(bad, good):
+    return st.integers(0, 19).flatmap(lambda i: bad if i == 19 else good)
+
+
+def vectors(dim, good=COORDS):
+    return rarely(st.lists(rarely(WILD, good), max_size=dim + 1),
+                  st.lists(rarely(WILD, good), min_size=dim, max_size=dim))
+
+
+@st.composite
+def benchmark_sections(draw):
+    n_domains = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 3))
+    angles = st.lists(rarely(WILD, COORDS), min_size=n_domains, max_size=n_domains)
+    return {
+        "kind": draw(st.sampled_from(BENCHMARK_KINDS)),
+        "n_domains": n_domains,
+        "class_means": draw(st.lists(vectors(dim), min_size=n_classes, max_size=n_classes)),
+        "variance": draw(st.one_of(rarely(WILD, VARIANCES), vectors(dim, VARIANCES))),
+        "domain_shift": draw(st.one_of(
+            st.none(), vectors(dim),
+            st.lists(vectors(dim), min_size=n_domains, max_size=n_domains))),
+        "flip_domains": draw(st.lists(rarely(st.just(n_domains),
+                                             st.integers(0, n_domains - 1)), max_size=2)),
+        "angles": draw(rarely(st.none(), angles)),
+        "n_train": draw(rarely(st.just(5 * n_classes - 1), st.integers(5 * n_classes, 16))),
+        "n_val": draw(st.integers(1, 4)),
+        "n_test": draw(st.integers(1, 4)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=benchmark_sections(), seed=st.integers(0, 2 ** 32))
+def test_random_benchmark_sections_are_rejected_or_build_finite_streams(section, seed):
+    doc = yaml.safe_dump({"benchmark": section, "strategies": [{"name": "seqft"}],
+                          "seeds": [1]})
+    try:
+        cfg = parse_config(doc)
+    except ConfigError as exc:
+        # build_stream applies the same rules as validate, with the same words
+        with pytest.raises(ConfigError) as err:
+            build_stream(BenchmarkConfig(**section), seed)
+        assert err.value.violations == exc.violations
+        return
+    stream = build_stream(cfg.benchmark, seed)
+    n_classes = len(section["class_means"])
+    assert stream.n_domains == section["n_domains"]
+    for d in stream.domains:
+        for split in (d.train, d.val, d.test):
+            assert np.isfinite(split.X).all()
+            assert ((0 <= split.y) & (split.y < n_classes)).all()
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -96,26 +96,15 @@ def test_concat_sets_validation():
 
 
 def test_router_trainset_relabels_by_domain():
-    sets = [(2, labeled(6, seed=8)), (0, labeled(4, seed=9))]
+    sets = [labeled(4, seed=9), labeled(6, seed=8)]
     routerset = build_router_trainset(sets)
     assert len(routerset) == 10
-    # sorted ascending by domain id: domain 0 rows first
-    assert routerset.y.tolist() == [0] * 4 + [2] * 6
-    assert np.array_equal(routerset.X[:4], sets[1][1].X)
+    # a set's position in the list is its domain id
+    assert routerset.y.tolist() == [0] * 4 + [1] * 6
+    assert np.array_equal(routerset.X[:4], sets[0].X)
+    assert np.array_equal(routerset.X[4:], sets[1].X)
 
 
-def test_router_trainset_accepts_buffer_objects():
-    class Buf:
-        def __init__(self, domain_id, data):
-            self.domain_id = domain_id
-            self.data = data
-
-    routerset = build_router_trainset([Buf(1, labeled(4)), (0, labeled(3))])
-    assert routerset.y.tolist() == [0, 0, 0, 1, 1, 1, 1]
-
-
-def test_router_trainset_rejects_duplicates_and_empties():
-    with pytest.raises(ValidationError, match="duplicate"):
-        build_router_trainset([(0, labeled(4)), (0, labeled(4))])
+def test_router_trainset_rejects_an_empty_list():
     with pytest.raises(ValidationError):
         build_router_trainset([])

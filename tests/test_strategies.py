@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftlab import nn
-from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
+from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
@@ -16,11 +16,9 @@ import oracles
 
 
 def small_stream(n_domains=3, seed=11, shift=6.0, n_train=60):
-    recipes = recipe_covariate_shift(
-        [[0.0, -1.5], [0.0, 1.5]], [shift, 0.0], 1.0,
-        n_domains=n_domains, n_train=n_train, n_val=20, n_test=30,
-    )
-    return build_stream(recipes, seed)
+    bench = BenchmarkConfig(n_domains=n_domains, class_means=[[0.0, -1.5], [0.0, 1.5]],
+                            domain_shift=[shift, 0.0], n_train=n_train, n_val=20, n_test=30)
+    return build_stream(bench, seed)
 
 
 def small_hp(**overrides):

@@ -7,7 +7,7 @@ from driftlab import nn
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import NumericError, ValidationError
 from driftlab.optim import OptimizerState
-from driftlab.benchmarks import StreamGuard, build_stream, recipe_covariate_shift
+from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.strategies import strategy_dispatch
 from driftlab.training import (EwcState, estimate_fisher_diag, ewc_penalty,
@@ -213,9 +213,9 @@ def test_penalty_negative_lam_rejected():
 
 def test_snapshot_is_decoupled_from_the_live_model():
     # ewc's anchor for domain 0 must not follow the model through domain 1
-    recipes = recipe_covariate_shift([[0.0, -1.5], [0.0, 1.5]], [6.0, 0.0], 1.0,
-                                     n_domains=2, n_train=40, n_val=10, n_test=10)
-    stream = build_stream(recipes, seed=3)
+    bench = BenchmarkConfig(n_domains=2, class_means=[[0.0, -1.5], [0.0, 1.5]],
+                            domain_shift=[6.0, 0.0], n_train=40, n_val=10, n_test=10)
+    stream = build_stream(bench, seed=3)
     ewc = strategy_dispatch("ewc", 5, stream.dim, stream.n_classes,
                             StrategyConfig(hidden=[4], epochs=2, batch_size=16))
     guard = StreamGuard(stream)
