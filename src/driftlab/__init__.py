@@ -18,7 +18,6 @@ from .errors import (ConfigError, ContractError, DataAccessError,
                      DriftLabError, NumericError, ShapeError, ValidationError)
 from .gmm import (FitConfig, GmmGenerator, Mixture, SyntheticBuffer, fit_em,
                   fit_generator, log_likelihood, sample_buffer)
-from .gradcheck import finite_diff_check
 from .harness import (RunRecord, execute_run, persist_results, run_experiment,
                       run_id_for)
 from .kmeans import CentroidRouter, fit_kmeans

@@ -33,6 +33,10 @@ from .errors import ConfigError, DataAccessError, ShapeError
 from .rng import derive, make_rng
 
 BENCHMARK_KINDS = ("covariate_shift", "conditional_flip", "rotation")
+# fields a kind's stream never reads; setting one is a violation, not a no-op
+_IGNORED_FIELDS = {"covariate_shift": ("flip_domains", "angles"),
+                   "conditional_flip": ("angles",),
+                   "rotation": ("domain_shift", "flip_domains")}
 SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -95,6 +99,9 @@ def validate_benchmark(bench: BenchmarkConfig, problems):
     before = len(problems)
     if bench.kind not in BENCHMARK_KINDS:
         problems.append(f"{where}.kind: {bench.kind!r} is not one of {', '.join(BENCHMARK_KINDS)}")
+    for name in _IGNORED_FIELDS.get(bench.kind, ()):
+        if getattr(bench, name) not in (None, []):
+            problems.append(f"{where}.{name}: a {bench.kind} stream ignores this field")
     if not _is_count(bench.n_domains):
         problems.append(f"{where}.n_domains: expected integer >= 1, got {bench.n_domains!r}")
         return None

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
-from .benchmarks import BenchmarkConfig, validate_benchmark
+from .benchmarks import BenchmarkConfig, _is_number, validate_benchmark
 from .errors import ConfigError
 from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 
@@ -106,10 +106,9 @@ def _check_positive_float(value, name, problems, allow_zero=False):
     if not values:
         problems.append(f"{name}: grid list is empty")
     for v in values:
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not ok or (v < 0 if allow_zero else v <= 0):
+        if not _is_number(v) or (v < 0 if allow_zero else v <= 0):
             bound = ">= 0" if allow_zero else "> 0"
-            problems.append(f"{name}: expected number {bound}, got {v!r}")
+            problems.append(f"{name}: expected finite number {bound}, got {v!r}")
 
 
 def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problems):

@@ -90,20 +90,23 @@ def _select_and_train(strategy, grid, t, guard):
     """Per-domain model selection on the current domain's validation split.
 
     With a single grid point the strategy trains in place. Otherwise each
-    combination trains a cloned candidate; the best current-domain
-    validation accuracy wins, ties resolving to the earliest combination.
+    combination learns a cloned candidate; the best current-domain
+    validation accuracy wins, ties resolving to the earliest combination,
+    and only the winner consolidates (consolidation never changes a
+    prediction, so it cannot change the choice).
     """
     if len(grid) == 1:
         strategy.train_on_domain(t, guard, grid[0])
         return strategy
     val = guard.val(t)
-    best, best_score = None, -1.0
+    best, best_hp, best_score = None, None, -1.0
     for hp in grid:
         candidate = strategy.clone()
-        candidate.train_on_domain(t, guard, hp)
+        candidate.learn(t, guard, hp)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
-            best, best_score = candidate, score
+            best, best_hp, best_score = candidate, hp, score
+    best.consolidate(t, guard, best_hp)
     return best
 
 

@@ -115,9 +115,6 @@ def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
 def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy and its exact gradients.
 
-    Forward caches post-activation values per layer; backward applies the
-    standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
-
     Returns (loss, grad) with grad one vector in the layout of
     ``model.params``.
     """
@@ -131,7 +128,20 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     c = model.n_outputs
     if y.min() < 0 or y.max() >= c:
         raise ValidationError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
+    grad = np.empty_like(model.params)
+    loss = _loss_and_grad_into(model, x, y, layer_views(model, grad))
+    return loss, grad
 
+
+def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, views) -> float:
+    """The backprop body behind loss_and_grad, without its checks: returns
+    the loss and writes the gradient into ``views`` (layer_views of a
+    vector in the layout of ``model.params``).
+
+    Forward caches post-activation values per layer; backward applies the
+    standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
+    """
+    n = x.shape[0]
     activations = _activations(model, x)
     logits = activations[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -142,15 +152,13 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grad = np.empty_like(model.params)
-    views = layer_views(model, grad)
     for i in range(model.n_layers - 1, -1, -1):
         dw, db = views[i]
         dw[...] = activations[i].T @ delta
         db[...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
-    return loss, grad
+    return loss
 
 
 def predict(model: Classifier, batch: np.ndarray) -> np.ndarray:

@@ -61,6 +61,13 @@ class Strategy:
     """Base contract: train_on_domain(t, guard) in stream order, then
     predict(x) without domain identity.
 
+    train_on_domain is learn followed by consolidate. learn(t) does
+    everything that can change predict; consolidate(t) keeps what the
+    finished domain leaves behind for later domains (an EWC anchor, a
+    replay admission, a generator's buffer) and changes no prediction.
+    Per-domain model selection learns every grid candidate and
+    consolidates only the winner.
+
     hp is a config.StrategyConfig whose grid fields hold one scalar each
     (one point of config.expand_grid). The base keeps one classifier,
     ``model``; every model a strategy trains, expert and router included,
@@ -77,9 +84,18 @@ class Strategy:
         self.n_classes = int(n_classes)
         self.hp = hp
         self.last_trained = -1
+        self.last_consolidated = -1
         self.model = None
 
     def train_on_domain(self, t: int, guard: StreamGuard, hp=None):
+        self.learn(t, guard, hp)
+        self.consolidate(t, guard, hp)
+
+    def learn(self, t: int, guard: StreamGuard, hp=None):
+        """Train on domain t; the previous domain must be consolidated."""
+        if self.last_trained != self.last_consolidated:
+            raise ContractError(f"learn({t}) before domain {self.last_trained} "
+                                f"is consolidated")
         if t != self.last_trained + 1:
             raise ContractError(
                 f"domains must arrive in order: expected {self.last_trained + 1}, got {t}"
@@ -87,8 +103,20 @@ class Strategy:
         self._learn(t, guard, hp or self.hp)
         self.last_trained = t
 
+    def consolidate(self, t: int, guard: StreamGuard, hp=None):
+        """Keep what domain t leaves behind; t must be the domain just learned."""
+        if t != self.last_trained or t == self.last_consolidated:
+            raise ContractError(f"consolidate({t}) needs domain {t} learned and not yet "
+                                f"consolidated (learned up to {self.last_trained}, "
+                                f"consolidated up to {self.last_consolidated})")
+        self._consolidate(t, guard, hp or self.hp)
+        self.last_consolidated = t
+
     def _learn(self, t: int, guard: StreamGuard, hp):
         raise NotImplementedError
+
+    def _consolidate(self, t: int, guard: StreamGuard, hp):
+        pass
 
     def _new_model(self, hidden, n_outputs: int, *seed_labels) -> nn.Classifier:
         dims = [self.dim, *hidden, n_outputs]
@@ -142,8 +170,10 @@ class Ewc(Strategy):
         if hp.lam > 0 and len(self.ewc) > 0:
             penalty = lambda m: ewc_penalty(m, self.ewc, hp.lam)
         self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate, hp, penalty)
+
+    def _consolidate(self, t, guard, hp):
         fisher = estimate_fisher_diag(
-            self.model, data, derive(self.seed, "domain", t, "fisher"),
+            self.model, guard.train(t), derive(self.seed, "domain", t, "fisher"),
             n_samples=hp.fisher_samples,
         )
         self.ewc.add_anchor(self.model.params.copy(), fisher)
@@ -164,7 +194,9 @@ class Er(Strategy):
         data = guard.train(t)
         self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
                     hp.epochs, hp.learning_rate, hp)
-        update_replay_buffer(self.buffer, data, t, hp.quota,
+
+    def _consolidate(self, t, guard, hp):
+        update_replay_buffer(self.buffer, guard.train(t), t, hp.quota,
                              derive(self.seed, "domain", t, "reservoir"))
 
 
@@ -196,7 +228,9 @@ class GenReplay(Strategy):
         data = guard.train(t)
         self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
                     hp.epochs, hp.learning_rate, hp)
-        buf = _draw_buffer(self.seed, self.n_classes, data, t, hp)
+
+    def _consolidate(self, t, guard, hp):
+        buf = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
         self.synthetic.append(buf)
         # quota equals the per-class draw, so the whole buffer is stored
         update_replay_buffer(self.buffer, buf.data, t, hp.n_per_class,
@@ -270,6 +304,7 @@ class G2d(_ExpertBank):
         self.synthetic = []
 
     def _learn(self, t, guard, hp):
+        # the buffer is drawn here, not in consolidate: the router trains on it
         data = guard.train(t)
         self._train_expert(data, t, hp)
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))

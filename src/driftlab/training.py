@@ -109,12 +109,15 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
         idx = rng.choice(n, size=n_samples, replace=False)
     else:
         raise ValidationError(f"n_samples must be in [1, {n}], got {n_samples}")
-    probs = nn.softmax(nn.forward(model, data.X[idx]))
+    X = data.X[idx]
+    probs = nn.softmax(nn.forward(model, X))   # checks X once for every row
     fisher = np.zeros_like(model.params)
-    for row, x in zip(probs, data.X[idx]):
-        y_hat = rng.choice(model.n_outputs, p=row)
+    grad = np.empty_like(model.params)
+    views = nn.layer_views(model, grad)
+    for i, row in enumerate(probs):
+        y_hat = np.array([rng.choice(model.n_outputs, p=row)])
         # single-sample cross-entropy gradient == gradient of -log p(y_hat|x)
-        _, grad = nn.loss_and_grad(model, x[None, :], np.array([y_hat]))
+        nn._loss_and_grad_into(model, X[i:i + 1], y_hat, views)
         fisher += grad ** 2
     return fisher / len(idx)
 

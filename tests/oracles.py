@@ -2,13 +2,20 @@
 
 Everything here recomputes a quantity from first principles: plain loops,
 closed forms, or a different algorithm entirely (eigendecomposition instead
-of SVD, direct densities instead of log-sum-exp). Nothing imports from
-driftlab, so agreement between the two routes is meaningful.
+of SVD, direct densities instead of log-sum-exp, central differences
+instead of backpropagation). Apart from finite_diff_check, which
+differences driftlab's own loss, nothing here imports from driftlab, so
+agreement between the two routes is meaningful.
 """
 
 from __future__ import annotations
 
+import filecmp
+
 import numpy as np
+
+from driftlab import nn
+from driftlab.errors import ValidationError
 
 
 def gmm_log_likelihood_naive(X, weights, means, variances):
@@ -173,3 +180,74 @@ def route_then_classify(router_params, expert_params, X):
         w, b = expert_params[r]
         preds[i] = int(mlp_argmax(w, b, xi)[0])
     return preds
+
+
+# ---------------------------------------------------------------------------
+# Central-difference validation of analytic gradients: it re-evaluates the
+# loss at theta +/- h per coordinate and never looks at how the analytic
+# gradient was produced.
+# ---------------------------------------------------------------------------
+
+# Loss values are O(1) (cross-entropy of a few classes), so gradients below
+# this scale are treated as zero when forming the relative error. Without a
+# floor, rounding noise of ~1e-12 in the difference quotient would dominate
+# the ratio for dead parameters.
+REL_FLOOR = 1e-3
+
+
+def finite_diff_check(model, batch, labels, h: float = 1e-5, *,
+                      loss_fn=None, max_params: int = 2000, seed: int = 0) -> float:
+    """Max relative discrepancy between analytic and central-difference gradients.
+
+    ``loss_fn(model) -> (loss, grad)``, with grad in the layout of
+    ``model.params``, defaults to mean cross-entropy on (batch, labels);
+    pass a custom one to check an augmented loss. All parameters are
+    checked when the model has at most ``max_params``; otherwise a seeded
+    random subset of max(100, max_params) coordinates.
+
+    Relative error per coordinate is |a - n| / max(|a|, |n|, REL_FLOOR).
+    """
+    if not (0.0 < h <= 1e-2):
+        raise ValidationError(f"perturbation h must lie in (0, 1e-2], got {h}")
+    if loss_fn is None:
+        x = np.asarray(batch, dtype=float)
+        y = np.asarray(labels)
+        if x.shape[0] == 0:
+            raise ValidationError("empty batch")
+
+        def loss_fn(m):
+            return nn.loss_and_grad(m, x, y)
+
+    _, analytic = loss_fn(model)
+    params = model.params
+    coords = range(params.size)
+    if params.size > max_params:
+        rng = np.random.default_rng(seed)
+        coords = sorted(rng.choice(params.size, size=max(100, max_params), replace=False))
+
+    worst = 0.0
+    for k in coords:
+        original = params[k]
+        params[k] = original + h
+        loss_plus, _ = loss_fn(model)
+        params[k] = original - h
+        loss_minus, _ = loss_fn(model)
+        params[k] = original
+
+        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        a = analytic[k]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), REL_FLOOR)
+        if rel > worst:
+            worst = rel
+    return worst
+
+
+def tree_mismatches(left, right):
+    """Relative paths under two pathlib directories that differ in content
+    or exist on one side only."""
+    cmp = filecmp.dircmp(left, right)
+    _, differ, errors = filecmp.cmpfiles(left, right, cmp.common_files, shallow=False)
+    bad = cmp.left_only + cmp.right_only + differ + errors
+    for sub in cmp.common_dirs:
+        bad += [f"{sub}/{rel}" for rel in tree_mismatches(left / sub, right / sub)]
+    return sorted(bad)

@@ -16,17 +16,17 @@ from driftlab import nn
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig, load_config, parse_config
 from driftlab.gmm import FitConfig, fit_em
-from driftlab.gradcheck import finite_diff_check
 from driftlab.harness import execute_run, persist_results, run_experiment
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.metrics import AccuracyMatrix, average_accuracy
 from driftlab.rng import derive, make_rng
-from driftlab.strategies import strategy_dispatch
+from driftlab.strategies import save_checkpoint, strategy_dispatch
 from driftlab.training import EwcState, ewc_penalty
 
 import oracles
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def execute_config(name):
@@ -98,7 +98,7 @@ def test_c01_gradients_match_central_differences_under_1e5():
             y = rng.integers(0, dims[-1], size=n)
             if kink_margin(model, X) > 1e-3:
                 break
-        worst = max(worst, finite_diff_check(model, X, y, h=1e-5))
+        worst = max(worst, oracles.finite_diff_check(model, X, y, h=1e-5))
 
     state = EwcState()
     anchor = model.copy()
@@ -112,7 +112,7 @@ def test_c01_gradients_match_central_differences_under_1e5():
         pen, pgrad = ewc_penalty(m, state, 0.7)
         return base + pen, grad + pgrad
 
-    worst = max(worst, finite_diff_check(model, X, y, h=1e-5, loss_fn=augmented))
+    worst = max(worst, oracles.finite_diff_check(model, X, y, h=1e-5, loss_fn=augmented))
     assert worst < 1e-5
     assert time.perf_counter() - start < 10.0
 
@@ -178,6 +178,16 @@ def test_c05_synthetic_routing_beats_replaying_the_same_buffers(t4):
         for mine, theirs in zip(a, b):
             assert np.array_equal(mine.data.X, theirs.data.X)
             assert np.array_equal(mine.data.y, theirs.data.y)
+
+
+def test_covariate_t4_regenerates_the_committed_results(t4, tmp_path):
+    # the fixture keeps config order (strategies outer, seeds inner), the
+    # order run_experiment returns its records in
+    _, records, _ = t4
+    persist_results(list(records.values()), str(tmp_path))
+    for rec in records.values():
+        save_checkpoint(rec._strategy, str(tmp_path / "runs" / rec.run_id))
+    assert oracles.tree_mismatches(tmp_path, ROOT / "results" / "covariate_t4") == []
 
 
 def test_c06_synthetic_router_rides_within_five_points_of_oracle(t4):

@@ -177,6 +177,25 @@ def test_flip_indices_must_lie_inside_the_stream():
                for p in violations(doc.replace("flip_domains: [3]", "flip_domains: 1")))
 
 
+NO_SHIFT = "\n  domain_shift: [5.0, 0.0]"
+
+
+def test_fields_a_kind_ignores_are_rejected():
+    rotation = VALID_DOC.replace("kind: covariate_shift",
+                                 "kind: rotation\n  angles: [0.0, 0.5, 1.0]")
+    flip = VALID_DOC.replace("kind: covariate_shift", "kind: conditional_flip")
+    for doc, extra, field_name in (
+            (rotation, "", "domain_shift"),
+            (rotation.replace(NO_SHIFT, ""), "\n  flip_domains: [1]", "flip_domains"),
+            (VALID_DOC, "\n  flip_domains: [1]", "flip_domains"),
+            (VALID_DOC, "\n  angles: [0.0, 0.5, 1.0]", "angles"),
+            (flip, "\n  angles: [0.0, 0.5, 1.0]", "angles")):
+        doc = doc.replace("n_train: 200", "n_train: 200" + extra)
+        assert f"benchmark.{field_name}: a " in " ".join(violations(doc)), (doc, field_name)
+    # an empty flip list is the default, not a setting
+    parse_config(rotation.replace(NO_SHIFT, "\n  flip_domains: []"))
+
+
 def test_rotation_needs_one_angle_per_domain():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: rotation\n  angles: [0.0, 0.5]")
@@ -188,7 +207,7 @@ def test_rotation_needs_one_angle_per_domain():
                for p in violations(doc.replace("[0.0, 0.5]", "[0.0, .nan, 1.0]")))
     # a rotation turns the first two coordinates, so it needs two features
     one_d = doc.replace("[0.0, 0.5]", "[0.0, 0.5, 1.0]").replace(
-        "[[0.0, 0.0], [0.0, 4.0]]", "[[0.0], [4.0]]").replace("[5.0, 0.0]", "[5.0]")
+        "[[0.0, 0.0], [0.0, 4.0]]", "[[0.0], [4.0]]").replace(NO_SHIFT, "")
     assert violations(one_d) == [
         "benchmark.class_means: rotation needs at least 2 features, got 1"]
 
@@ -216,6 +235,11 @@ def test_configs_that_can_never_run_are_rejected():
     assert any("fisher_samples: 1000 exceeds n_train 200" in p
                for p in violations(ewc_with_fisher(1000)))
     assert parse_config(ewc_with_fisher(200)).strategies[0].fisher_samples == 200
+    # strategy knobs are finite numbers
+    for knob, value in (("learning_rate", ".inf"), ("lam", ".nan")):
+        doc = VALID_DOC.replace("name: seqft\n    epochs: 10",
+                                f"name: ewc\n    epochs: 10\n    {knob}: {value}")
+        assert any(f"{knob}: expected finite number" in p for p in violations(doc))
     # strategies without generators ignore gmm_components
     parse_config(small.replace("epochs: 10\n  - name: g2d",
                                "epochs: 10\n    gmm_components: 7\n  - name: g2d"))
@@ -308,7 +332,7 @@ def test_make_recipes_flip_marks_only_listed_domains():
 
 def test_make_recipes_rotation_carries_angles():
     doc = VALID_DOC.replace("kind: covariate_shift",
-                            "kind: rotation\n  angles: [0.0, 0.7, 1.4]")
+                            "kind: rotation\n  angles: [0.0, 0.7, 1.4]").replace(NO_SHIFT, "")
     cfg = parse_config(doc)
     base = np.asarray(cfg.benchmark.class_means)
     for angle, (means, labels) in zip([0.0, 0.7, 1.4], _domains(cfg.benchmark)):
@@ -320,15 +344,19 @@ def test_make_recipes_rotation_carries_angles():
 # Random benchmark sections, mostly valid: about one draw in twenty breaks
 # a rule, with a NaN, an infinity, a string, a bool or a finite float of any
 # magnitude and sign for a number, a vector of random length, a missing
-# angle list, a flip index past the stream or too few training samples.
+# angle list, a flip index past the stream or too few training samples;
+# and about one in four sets a field that the kind ignores.
 WILD = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), "x", True]),
                  st.floats(allow_nan=False, allow_infinity=False))
 COORDS = st.floats(-10.0, 10.0)
 VARIANCES = st.floats(0.01, 100.0)
+IGNORED = {"covariate_shift": ("flip_domains", "angles"),
+           "conditional_flip": ("angles",),
+           "rotation": ("domain_shift", "flip_domains")}
 
 
-def rarely(bad, good):
-    return st.integers(0, 19).flatmap(lambda i: bad if i == 19 else good)
+def rarely(bad, good, one_in=20):
+    return st.integers(1, one_in).flatmap(lambda i: bad if i == one_in else good)
 
 
 def vectors(dim, good=COORDS):
@@ -338,21 +366,28 @@ def vectors(dim, good=COORDS):
 
 @st.composite
 def benchmark_sections(draw):
+    kind = draw(st.sampled_from(BENCHMARK_KINDS))
     n_domains = draw(st.integers(1, 4))
     dim = draw(st.integers(1, 3))
     n_classes = draw(st.integers(2, 3))
-    angles = st.lists(rarely(WILD, COORDS), min_size=n_domains, max_size=n_domains)
+    unset = {"domain_shift": st.none(), "flip_domains": st.just([]), "angles": st.none()}
+    used = {
+        "domain_shift": st.one_of(
+            st.none(), vectors(dim),
+            st.lists(vectors(dim), min_size=n_domains, max_size=n_domains)),
+        "flip_domains": st.lists(rarely(st.just(n_domains),
+                                        st.integers(0, n_domains - 1)), max_size=2),
+        "angles": rarely(st.none(), st.lists(rarely(WILD, COORDS), min_size=n_domains,
+                                             max_size=n_domains)),
+    }
     return {
-        "kind": draw(st.sampled_from(BENCHMARK_KINDS)),
+        "kind": kind,
         "n_domains": n_domains,
         "class_means": draw(st.lists(vectors(dim), min_size=n_classes, max_size=n_classes)),
         "variance": draw(st.one_of(rarely(WILD, VARIANCES), vectors(dim, VARIANCES))),
-        "domain_shift": draw(st.one_of(
-            st.none(), vectors(dim),
-            st.lists(vectors(dim), min_size=n_domains, max_size=n_domains))),
-        "flip_domains": draw(st.lists(rarely(st.just(n_domains),
-                                             st.integers(0, n_domains - 1)), max_size=2)),
-        "angles": draw(rarely(st.none(), angles)),
+        **{name: draw(rarely(used[name], unset[name], 4) if name in IGNORED[kind]
+                      else used[name])
+           for name in ("domain_shift", "flip_domains", "angles")},
         "n_train": draw(rarely(st.just(5 * n_classes - 1), st.integers(5 * n_classes, 16))),
         "n_val": draw(st.integers(1, 4)),
         "n_test": draw(st.integers(1, 4)),
@@ -372,6 +407,8 @@ def test_random_benchmark_sections_are_rejected_or_build_finite_streams(section,
             build_stream(BenchmarkConfig(**section), seed)
         assert err.value.violations == exc.violations
         return
+    # no accepted section sets a field that its kind ignores
+    assert all(section[name] in (None, []) for name in IGNORED[section["kind"]])
     stream = build_stream(cfg.benchmark, seed)
     n_classes = len(section["class_means"])
     assert stream.n_domains == section["n_domains"]

@@ -5,7 +5,8 @@ import pytest
 
 from driftlab import nn
 from driftlab.errors import ValidationError
-from driftlab.gradcheck import finite_diff_check
+
+from oracles import finite_diff_check
 
 
 def make_case(seed=0, dims=(4, 6, 3), n=8):

@@ -2,7 +2,6 @@
 schemas, report rendering, failure isolation, and the CLI."""
 
 import csv
-import filecmp
 import multiprocessing
 import os
 import re
@@ -11,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from driftlab import cli, harness
+from driftlab import cli, harness, strategies
 from driftlab.config import load_config, parse_config
 from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               SUMMARY_HEADER, benchmark_label, execute_run,
                               persist_results, run_experiment, run_id_for)
 from driftlab.harness_report import _mean_std, render_report
+from driftlab.metrics import evaluate_accuracy
+
+import oracles
 
 TINY_DOC = """
 benchmark:
@@ -112,6 +114,87 @@ def test_grid_selection_recovers_the_winning_scalar_run(tiny):
         for s in range(t + 1):
             assert gridded.matrix.entry(s, t) == scalar.matrix.entry(s, t)
     assert gridded.matrix.entry(1, 1) > 0.8
+
+
+GRID_DOC = """
+benchmark:
+  kind: covariate_shift
+  n_domains: 3
+  class_means: [[0.0, -1.5], [0.0, 1.5]]
+  variance: 1.0
+  domain_shift: [3.0, 0.0]
+  n_train: 60
+  n_val: 20
+  n_test: 30
+strategies:
+  - name: ewc
+    epochs: 4
+    batch_size: 16
+    hidden: [8]
+    lam: [0.5, 5.0, 500.0]
+  - name: er
+    epochs: 4
+    batch_size: 16
+    hidden: [8]
+    quota: [2, 8, 30]
+seeds: [23, 24]
+out_dir: unused
+"""
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_only_the_winning_candidate_consolidates(monkeypatch):
+    cfg = parse_config(GRID_DOC)
+    fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
+    admitted = count_calls(monkeypatch, strategies, "update_replay_buffer")
+    T = cfg.benchmark.n_domains
+    assert execute_run(cfg, cfg.strategies[0], 23).ok
+    assert len(fisher) == T
+    assert execute_run(cfg, cfg.strategies[1], 23).ok
+    # update_replay_buffer(buffer, trainset, domain_id, ...): each domain once
+    assert [args[2] for args in admitted] == list(range(T))
+
+
+def consolidate_every_candidate(strategy, grid, t, guard):
+    """Selection as it was before winner-only consolidation: every
+    candidate runs the whole of train_on_domain."""
+    val = guard.val(t)
+    best, best_score = None, -1.0
+    for hp in grid:
+        candidate = strategy.clone()
+        candidate.train_on_domain(t, guard, hp)
+        score = evaluate_accuracy(candidate.predict, val)
+        if score > best_score:
+            best, best_score = candidate, score
+    return best
+
+
+def test_winner_only_consolidation_keeps_checkpoints_byte_identical(tmp_path, monkeypatch):
+    cfg = parse_config(GRID_DOC)
+    records = run_experiment(cfg, out_dir=str(tmp_path / "winner"))
+    monkeypatch.setattr(harness, "_select_and_train", consolidate_every_candidate)
+    fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
+    reference = run_experiment(cfg, out_dir=str(tmp_path / "every"))
+    assert len(fisher) == 3 * cfg.benchmark.n_domains * len(cfg.seeds)
+    assert [r.run_id for r in records] == [r.run_id for r in reference]
+    for rec in records:
+        assert rec.ok, rec.failure
+        name = Path("runs") / rec.run_id / "checkpoint.txt"
+        winner = (tmp_path / "winner" / name).read_bytes()
+        assert winner == (tmp_path / "every" / name).read_bytes(), rec.strategy
+        if rec.strategy == "ewc":
+            assert b"anchor2.FW0" in winner
 
 
 def test_persisted_files_carry_golden_headers(tiny):
@@ -380,19 +463,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 def test_shipped_configs_regenerate_the_committed_results(tmp_path):
+    # covariate_t4 is compared in test_acceptance, which runs it anyway
     root = Path(__file__).resolve().parents[1]
     for name in ("quickstart", "flip_t2"):
         cfg = load_config(root / "configs" / f"{name}.yaml")
         out = tmp_path / name
         persist_results(run_experiment(cfg, out_dir=str(out)), str(out))
-        assert tree_mismatches(out, root / "results" / name) == [], name
+        assert oracles.tree_mismatches(out, root / "results" / name) == [], name
 
-
-def tree_mismatches(left, right):
-    """Relative paths that differ in content or exist on one side only."""
-    cmp = filecmp.dircmp(left, right)
-    _, differ, errors = filecmp.cmpfiles(left, right, cmp.common_files, shallow=False)
-    bad = cmp.left_only + cmp.right_only + differ + errors
-    for sub in cmp.common_dirs:
-        bad += [f"{sub}/{rel}" for rel in tree_mismatches(left / sub, right / sub)]
-    return sorted(bad)

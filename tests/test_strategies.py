@@ -66,6 +66,25 @@ def test_domains_must_arrive_in_order():
         strategy.train_on_domain(1, guard)
 
 
+def test_consolidate_needs_the_domain_just_learned():
+    stream = small_stream()
+    for name in STRATEGY_NAMES:
+        strategy = strategy_dispatch(name, 0, stream.dim, stream.n_classes, small_hp())
+        guard = StreamGuard(stream, privileged=strategy.privileged)
+        guard.advance(0)
+        with pytest.raises(ContractError, match="consolidate"):
+            strategy.consolidate(0, guard)
+        strategy.learn(0, guard)
+        with pytest.raises(ContractError, match="before domain 0 is consolidated"):
+            strategy.learn(1, guard)
+        strategy.consolidate(0, guard)
+        with pytest.raises(ContractError, match="consolidate"):
+            strategy.consolidate(0, guard)
+        guard.advance(1)
+        with pytest.raises(ContractError, match="consolidate"):
+            strategy.consolidate(1, guard)
+
+
 def test_predict_before_training_is_a_contract_error():
     for name in ("seqft", "g2d", "centroid_router"):
         strategy = strategy_dispatch(name, 0, 2, 2, small_hp())
