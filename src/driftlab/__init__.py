@@ -16,13 +16,13 @@ from .config import (BenchmarkConfig, ExperimentConfig, StrategyConfig,
                      expand_grid, load_config, parse_config, serialize_config)
 from .errors import (ConfigError, ContractError, DataAccessError,
                      DriftLabError, NumericError, ShapeError, ValidationError)
-from .gmm import (FitConfig, GmmGenerator, Mixture, SyntheticBuffer, fit_em,
-                  fit_generator, log_likelihood, sample_buffer)
+from .gmm import (FitConfig, GmmGenerator, Mixture, fit_em, fit_generator,
+                  log_likelihood, sample_buffer)
 from .harness import (RunRecord, execute_run, persist_results, run_experiment,
                       run_id_for)
 from .kmeans import CentroidRouter, fit_kmeans
-from .memory import (ReplayBuffer, build_router_trainset,
-                     compose_replay_trainset, update_replay_buffer)
+from .memory import (build_router_trainset, compose_replay_trainset,
+                     update_replay_buffer)
 from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_grad,
@@ -30,8 +30,8 @@ from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_gra
 from .optim import OptimizerState, apply_step
 from .pca import Projection2D, pca_project_2d
 from .rng import derive, make_rng
-from .strategies import STRATEGY_NAMES, Strategy, strategy_dispatch
-from .training import (EwcState, TrainLog, estimate_fisher_diag, ewc_penalty,
+from .strategies import ROUTER_KINDS, STRATEGY_NAMES, Strategy, strategy_dispatch
+from .training import (TrainLog, estimate_fisher_diag, ewc_penalty,
                        train_classifier)
 
 __version__ = "0.1.0"

@@ -191,9 +191,8 @@ def _domains(bench: BenchmarkConfig):
         shift = np.outer(np.arange(bench.n_domains), shift)
     # swap for two classes, cyclic shift otherwise
     flipped = (identity + 1) % n_classes
-    flips = set(bench.flip_domains) if bench.kind == "conditional_flip" else set()
     for t in range(bench.n_domains):
-        yield base + shift[t], (flipped if t in flips else identity)
+        yield base + shift[t], (flipped if t in bench.flip_domains else identity)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import sys
 from .config import load_config
 from .errors import ConfigError, DriftLabError, ValidationError
 from .harness import PROJECTION_HEADER, persist_results, run_experiment
+from .strategies import ROUTER_KINDS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_project = sub.add_parser("project", help="print PCA projection rows of one run")
     p_project.add_argument("run_id", help="run identifier from the result CSVs")
     p_project.add_argument("--router", required=True,
-                           choices=("synthetic", "oracle", "centroid"),
+                           choices=ROUTER_KINDS,
                            help="router kind the projection belongs to")
     p_project.add_argument("--dir", default="results", help="results directory")
 

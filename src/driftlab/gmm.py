@@ -3,14 +3,13 @@
 Each domain gets one generator: a class-conditional mixture of diagonal
 Gaussians fitted by EM on the domain's training split. Once the stream has
 moved on, the real data is gone; the generator's samples stand in for it.
-A drawn buffer is frozen and fingerprinted so that every consumer of
-replayed data (the replay classifier and the domain router alike) can be
-shown to use the exact same synthetic samples.
+A drawn buffer is a plain LabeledSet, deterministic in (generator, seed),
+so every consumer of replayed data (the replay classifier and the domain
+router alike) can be shown to use the exact same synthetic samples.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,34 +167,7 @@ def fit_generator(trainset: LabeledSet, domain_id: int, n_classes: int,
     return gen
 
 
-@dataclass
-class SyntheticBuffer:
-    """A frozen draw from a generator, tagged with its source domain.
-
-    The fingerprint hashes the raw sample bytes; two consumers hold the
-    same buffer exactly when their fingerprints match.
-    """
-
-    domain_id: int
-    data: LabeledSet
-    fingerprint: str = ""
-
-    def __post_init__(self):
-        if not self.fingerprint:
-            self.fingerprint = buffer_fingerprint(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-def buffer_fingerprint(data: LabeledSet) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(data.X, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(data.y, dtype=int).tobytes())
-    return h.hexdigest()[:16]
-
-
-def sample_buffer(gen: GmmGenerator, n_per_class: int, seed: int) -> SyntheticBuffer:
+def sample_buffer(gen: GmmGenerator, n_per_class: int, seed: int) -> LabeledSet:
     """Draw a class-balanced synthetic buffer: n_per_class samples per class.
 
     Components are chosen by mixture weight, then features drawn from the
@@ -210,5 +182,4 @@ def sample_buffer(gen: GmmGenerator, n_per_class: int, seed: int) -> SyntheticBu
         noise = rng.normal(size=(n_per_class, mix.dim))
         blocks.append(mix.means[comp] + noise * np.sqrt(mix.variances[comp]))
         labels.append(np.full(n_per_class, c))
-    data = LabeledSet(np.vstack(blocks), np.concatenate(labels))
-    return SyntheticBuffer(gen.domain_id, data)
+    return LabeledSet(np.vstack(blocks), np.concatenate(labels))

@@ -17,6 +17,8 @@ Persisted files (all CSV rows newline-terminated, floats to 6 places):
 * projection.csv  run_id,router_kind,domain,sample_index,pc1,pc2,routed_domain
 
 Re-running an identical config overwrites all five files byte-identically.
+Each file is written to a temp file and renamed into place, so a failed
+write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -126,20 +128,25 @@ def _fail(record: RunRecord, exc: Exception):
     record.traceback = traceback.format_exc()
 
 
-def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int) -> RunRecord:
-    """One strategy under one seed, start to finish. Failures are captured
-    in the record instead of propagating, so sibling runs continue."""
+def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int):
+    """One strategy under one seed, start to finish.
+
+    Returns (record, strategy): the finished strategy, or None for a run
+    that failed. Failures are captured in the record instead of
+    propagating, so sibling runs continue."""
     record = _new_record(cfg, strategy_cfg.name, seed)
+    strategy = None
     start = time.perf_counter()
     try:
-        _execute_into(record, cfg, strategy_cfg, seed)
+        strategy = _execute_into(record, cfg, strategy_cfg, seed)
     except Exception as exc:   # a failing run must not sink its siblings
         _fail(record, exc)
     record.duration = time.perf_counter() - start
-    return record
+    return record, strategy
 
 
 def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int):
+    """Fill the record from one run and return the finished strategy."""
     stream = build_stream(cfg.benchmark, derive(seed, "stream"))
     grid = expand_grid(strategy_cfg)
     strategy = strategy_dispatch(strategy_cfg.name, seed, stream.dim,
@@ -169,7 +176,7 @@ def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: 
              int(routed[i]))
             for i in range(len(true))
         ]
-    record._strategy = strategy     # kept for checkpointing; not persisted
+    return strategy
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
@@ -211,14 +218,12 @@ def _write_failure(record: RunRecord, out):
 
 def _run_task(task) -> RunRecord:
     cfg, sc, seed, out = task
-    record = execute_run(cfg, sc, seed)
-    if not record.ok:
-        _write_failure(record, out)
+    record, strategy = execute_run(cfg, sc, seed)
     # checkpoint in the worker: strategies do not cross process boundaries
-    strategy = getattr(record, "_strategy", None)
-    if strategy is not None:
+    if strategy is None:
+        _write_failure(record, out)
+    else:
         save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
-        record._strategy = None
     return record
 
 
@@ -282,15 +287,20 @@ def persist_results(records, out_dir) -> dict:
             ]))
     paths["projection.csv"] = _write_lines(out_dir, "projection.csv", lines)
 
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(render_report(records))
-    paths["report.txt"] = report_path
+    paths["report.txt"] = _write_text(out_dir, "report.txt", render_report(records))
     return paths
 
 
 def _write_lines(out_dir, name, lines) -> str:
+    return _write_text(out_dir, name, "\n".join(lines) + "\n")
+
+
+def _write_text(out_dir, name, text: str) -> str:
+    """Write through a temp file and a rename, so a reader never sees a
+    half-written file and a failed write keeps the previous one."""
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
     return path

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# fixed column layout for router comparisons: non-parametric baseline,
-# synthetic-trained discriminator, real-data upper bound
-ROUTER_ORDER = ("centroid", "synthetic", "oracle")
+from .strategies import ROUTER_KINDS
 
 
 def _mean_std(values):
@@ -58,7 +56,7 @@ def render_report(records) -> str:
     if routing_stats:
         lines += ["", "Domain routing accuracy (mean +/- std over seeds)",
                   f"{'router':<16} {'accuracy':>22}"]
-        for kind in ROUTER_ORDER:
+        for kind in ROUTER_KINDS:
             if kind in routing_stats:
                 mean, std = _mean_std(routing_stats[kind])
                 lines.append(f"{kind:<16} {mean:.6f} +/- {std:.6f}".rstrip())

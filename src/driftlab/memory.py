@@ -1,17 +1,16 @@
 """Replay memory: per-class quota buffers and trainset composition for
 rehearsal strategies and the synthetic domain router.
 
-The buffer holds a fixed number of samples per class per domain, drawn by
+A buffer is a plain list of LabeledSets whose position is the domain id.
+Each admission keeps a fixed number of samples per class, drawn by
 single-pass reservoir sampling the moment the domain arrives. Entries are
-never revisited afterwards: admitting a new domain appends to the store and
+never revisited afterwards: admitting a new domain appends to the list and
 leaves existing entries untouched, so no past stream data is ever read
-again. The same container serves real rehearsal (experience replay) and
+again. The same list serves real rehearsal (experience replay) and
 synthetic rehearsal (generative replay).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,37 +31,18 @@ def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(keep)
 
 
-@dataclass
-class ReplayBuffer:
-    """Per-domain, per-class-quota sample store."""
-
-    stored: dict = field(default_factory=dict)   # domain id -> LabeledSet
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.stored.values())
-
-    @property
-    def domains(self):
-        return sorted(self.stored)
-
-    @property
-    def dim(self):
-        for s in self.stored.values():
-            return s.dim
-        return None
-
-
-def update_replay_buffer(buffer: ReplayBuffer, trainset: LabeledSet,
-                         domain_id: int, per_class_quota: int, seed: int) -> ReplayBuffer:
+def update_replay_buffer(buffer: list, trainset: LabeledSet,
+                         domain_id: int, per_class_quota: int, seed: int) -> list:
     """Admit one domain: reservoir-sample quota items per class (all if the
-    class is smaller) and append. Existing entries are untouched."""
+    class is smaller) and append. Existing entries are untouched; domains
+    arrive in order, so domain_id must equal len(buffer)."""
     if per_class_quota < 1:
         raise ValidationError(f"per_class_quota must be >= 1, got {per_class_quota}")
-    if domain_id in buffer.stored:
-        raise ValidationError(f"domain {domain_id} was already admitted")
-    if buffer.dim is not None and trainset.dim != buffer.dim:
+    if domain_id != len(buffer):
+        raise ValidationError(f"expected domain {len(buffer)} next, got {domain_id}")
+    if buffer and trainset.dim != buffer[0].dim:
         raise ValidationError(
-            f"feature dim {trainset.dim} does not match buffer dim {buffer.dim}"
+            f"feature dim {trainset.dim} does not match buffer dim {buffer[0].dim}"
         )
     picked = []
     for c in np.unique(trainset.y):
@@ -70,7 +50,7 @@ def update_replay_buffer(buffer: ReplayBuffer, trainset: LabeledSet,
         rng = make_rng(seed, "reservoir", int(c))
         picked.append(idx[reservoir_indices(len(idx), per_class_quota, rng)])
     keep = np.sort(np.concatenate(picked))
-    buffer.stored[domain_id] = LabeledSet(trainset.X[keep].copy(), trainset.y[keep].copy())
+    buffer.append(LabeledSet(trainset.X[keep].copy(), trainset.y[keep].copy()))
     return buffer
 
 
@@ -85,13 +65,12 @@ def concat_sets(parts) -> LabeledSet:
                       np.concatenate([p.y for p in parts]))
 
 
-def compose_replay_trainset(current: LabeledSet, buffer: ReplayBuffer) -> LabeledSet:
+def compose_replay_trainset(current: LabeledSet, buffer: list) -> LabeledSet:
     """Current domain's data plus every buffered sample, class labels only,
     whether the samples are real or synthetic."""
-    if not buffer.stored:
+    if not buffer:
         return current
-    parts = [current] + [buffer.stored[t] for t in buffer.domains]
-    return concat_sets(parts)
+    return concat_sets([current, *buffer])
 
 
 def build_router_trainset(sets) -> LabeledSet:

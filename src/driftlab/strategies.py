@@ -43,18 +43,20 @@ from .benchmarks import LabeledSet, StreamGuard
 from .errors import ConfigError, ContractError, ValidationError
 from .gmm import FitConfig, fit_generator, sample_buffer
 from .kmeans import CentroidRouter
-from .memory import (ReplayBuffer, build_router_trainset,
-                     compose_replay_trainset, concat_sets,
-                     update_replay_buffer)
+from .memory import (build_router_trainset, compose_replay_trainset,
+                     concat_sets, update_replay_buffer)
 from .optim import OptimizerState
 from .rng import derive, make_rng
-from .training import (EwcState, estimate_fisher_diag, ewc_penalty,
-                       train_classifier)
+from .training import estimate_fisher_diag, ewc_penalty, train_classifier
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
 
 EXPERT_INIT_MODES = ("sequential", "fresh")
+
+# the router_kind of every self-routing strategy, in report column order:
+# non-parametric baseline, synthetic-trained discriminator, real-data bound
+ROUTER_KINDS = ("centroid", "synthetic", "oracle")
 
 
 class Strategy:
@@ -66,7 +68,8 @@ class Strategy:
     finished domain leaves behind for later domains (an EWC anchor, a
     replay admission, a generator's buffer) and changes no prediction.
     Per-domain model selection learns every grid candidate and
-    consolidates only the winner.
+    consolidates only the winner. What domains leave behind is kept in
+    plain lists whose position is the domain id.
 
     hp is a config.StrategyConfig whose grid fields hold one scalar each
     (one point of config.expand_grid). The base keeps one classifier,
@@ -160,15 +163,15 @@ class Ewc(Strategy):
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.ewc = EwcState()
+        self.anchors = []     # (params, fisher) per finished domain
 
     def _learn(self, t, guard, hp):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
         penalty = None
-        if hp.lam > 0 and len(self.ewc) > 0:
-            penalty = lambda m: ewc_penalty(m, self.ewc, hp.lam)
+        if hp.lam > 0 and self.anchors:
+            penalty = lambda m: ewc_penalty(m, self.anchors, hp.lam)
         self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate, hp, penalty)
 
     def _consolidate(self, t, guard, hp):
@@ -176,7 +179,7 @@ class Ewc(Strategy):
             self.model, guard.train(t), derive(self.seed, "domain", t, "fisher"),
             n_samples=hp.fisher_samples,
         )
-        self.ewc.add_anchor(self.model.params.copy(), fisher)
+        self.anchors.append((self.model.params.copy(), fisher))
 
 
 class Er(Strategy):
@@ -186,7 +189,7 @@ class Er(Strategy):
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.buffer = ReplayBuffer()
+        self.buffer = []      # reservoir admission per finished domain
 
     def _learn(self, t, guard, hp):
         if self.model is None:
@@ -219,21 +222,19 @@ class GenReplay(Strategy):
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
-        self.synthetic = []
-        self.buffer = ReplayBuffer()
+        self.synthetic = []   # one synthetic draw per finished domain
 
     def _learn(self, t, guard, hp):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
-        self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
+        self._train(self.model, compose_replay_trainset(data, self.synthetic), t, "train",
                     hp.epochs, hp.learning_rate, hp)
 
     def _consolidate(self, t, guard, hp):
-        buf = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
-        self.synthetic.append(buf)
-        # quota equals the per-class draw, so the whole buffer is stored
-        update_replay_buffer(self.buffer, buf.data, t, hp.n_per_class,
+        draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
+        # quota equals the per-class draw, so the whole draw is admitted
+        update_replay_buffer(self.synthetic, draw, t, hp.n_per_class,
                              derive(self.seed, "domain", t, "reservoir"))
 
 
@@ -309,7 +310,7 @@ class G2d(_ExpertBank):
         self._train_expert(data, t, hp)
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
         if t > 0:
-            self._train_router(build_router_trainset([b.data for b in self.synthetic]), t, hp)
+            self._train_router(build_router_trainset(self.synthetic), t, hp)
 
 
 class OracleRouter(_ExpertBank):
@@ -401,12 +402,12 @@ def _checkpoint_arrays(strategy: Strategy):
             yield from _classifier_arrays("router", router)
     elif strategy.model is not None:
         yield from _classifier_arrays("model", strategy.model)
-    for buf in getattr(strategy, "synthetic", ()):
-        yield f"buffer{buf.domain_id}.X", buf.data.X
-        yield f"buffer{buf.domain_id}.y", buf.data.y
+    for t, buf in enumerate(getattr(strategy, "synthetic", ())):
+        yield f"buffer{t}.X", buf.X
+        yield f"buffer{t}.y", buf.y
     if isinstance(strategy, Ewc):
         model = strategy.model
-        for a, (params, fisher) in enumerate(strategy.ewc.anchors):
+        for a, (params, fisher) in enumerate(strategy.anchors):
             for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(model, params),
                                                        nn.layer_views(model, fisher))):
                 for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):

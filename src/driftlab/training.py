@@ -9,7 +9,7 @@ predictive distribution, not the true labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,20 +78,6 @@ def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EwcState:
-    """Frozen anchors: one (parameter snapshot, diagonal Fisher) pair of
-    vectors in the layout of ``Classifier.params`` per finished domain."""
-
-    anchors: list = field(default_factory=list)
-
-    def add_anchor(self, params, fisher):
-        self.anchors.append((params, fisher))
-
-    def __len__(self) -> int:
-        return len(self.anchors)
-
-
 def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
                          n_samples: int = None):
     """Diagonal empirical Fisher: mean squared gradient of the log-likelihood
@@ -122,8 +108,11 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
     return fisher / len(idx)
 
 
-def ewc_penalty(model: nn.Classifier, state: EwcState, lam: float):
+def ewc_penalty(model: nn.Classifier, anchors, lam: float):
     """Quadratic pull toward every anchor, weighted by its Fisher diagonal.
+
+    anchors is a list of (parameter snapshot, diagonal Fisher) pairs of
+    vectors in the layout of ``model.params``, one per finished domain.
 
     loss = (lam / 2) * sum_a sum_i F_a_i (theta_i - theta*_a_i)^2
     grad = lam * sum_a F_a (theta - theta*_a)
@@ -131,10 +120,10 @@ def ewc_penalty(model: nn.Classifier, state: EwcState, lam: float):
     if lam < 0:
         raise ValidationError(f"penalty strength must be >= 0, got {lam}")
     grad = np.zeros_like(model.params)
-    if lam == 0 or not state.anchors:
+    if lam == 0 or not anchors:
         return 0.0, grad
     loss = 0.0
-    for anchor, fisher in state.anchors:
+    for anchor, fisher in anchors:
         if anchor.shape != model.params.shape:
             raise ValidationError("anchor shapes do not match the model")
         d = model.params - anchor

@@ -5,12 +5,14 @@ closed forms, or a different algorithm entirely (eigendecomposition instead
 of SVD, direct densities instead of log-sum-exp, central differences
 instead of backpropagation). Apart from finite_diff_check, which
 differences driftlab's own loss, nothing here imports from driftlab, so
-agreement between the two routes is meaningful.
+agreement between the two routes is meaningful. tree_mismatches and
+buffer_fingerprint are plain comparison helpers shared by the tests.
 """
 
 from __future__ import annotations
 
 import filecmp
+import hashlib
 
 import numpy as np
 
@@ -251,3 +253,12 @@ def tree_mismatches(left, right):
     for sub in cmp.common_dirs:
         bad += [f"{sub}/{rel}" for rel in tree_mismatches(left / sub, right / sub)]
     return sorted(bad)
+
+
+def buffer_fingerprint(data) -> str:
+    """Short SHA-256 of a LabeledSet's raw sample bytes: two consumers hold
+    the same buffer exactly when their fingerprints match."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(data.X, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(data.y, dtype=int).tobytes())
+    return h.hexdigest()[:16]

@@ -21,7 +21,7 @@ from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.metrics import AccuracyMatrix, average_accuracy
 from driftlab.rng import derive, make_rng
 from driftlab.strategies import save_checkpoint, strategy_dispatch
-from driftlab.training import EwcState, ewc_penalty
+from driftlab.training import ewc_penalty
 
 import oracles
 
@@ -30,15 +30,18 @@ CONFIG_DIR = ROOT / "configs"
 
 
 def execute_config(name):
+    """(cfg, records, strategies, duration); records and finished strategies
+    are keyed by (strategy name, seed), in config order."""
     cfg = load_config(CONFIG_DIR / f"{name}.yaml")
     start = time.perf_counter()
-    records = {}
+    records, strategies = {}, {}
     for sc in cfg.strategies:
         for seed in cfg.seeds:
-            rec = execute_run(cfg, sc, seed)
+            rec, strategy = execute_run(cfg, sc, seed)
             assert rec.ok, f"{sc.name}/seed {seed} failed: {rec.failure}"
             records[(sc.name, seed)] = rec
-    return cfg, records, time.perf_counter() - start
+            strategies[(sc.name, seed)] = strategy
+    return cfg, records, strategies, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -100,16 +103,15 @@ def test_c01_gradients_match_central_differences_under_1e5():
                 break
         worst = max(worst, oracles.finite_diff_check(model, X, y, h=1e-5))
 
-    state = EwcState()
     anchor = model.copy()
     rng = np.random.default_rng(990)
     anchor.params += rng.normal(scale=0.3, size=anchor.params.shape)
     fisher = np.abs(rng.normal(size=anchor.params.shape)) + 0.1
-    state.add_anchor(anchor.params.copy(), fisher)
+    anchors = [(anchor.params.copy(), fisher)]
 
     def augmented(m):
         base, grad = nn.loss_and_grad(m, X, y)
-        pen, pgrad = ewc_penalty(m, state, 0.7)
+        pen, pgrad = ewc_penalty(m, anchors, 0.7)
         return base + pen, grad + pgrad
 
     worst = max(worst, oracles.finite_diff_check(model, X, y, h=1e-5, loss_fn=augmented))
@@ -156,7 +158,7 @@ def test_c03_average_accuracy_is_exact_on_hand_fixtures():
 
 
 def test_c04_label_flips_erase_seqft_but_not_the_expert_bank(flip):
-    cfg, records, duration = flip
+    cfg, records, _, duration = flip
     assert duration < 120.0
     assert mean_alpha(cfg, records, "seqft", 0, 0) >= 0.95
     assert mean_alpha(cfg, records, "seqft", 0, 1) <= 0.30
@@ -164,7 +166,7 @@ def test_c04_label_flips_erase_seqft_but_not_the_expert_bank(flip):
 
 
 def test_c05_synthetic_routing_beats_replaying_the_same_buffers(t4):
-    cfg, records, duration = t4
+    cfg, records, strategies, duration = t4
     assert duration < 300.0
     g2d = mean_final(cfg, records, "g2d")
     gen_replay = mean_final(cfg, records, "gen_replay")
@@ -172,26 +174,27 @@ def test_c05_synthetic_routing_beats_replaying_the_same_buffers(t4):
     assert g2d >= gen_replay + 0.02
     assert g2d >= seqft + 0.05
     for seed in cfg.seeds:
-        a = records[("g2d", seed)]._strategy.synthetic
-        b = records[("gen_replay", seed)]._strategy.synthetic
-        assert [buf.fingerprint for buf in a] == [buf.fingerprint for buf in b]
+        a = strategies[("g2d", seed)].synthetic
+        b = strategies[("gen_replay", seed)].synthetic
+        assert [oracles.buffer_fingerprint(buf) for buf in a] == \
+            [oracles.buffer_fingerprint(buf) for buf in b]
         for mine, theirs in zip(a, b):
-            assert np.array_equal(mine.data.X, theirs.data.X)
-            assert np.array_equal(mine.data.y, theirs.data.y)
+            assert np.array_equal(mine.X, theirs.X)
+            assert np.array_equal(mine.y, theirs.y)
 
 
 def test_covariate_t4_regenerates_the_committed_results(t4, tmp_path):
     # the fixture keeps config order (strategies outer, seeds inner), the
     # order run_experiment returns its records in
-    _, records, _ = t4
+    _, records, strategies, _ = t4
     persist_results(list(records.values()), str(tmp_path))
-    for rec in records.values():
-        save_checkpoint(rec._strategy, str(tmp_path / "runs" / rec.run_id))
+    for key, rec in records.items():
+        save_checkpoint(strategies[key], str(tmp_path / "runs" / rec.run_id))
     assert oracles.tree_mismatches(tmp_path, ROOT / "results" / "covariate_t4") == []
 
 
 def test_c06_synthetic_router_rides_within_five_points_of_oracle(t4):
-    cfg, records, duration = t4
+    cfg, records, _, duration = t4
     assert duration < 180.0
     synthetic = mean_routing(cfg, records, "g2d")
     oracle = mean_routing(cfg, records, "oracle_router")
@@ -202,7 +205,7 @@ def test_c06_synthetic_router_rides_within_five_points_of_oracle(t4):
 
 
 def test_c07_quasi_oracle_sandwich_holds_within_a_point(t4):
-    cfg, records, _ = t4
+    cfg, records, _, _ = t4
     mtl = mean_final(cfg, records, "mtl")
     oracle = mean_final(cfg, records, "oracle_router")
     g2d = mean_final(cfg, records, "g2d")
@@ -295,9 +298,9 @@ out_dir: unused
 
 
 def test_c10_g2d_predictions_decompose_exactly_on_a_100_point_fixture(t4):
-    cfg, records, _ = t4
+    cfg, _, strategies, _ = t4
     seed = cfg.seeds[0]
-    strategy = records[("g2d", seed)]._strategy
+    strategy = strategies[("g2d", seed)]
     stream = build_stream(cfg.benchmark, derive(seed, "stream"))
     X = np.vstack([d.test.X[:25] for d in stream.domains])
     y = np.concatenate([d.test.y[:25] for d in stream.domains])

@@ -104,9 +104,6 @@ def test_conditional_flip_cyclic_for_three_classes():
     (_, labels0), (_, labels1) = _domains(bench)
     assert labels0.tolist() == [0, 1, 2]
     assert labels1.tolist() == [1, 2, 0]
-    # a covariate_shift section ignores flip_domains
-    plain = BenchmarkConfig(n_domains=2, class_means=np.eye(3).tolist(), flip_domains=[1])
-    assert [labels.tolist() for _, labels in _domains(plain)] == [[0, 1, 2]] * 2
 
 
 def test_rotation_recipe_turns_means_in_first_two_coords():

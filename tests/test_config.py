@@ -14,7 +14,7 @@ from driftlab.benchmarks import (BENCHMARK_KINDS, BenchmarkConfig, _domains,
 from driftlab.config import (GRID_FIELDS, expand_grid, load_config, parse_config,
                              serialize_config)
 from driftlab.errors import ConfigError
-from driftlab.strategies import STRATEGY_NAMES
+from driftlab.strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 
 VALID_DOC = """
 benchmark:
@@ -416,4 +416,57 @@ def test_random_benchmark_sections_are_rejected_or_build_finite_streams(section,
         for split in (d.train, d.val, d.test):
             assert np.isfinite(split.X).all()
             assert ((0 <= split.y) & (split.y < n_classes)).all()
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# Random valid strategy sections over a fixed benchmark whose smallest class
+# has 10 training samples: each knob is set or left at its default, and a
+# grid knob is a scalar or a list of one to three values.
+SMALL_BENCHMARK = {"n_domains": 2, "class_means": [[0.0, 0.0], [0.0, 4.0]],
+                   "domain_shift": [3.0, 0.0], "n_train": 20, "n_val": 4, "n_test": 4}
+
+
+def grid_knob(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=3))
+
+
+RATES = st.floats(1e-6, 1e3)
+STRATEGY_KNOBS = {
+    "hidden": st.lists(st.integers(1, 64), max_size=3),
+    "epochs": grid_knob(st.integers(0, 50)),
+    "batch_size": grid_knob(st.integers(1, 64)),
+    "learning_rate": grid_knob(RATES),
+    "optimizer": st.sampled_from(["sgd", "adam"]),
+    "lam": grid_knob(st.floats(0.0, 1e3)),
+    "fisher_samples": st.one_of(st.none(), st.integers(1, 20)),
+    "quota": grid_knob(st.integers(1, 50)),
+    "n_per_class": grid_knob(st.integers(1, 50)),
+    "gmm_components": grid_knob(st.integers(1, 10)),
+    "router_hidden": st.lists(st.integers(1, 64), max_size=3),
+    "router_epochs": grid_knob(st.integers(0, 100)),
+    "router_learning_rate": grid_knob(RATES),
+    "n_centroids": grid_knob(st.integers(1, 10)),
+    "n_neighbors": grid_knob(st.integers(1, 10)),
+    "expert_init": st.sampled_from(EXPERT_INIT_MODES),
+}
+
+
+@st.composite
+def strategy_sections(draw):
+    names = draw(st.lists(st.sampled_from(STRATEGY_NAMES), min_size=1, max_size=3,
+                          unique=True))
+    sections = []
+    for name in names:
+        knobs = draw(st.lists(st.sampled_from(sorted(STRATEGY_KNOBS)), unique=True))
+        sections.append({"name": name, **{k: draw(STRATEGY_KNOBS[k]) for k in knobs}})
+    return sections
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections=strategy_sections())
+def test_random_strategy_sections_parse_as_written_and_round_trip(sections):
+    cfg = parse_config(yaml.safe_dump({"benchmark": SMALL_BENCHMARK,
+                                       "strategies": sections, "seeds": [1]}))
+    for sc, section in zip(cfg.strategies, sections):
+        assert {k: getattr(sc, k) for k in section} == section
     assert parse_config(serialize_config(cfg)) == cfg

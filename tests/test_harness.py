@@ -93,23 +93,24 @@ def test_run_ids_are_short_hashes_distinct_per_run(tiny):
 
 def test_rerunning_a_run_reproduces_it_bit_for_bit(tiny):
     cfg = tiny[0]
-    a = execute_run(cfg, cfg.strategies[1], 21)
-    b = execute_run(cfg, cfg.strategies[1], 21)
+    a, strategy = execute_run(cfg, cfg.strategies[1], 21)
+    b, _ = execute_run(cfg, cfg.strategies[1], 21)
     for t in range(2):
         for s in range(t + 1):
             assert a.matrix.entry(s, t) == b.matrix.entry(s, t)
     assert a.avg_accuracy == b.avg_accuracy
     assert a.routing.accuracy == b.routing.accuracy
     assert a.projection == b.projection
-    assert a._strategy.name == "g2d"
+    assert strategy.name == "g2d"
+    assert not hasattr(a, "_strategy")
 
 
 def test_grid_selection_recovers_the_winning_scalar_run(tiny):
     cfg = tiny[0]
-    scalar = execute_run(cfg, cfg.strategies[0], 21)
+    scalar, _ = execute_run(cfg, cfg.strategies[0], 21)
     gridded_cfg = parse_config(TINY_DOC)
     gridded_cfg.strategies[0].epochs = [0, 4]
-    gridded = execute_run(gridded_cfg, gridded_cfg.strategies[0], 21)
+    gridded, _ = execute_run(gridded_cfg, gridded_cfg.strategies[0], 21)
     for t in range(2):
         for s in range(t + 1):
             assert gridded.matrix.entry(s, t) == scalar.matrix.entry(s, t)
@@ -159,9 +160,9 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
     fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
     admitted = count_calls(monkeypatch, strategies, "update_replay_buffer")
     T = cfg.benchmark.n_domains
-    assert execute_run(cfg, cfg.strategies[0], 23).ok
+    assert execute_run(cfg, cfg.strategies[0], 23)[0].ok
     assert len(fisher) == T
-    assert execute_run(cfg, cfg.strategies[1], 23).ok
+    assert execute_run(cfg, cfg.strategies[1], 23)[0].ok
     # update_replay_buffer(buffer, trainset, domain_id, ...): each domain once
     assert [args[2] for args in admitted] == list(range(T))
 
@@ -275,6 +276,22 @@ def test_persisting_twice_writes_byte_identical_files(tiny, tmp_path):
         with open(again[name], "rb") as fh:
             second = fh.read()
         assert first == second
+
+
+def test_a_failed_report_render_keeps_the_previous_report(tiny, tmp_path, monkeypatch):
+    _, records, _, _ = tiny
+    paths = persist_results(records, str(tmp_path))
+    before = {name: Path(path).read_bytes() for name, path in paths.items()}
+    assert not list(tmp_path.glob("*.tmp"))
+
+    def broken_render(records):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(harness, "render_report", broken_render)
+    with pytest.raises(RuntimeError, match="render failed"):
+        persist_results(records, str(tmp_path))
+    assert {name: Path(path).read_bytes() for name, path in paths.items()} == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_checkpoints_land_under_the_run_id(tiny):

@@ -80,7 +80,7 @@ def test_checkpoint_blocks_are_the_per_layer_arrays(dims, seed):
 
     strategy = strategy_dispatch("ewc", 0, dims[0], dims[-1], StrategyConfig())
     strategy.model = nn.Classifier(dims, [w for w, _ in layers], [b for _, b in layers])
-    strategy.ewc.add_anchor(flat(anchor_layers), flat(fisher_layers))
+    strategy.anchors.append((flat(anchor_layers), flat(fisher_layers)))
     with tempfile.TemporaryDirectory() as out:
         save_checkpoint(strategy, out)
         arrays = read_arrays(Path(out) / "checkpoint.txt")

@@ -1,13 +1,14 @@
-"""Replay buffers: reservoir behavior, per-class quotas, composition rules."""
+"""Replay buffers (plain lists indexed by domain): reservoir behavior,
+per-class quotas, composition rules."""
 
 import numpy as np
 import pytest
 
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import ValidationError
-from driftlab.memory import (ReplayBuffer, build_router_trainset,
-                             compose_replay_trainset, concat_sets,
-                             reservoir_indices, update_replay_buffer)
+from driftlab.memory import (build_router_trainset, compose_replay_trainset,
+                             concat_sets, reservoir_indices,
+                             update_replay_buffer)
 from driftlab.rng import make_rng
 
 
@@ -39,34 +40,39 @@ def test_reservoir_inclusion_is_roughly_uniform():
 
 
 def test_update_admits_quota_per_class():
-    buffer = ReplayBuffer()
+    buffer = []
     update_replay_buffer(buffer, labeled(40), domain_id=0, per_class_quota=6, seed=1)
-    stored = buffer.stored[0]
-    assert np.bincount(stored.y).tolist() == [6, 6]
-    assert len(buffer) == 12
+    assert len(buffer) == 1
+    assert np.bincount(buffer[0].y).tolist() == [6, 6]
 
 
 def test_update_is_append_only():
-    buffer = ReplayBuffer()
+    buffer = []
     update_replay_buffer(buffer, labeled(40, seed=1), 0, 5, seed=1)
-    frozen_X = buffer.stored[0].X.copy()
+    first = buffer[0]
+    frozen_X = first.X.copy()
     update_replay_buffer(buffer, labeled(40, seed=2), 1, 5, seed=2)
-    assert np.array_equal(buffer.stored[0].X, frozen_X)
-    assert buffer.domains == [0, 1]
+    assert buffer[0] is first
+    assert np.array_equal(first.X, frozen_X)
+    assert len(buffer) == 2
 
 
 def test_update_takes_all_of_small_classes():
     data = LabeledSet(np.zeros((5, 2)), np.array([0, 0, 0, 0, 1]))
-    buffer = ReplayBuffer()
+    buffer = []
     update_replay_buffer(buffer, data, 0, per_class_quota=3, seed=0)
-    assert np.bincount(buffer.stored[0].y).tolist() == [3, 1]
+    assert np.bincount(buffer[0].y).tolist() == [3, 1]
 
 
 def test_update_rejects_duplicate_domains_and_dim_changes():
-    buffer = ReplayBuffer()
+    buffer = []
+    with pytest.raises(ValidationError, match="expected domain 0 next, got 1"):
+        update_replay_buffer(buffer, labeled(20), 1, 5, seed=0)
     update_replay_buffer(buffer, labeled(20), 0, 5, seed=0)
-    with pytest.raises(ValidationError, match="already admitted"):
+    with pytest.raises(ValidationError, match="expected domain 1 next, got 0"):
         update_replay_buffer(buffer, labeled(20), 0, 5, seed=0)
+    with pytest.raises(ValidationError, match="expected domain 1 next, got 2"):
+        update_replay_buffer(buffer, labeled(20), 2, 5, seed=0)
     with pytest.raises(ValidationError):
         update_replay_buffer(buffer, labeled(20, dim=3), 1, 5, seed=0)
     with pytest.raises(ValidationError):
@@ -74,7 +80,7 @@ def test_update_rejects_duplicate_domains_and_dim_changes():
 
 
 def test_compose_prepends_current_and_flattens_buffer():
-    buffer = ReplayBuffer()
+    buffer = []
     update_replay_buffer(buffer, labeled(20, seed=3), 0, 4, seed=3)
     update_replay_buffer(buffer, labeled(20, seed=4), 1, 4, seed=4)
     current = labeled(10, seed=5)
@@ -85,7 +91,7 @@ def test_compose_prepends_current_and_flattens_buffer():
 
 def test_compose_with_empty_buffer_is_identity():
     current = labeled(10)
-    assert compose_replay_trainset(current, ReplayBuffer()) is current
+    assert compose_replay_trainset(current, []) is current
 
 
 def test_concat_sets_validation():

@@ -3,14 +3,16 @@ equalities, checkpoint round-trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import nn
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
-from driftlab.strategies import (EXPERT_INIT_MODES, STRATEGY_NAMES, read_arrays,
-                                 save_checkpoint, strategy_dispatch)
+from driftlab.strategies import (EXPERT_INIT_MODES, ROUTER_KINDS, STRATEGY_NAMES,
+                                 read_arrays, save_checkpoint, strategy_dispatch)
 
 import oracles
 
@@ -177,7 +179,7 @@ def test_ewc_with_positive_lambda_leaves_the_seqft_trajectory():
     seqft = run_stream("seqft", stream, seed=9)
     ewc = run_stream("ewc", stream, seed=9, hp=small_hp(lam=50.0))
     assert not params_equal(seqft.model, ewc.model)
-    assert len(ewc.ewc) == stream.n_domains
+    assert len(ewc.anchors) == stream.n_domains
 
 
 def test_mtl_first_domain_equals_seqft_first_domain():
@@ -209,16 +211,89 @@ def test_g2d_and_gen_replay_draw_bit_identical_buffers():
     stream = small_stream()
     g2d = run_stream("g2d", stream, seed=7)
     gen = run_stream("gen_replay", stream, seed=7)
-    assert [b.fingerprint for b in g2d.synthetic] == \
-        [b.fingerprint for b in gen.synthetic]
+    assert [oracles.buffer_fingerprint(b) for b in g2d.synthetic] == \
+        [oracles.buffer_fingerprint(b) for b in gen.synthetic]
     for a, b in zip(g2d.synthetic, gen.synthetic):
-        assert np.array_equal(a.data.X, b.data.X)
+        assert np.array_equal(a.X, b.X)
+
+
+def arrays_held(obj, seen=None):
+    """Every distinct ndarray reachable from obj through attributes, lists,
+    tuples and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    for child in children:
+        yield from arrays_held(child, seen)
+
+
+def test_gen_replay_holds_each_synthetic_draw_once():
+    stream = small_stream()
+    gen = run_stream("gen_replay", stream, seed=7)
+    g2d = run_stream("g2d", stream, seed=7)
+    assert len(gen.synthetic) == stream.n_domains
+    held = list(arrays_held(gen))
+    # labels repeat from domain to domain; the features of a draw do not
+    for draw in g2d.synthetic:
+        copies = [a for a in held if a.shape == draw.X.shape and np.array_equal(a, draw.X)]
+        assert len(copies) == 1
+
+
+def test_router_kinds_are_the_roster_router_kinds():
+    stream = small_stream(n_domains=1)
+    kinds = [strategy_dispatch(name, 0, stream.dim, stream.n_classes, small_hp()).router_kind
+             for name in STRATEGY_NAMES]
+    assert sorted(k for k in kinds if k is not None) == sorted(ROUTER_KINDS)
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["covariate_shift", "conditional_flip"]),
+       n_domains=st.integers(1, 3), n_classes=st.integers(2, 3), dim=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), n_per_class=st.integers(1, 4),
+       n_centroids=st.integers(1, 3), n_neighbors=st.integers(1, 3),
+       expert_init=st.sampled_from(EXPERT_INIT_MODES))
+def test_roster_outputs_stay_in_range_on_random_streams(name, kind, n_domains, n_classes,
+                                                       dim, seed, n_per_class, n_centroids,
+                                                       n_neighbors, expert_init):
+    means = (3.0 * np.eye(n_classes, dim)).tolist()
+    bench = BenchmarkConfig(kind=kind, n_domains=n_domains, class_means=means,
+                            domain_shift=[4.0] * dim, n_train=6 * n_classes, n_val=4,
+                            n_test=4,
+                            flip_domains=list(range(1, n_domains, 2)) if kind == "conditional_flip"
+                            else [])
+    stream = build_stream(bench, seed)
+    hp = small_hp(hidden=[4], epochs=1, router_hidden=[4], router_epochs=1,
+                  n_per_class=n_per_class, n_centroids=n_centroids,
+                  n_neighbors=n_neighbors, expert_init=expert_init)
+    strategy = strategy_dispatch(name, seed, stream.dim, stream.n_classes, hp)
+    # a plain guard raises DataAccessError on any read of a past domain
+    guard = StreamGuard(stream, privileged=strategy.privileged)
+    X = np.vstack([d.test.X for d in stream.domains])
+    for t in range(n_domains):
+        guard.advance(t)
+        strategy.train_on_domain(t, guard)
+        labels = strategy.predict(X)
+        assert ((0 <= labels) & (labels < n_classes)).all()
+        if strategy.router_kind is not None:
+            routed = strategy.route(X)
+            assert ((0 <= routed) & (routed <= t)).all()
 
 
 def test_g2d_router_trains_on_current_domain_buffer_too():
     stream = small_stream(n_domains=2)
     g2d = run_stream("g2d", stream)
-    assert [b.domain_id for b in g2d.synthetic] == [0, 1]
+    assert len(g2d.synthetic) == 2
     assert g2d.router.n_outputs == 2
 
 
@@ -330,11 +405,11 @@ def held_arrays(strategy):
             out.update(classifier("router", router))
     else:
         out.update(classifier("model", strategy.model))
-    for buf in getattr(strategy, "synthetic", []):
-        out[f"buffer{buf.domain_id}.X"] = buf.data.X
-        out[f"buffer{buf.domain_id}.y"] = buf.data.y
-    if hasattr(strategy, "ewc"):
-        for a, (params, fisher) in enumerate(strategy.ewc.anchors):
+    for t, buf in enumerate(getattr(strategy, "synthetic", [])):
+        out[f"buffer{t}.X"] = buf.X
+        out[f"buffer{t}.y"] = buf.y
+    if hasattr(strategy, "anchors"):
+        for a, (params, fisher) in enumerate(strategy.anchors):
             for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(strategy.model, params),
                                                        nn.layer_views(strategy.model, fisher))):
                 out.update({f"anchor{a}.W{i}": w, f"anchor{a}.b{i}": b,

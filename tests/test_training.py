@@ -10,7 +10,7 @@ from driftlab.optim import OptimizerState
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.strategies import strategy_dispatch
-from driftlab.training import (EwcState, estimate_fisher_diag, ewc_penalty,
+from driftlab.training import (estimate_fisher_diag, ewc_penalty,
                                train_classifier)
 
 import oracles
@@ -166,21 +166,17 @@ def test_penalty_worked_example():
     # theta - theta* = (1, -1), unit fisher, lam = 1 -> loss exactly 1.0
     model = nn.Classifier([1, 2], [np.array([[1.0, -1.0]])], [np.zeros(2)])
     anchor = nn.Classifier([1, 2], [np.array([[0.0, 0.0]])], [np.zeros(2)])
-    state = EwcState()
-    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
-    loss, grad = ewc_penalty(model, state, 1.0)
+    loss, grad = ewc_penalty(model, [(anchor.params.copy(), unit_fisher(anchor))], 1.0)
     assert loss == 1.0
     assert np.array_equal(grad, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_penalty_vanishes_at_lam_zero_or_without_anchors():
     model = fresh_model()
-    loss, grad = ewc_penalty(model, EwcState(), 5.0)
+    loss, grad = ewc_penalty(model, [], 5.0)
     assert loss == 0.0
     assert grad.shape == model.params.shape and not grad.any()
-    state = EwcState()
-    state.add_anchor(model.params + 1.0, unit_fisher(model))
-    loss, grad = ewc_penalty(model, state, 0.0)
+    loss, grad = ewc_penalty(model, [(model.params + 1.0, unit_fisher(model))], 0.0)
     assert loss == 0.0
     assert grad.shape == model.params.shape and not grad.any()
 
@@ -188,10 +184,8 @@ def test_penalty_vanishes_at_lam_zero_or_without_anchors():
 def test_penalty_sums_over_anchors():
     model = nn.Classifier([1, 1], [np.array([[2.0]])], [np.zeros(1)])
     anchor = nn.Classifier([1, 1], [np.array([[0.0]])], [np.zeros(1)])
-    state = EwcState()
-    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
-    state.add_anchor(anchor.params.copy(), unit_fisher(anchor))
-    loss, grad = ewc_penalty(model, state, 1.0)
+    anchors = [(anchor.params.copy(), unit_fisher(anchor))] * 2
+    loss, grad = ewc_penalty(model, anchors, 1.0)
     assert loss == 2.0 * (0.5 * 4.0)  # two identical anchors
     assert np.array_equal(grad, [4.0, 0.0])
 
@@ -199,16 +193,14 @@ def test_penalty_sums_over_anchors():
 def test_penalty_rejects_mismatched_anchor_shapes():
     model = fresh_model(dims=(2, 4, 2))
     other = fresh_model(dims=(2, 6, 2))
-    state = EwcState()
-    state.add_anchor(other.params.copy(), unit_fisher(other))
     with pytest.raises(ValidationError):
-        ewc_penalty(model, state, 1.0)
+        ewc_penalty(model, [(other.params.copy(), unit_fisher(other))], 1.0)
 
 
 def test_penalty_negative_lam_rejected():
     model = fresh_model()
     with pytest.raises(ValidationError):
-        ewc_penalty(model, EwcState(), -0.5)
+        ewc_penalty(model, [], -0.5)
 
 
 def test_snapshot_is_decoupled_from_the_live_model():
@@ -221,7 +213,7 @@ def test_snapshot_is_decoupled_from_the_live_model():
     guard = StreamGuard(stream)
     guard.advance(0)
     ewc.train_on_domain(0, guard)
-    anchor, _ = ewc.ewc.anchors[0]
+    anchor, _ = ewc.anchors[0]
     after_domain0 = ewc.model.params.copy()
     assert np.array_equal(anchor, after_domain0)
     guard.advance(1)
