@@ -34,8 +34,12 @@ class FitConfig:
             raise ValidationError(f"n_components must be >= 1, got {self.n_components}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol < 0 or self.var_floor <= 0:
-            raise ValidationError("tol must be >= 0 and var_floor > 0")
+        # a NaN fails every comparison, so test finiteness first: tol=nan
+        # would switch off convergence, var_floor=nan would poison variances
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
+        if not (np.isfinite(self.var_floor) and self.var_floor > 0):
+            raise ValidationError(f"var_floor must be finite and > 0, got {self.var_floor}")
 
 
 @dataclass
@@ -63,14 +67,18 @@ def _log_prob_matrix(mix: Mixture, X: np.ndarray) -> np.ndarray:
     return np.log(mix.weights)[None, :] - 0.5 * (quad + norm[None, :])
 
 
+def _log_norm(lp: np.ndarray) -> np.ndarray:
+    """Per-row log-sum-exp of a log-probability matrix: log p(x_i)."""
+    top = lp.max(axis=1)
+    return top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
+
+
 def log_likelihood(mix: Mixture, X: np.ndarray) -> float:
     """Total log density of X under the mixture, via log-sum-exp per row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mix.dim:
         raise ShapeError(f"expected batch of shape (n, {mix.dim}), got {X.shape}")
-    lp = _log_prob_matrix(mix, X)
-    top = lp.max(axis=1)
-    return float((top + np.log(np.exp(lp - top[:, None]).sum(axis=1))).sum())
+    return float(_log_norm(_log_prob_matrix(mix, X)).sum())
 
 
 def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
@@ -97,12 +105,14 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
         variances=np.tile(global_var, (k, 1)),
     )
 
+    # the E-step normaliser of one iteration is the log-likelihood pass of
+    # the M-step before it, so each iteration builds lp once
+    X2 = X ** 2
+    lp = _log_prob_matrix(mix, X)
+    log_norm = _log_norm(lp)
     trace = []
     prev = -np.inf
     for _ in range(config.max_iter):
-        lp = _log_prob_matrix(mix, X)
-        top = lp.max(axis=1)
-        log_norm = top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
         resp = np.exp(lp - log_norm[:, None])             # (n, K)
 
         mass = resp.sum(axis=0)                           # (K,)
@@ -114,16 +124,20 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
                 mix.variances[j] = global_var
                 mix.weights[j] = 1.0 / n
             mix.weights /= mix.weights.sum()
+            lp = _log_prob_matrix(mix, X)
+            log_norm = _log_norm(lp)
             trace = []                                    # ascent restarts after a rescue
             prev = -np.inf
             continue
 
         mix.weights = mass / n
         mix.means = (resp.T @ X) / mass[:, None]
-        ex2 = (resp.T @ (X ** 2)) / mass[:, None]
+        ex2 = (resp.T @ X2) / mass[:, None]
         mix.variances = np.maximum(ex2 - mix.means ** 2, config.var_floor)
 
-        ll = log_likelihood(mix, X)
+        lp = _log_prob_matrix(mix, X)
+        log_norm = _log_norm(lp)
+        ll = float(log_norm.sum())
         if not np.isfinite(ll):
             raise NumericError("non-finite log-likelihood during EM")
         trace.append(ll)

@@ -118,11 +118,12 @@ class CentroidRouter:
             raise ShapeError(f"expected batch of shape (n, {self.centroids.shape[1]}), got {X.shape}")
         d2 = ((X[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
         m = min(self.n_neighbors, self.centroids.shape[0])
-        out = np.empty(X.shape[0], dtype=int)
-        for i in range(X.shape[0]):
-            # stable sort keeps centroid order (grouped by ascending domain)
-            # on exact distance ties, so ties fall to the lowest domain id
-            near = np.argsort(d2[i], kind="stable")[:m]
-            votes = np.bincount(self.domain_ids[near], minlength=self.n_domains)
-            out[i] = int(np.argmax(votes))
-        return out
+        # stable sort keeps centroid order (grouped by ascending domain) on
+        # exact distance ties, and argmax takes the first of tied vote counts,
+        # so both kinds of tie fall to the lowest domain id
+        near = self.domain_ids[np.argsort(d2, axis=1, kind="stable")[:, :m]]
+        votes = np.zeros((X.shape[0], self.n_domains), dtype=int)
+        rows = np.arange(X.shape[0])
+        for r in range(m):
+            votes[rows, near[:, r]] += 1
+        return np.argmax(votes, axis=1)

@@ -4,7 +4,8 @@ Everything here recomputes a quantity from first principles: plain loops,
 closed forms, or a different algorithm entirely (eigendecomposition instead
 of SVD, direct densities instead of log-sum-exp, central differences
 instead of backpropagation). Apart from finite_diff_check, which
-differences driftlab's own loss, nothing here imports from driftlab, so
+differences driftlab's own loss, and fit_em_two_pass, which starts from
+driftlab's k-means++ seeds, nothing here imports from driftlab, so
 agreement between the two routes is meaningful. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
 """
@@ -16,8 +17,8 @@ import hashlib
 
 import numpy as np
 
-from driftlab import nn
-from driftlab.errors import ValidationError
+from driftlab import gmm, nn
+from driftlab.errors import NumericError, ValidationError
 
 
 def gmm_log_likelihood_naive(X, weights, means, variances):
@@ -52,6 +53,92 @@ def nearest_centroid_scan(X, centers):
                 best, best_d2 = j, d2
         out[i] = best
     return out
+
+
+def centroid_vote_loop(X, centroids, domain_ids, n_neighbors):
+    """Centroid-router vote one query row at a time: a stable argsort of the
+    row's squared distances, then a bincount of the nearest domain ids."""
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    m = min(n_neighbors, centroids.shape[0])
+    n_domains = int(domain_ids.max()) + 1
+    out = np.empty(X.shape[0], dtype=int)
+    for i in range(X.shape[0]):
+        near = np.argsort(d2[i], kind="stable")[:m]
+        votes = np.bincount(domain_ids[near], minlength=n_domains)
+        out[i] = int(np.argmax(votes))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# EM with two log-probability passes per iteration: the log-likelihood after
+# each M-step and the E-step before the next one each build the (n, K)
+# matrix from scratch. Seeding, rescue and stopping rule are driftlab's, so
+# a fit through gmm.fit_em must match this one bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _gmm_log_prob_matrix(weights, means, variances, X):
+    diff = X[:, None, :] - means[None, :, :]
+    quad = (diff ** 2 / variances[None, :, :]).sum(axis=2)
+    norm = (np.log(variances) + float(np.log(2.0 * np.pi))).sum(axis=1)
+    return np.log(weights)[None, :] - 0.5 * (quad + norm[None, :])
+
+
+def _gmm_total_log_likelihood(weights, means, variances, X):
+    lp = _gmm_log_prob_matrix(weights, means, variances, X)
+    top = lp.max(axis=1)
+    return float((top + np.log(np.exp(lp - top[:, None]).sum(axis=1))).sum())
+
+
+def fit_em_two_pass(X, config, rng):
+    """Returns (weights, means, variances, ll_trace) like gmm.fit_em.
+
+    Seeds through gmm.kmeans_pp_init looked up at call time, so a test that
+    patches the seeding reaches both fits.
+    """
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    k = config.n_components
+
+    global_var = np.maximum(X.var(axis=0), config.var_floor)
+    weights = np.full(k, 1.0 / k)
+    means = gmm.kmeans_pp_init(X, k, rng)
+    variances = np.tile(global_var, (k, 1))
+
+    trace = []
+    prev = -np.inf
+    for _ in range(config.max_iter):
+        lp = _gmm_log_prob_matrix(weights, means, variances, X)
+        top = lp.max(axis=1)
+        log_norm = top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
+        resp = np.exp(lp - log_norm[:, None])
+
+        mass = resp.sum(axis=0)
+        dead = mass < 1e-12
+        if dead.any():
+            worst = np.argmin(log_norm)
+            for j in np.flatnonzero(dead):
+                means[j] = X[worst]
+                variances[j] = global_var
+                weights[j] = 1.0 / n
+            weights /= weights.sum()
+            trace = []
+            prev = -np.inf
+            continue
+
+        weights = mass / n
+        means = (resp.T @ X) / mass[:, None]
+        ex2 = (resp.T @ (X ** 2)) / mass[:, None]
+        variances = np.maximum(ex2 - means ** 2, config.var_floor)
+
+        ll = _gmm_total_log_likelihood(weights, means, variances, X)
+        if not np.isfinite(ll):
+            raise NumericError("non-finite log-likelihood during EM")
+        trace.append(ll)
+        if ll - prev <= config.tol and len(trace) > 1:
+            break
+        prev = ll
+    return weights, means, variances, np.asarray(trace)
 
 
 def pca_2d_reference(X):

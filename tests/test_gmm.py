@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftlab import gmm
 from driftlab.benchmarks import LabeledSet
-from driftlab.errors import ShapeError, ValidationError
+from driftlab.errors import NumericError, ShapeError, ValidationError
 from driftlab.gmm import (FitConfig, Mixture, fit_em, fit_generator,
                           log_likelihood, sample_buffer)
 from driftlab.rng import make_rng
@@ -84,6 +87,68 @@ def test_fit_config_validation():
         FitConfig(n_components=0)
     with pytest.raises(ValidationError):
         FitConfig(var_floor=0.0)
+
+
+def test_fit_config_rejects_non_finite_tol_and_var_floor():
+    # nan < 0 is False, so a bare sign check lets NaN through: tol=nan would
+    # switch off convergence and var_floor=nan would make every variance NaN
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="tol"):
+            FitConfig(tol=bad)
+        with pytest.raises(ValidationError, match="var_floor"):
+            FitConfig(var_floor=bad)
+    with pytest.raises(ValidationError, match="tol"):
+        FitConfig(tol=-1e-9)
+    assert FitConfig(tol=0.0).tol == 0.0
+
+
+def assert_fit_matches_two_pass_oracle(X, config, seed):
+    """fit_em and the two-pass oracle agree bit for bit, or both raise."""
+    try:
+        want = oracles.fit_em_two_pass(X, config, make_rng(seed, "em"))
+    except NumericError:
+        with pytest.raises(NumericError):
+            fit_em(X, config, make_rng(seed, "em"))
+        return None
+    mix, trace = fit_em(X, config, make_rng(seed, "em"))
+    got = (mix.weights, mix.means, mix.variances, trace)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return mix, trace
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_extra=st.integers(0, 40), d=st.integers(1, 5), k=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1), decimals=st.sampled_from([None, 0, 1]))
+def test_fit_em_matches_the_two_pass_oracle(n_extra, d, k, seed, decimals):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(k + n_extra, d)) * rng.uniform(0.1, 5.0, size=d)
+    if decimals is not None:
+        X = np.round(X, decimals)          # coarse grids repeat whole rows
+    assert_fit_matches_two_pass_oracle(X, FitConfig(n_components=k), seed)
+
+
+def test_dead_component_is_reseeded_and_matches_the_oracle(monkeypatch):
+    far = 1e6
+
+    def seed_one_far(X, k, rng):
+        means = np.tile(X[0], (k, 1))
+        means[-1] = far                    # no row puts any mass on it
+        return means
+
+    monkeypatch.setattr(gmm, "kmeans_pp_init", seed_one_far)
+    X = blob_data(4, n=60)
+    # one iteration is all rescue, so no M-step lands in the trace
+    _, trace = fit_em(X, FitConfig(n_components=2, max_iter=1), make_rng(0, "em"))
+    assert trace.size == 0
+
+    config = FitConfig(n_components=2, max_iter=50)
+    mix, trace = assert_fit_matches_two_pass_oracle(X, config, 0)
+    assert 1 <= trace.size <= config.max_iter - 1
+    assert (np.diff(trace) >= -1e-9).all()
+    for arr in (mix.weights, mix.means, mix.variances, trace):
+        assert np.isfinite(arr).all()
+    assert np.abs(mix.means).max() < 100.0   # the far seed was replaced
 
 
 def test_fit_generator_one_mixture_per_class():

@@ -5,6 +5,8 @@ import csv
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -436,6 +438,18 @@ def test_cli_validate_accepts_and_rejects(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "invalid config" in err and "sqft" in err
+
+
+def test_python_dash_m_driftlab_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "driftlab", "validate", "configs/quickstart.yaml"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok:")
 
 
 def test_cli_run_report_project_round_trip(tmp_path, capsys):

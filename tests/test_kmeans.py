@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.errors import ShapeError, ValidationError
 from driftlab.kmeans import CentroidRouter, fit_kmeans, kmeans_pp_init
@@ -120,3 +122,30 @@ def test_router_validation():
         router.predict(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         router.add_domain(np.zeros((4, 3)), make_rng(1, "c"))
+
+
+@st.composite
+def grid_routers(draw):
+    """Integer-grid centroids and queries, so exact distance ties happen."""
+    d = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    coords = st.integers(-2, 2)
+    centroids = draw(st.lists(st.lists(coords, min_size=d, max_size=d),
+                              min_size=sum(counts), max_size=sum(counts)))
+    queries = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                            min_size=0, max_size=40))
+    n_neighbors = draw(st.integers(1, 5))
+    return (np.array(centroids, dtype=float), np.repeat(np.arange(len(counts)), counts),
+            np.array(queries, dtype=float).reshape(len(queries), d), n_neighbors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_routers())
+def test_vote_matches_the_per_row_loop(case):
+    centroids, domain_ids, X, n_neighbors = case
+    router = CentroidRouter(n_centroids=3, n_neighbors=n_neighbors)
+    router.centroids, router.domain_ids = centroids, domain_ids
+    got = router.predict(X)
+    want = oracles.centroid_vote_loop(X, centroids, domain_ids, n_neighbors)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
