@@ -17,7 +17,7 @@ from .config import (BenchmarkConfig, ExperimentConfig, StrategyConfig,
 from .errors import (ConfigError, ContractError, DataAccessError,
                      DriftLabError, NumericError, ShapeError, ValidationError)
 from .gmm import (FitConfig, GmmGenerator, Mixture, fit_em, fit_generator,
-                  log_likelihood, sample_buffer)
+                  sample_buffer)
 from .harness import (RunRecord, execute_run, persist_results, run_experiment,
                       run_id_for)
 from .kmeans import CentroidRouter, fit_kmeans
@@ -28,7 +28,7 @@ from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
 from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_grad,
                  predict, softmax)
 from .optim import OptimizerState, apply_step
-from .pca import Projection2D, pca_project_2d
+from .pca import pca_project_2d
 from .rng import derive, make_rng
 from .strategies import ROUTER_KINDS, STRATEGY_NAMES, Strategy, strategy_dispatch
 from .training import (TrainLog, estimate_fisher_diag, ewc_penalty,

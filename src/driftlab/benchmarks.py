@@ -2,8 +2,7 @@
 
 A stream is an ordered sequence of domains over one fixed label space and
 feature dimension. Each domain draws features from per-class Gaussians with
-diagonal covariance, so the per-domain Bayes rule is known in closed form
-and every downstream claim can be checked against a nearest-mean oracle.
+diagonal covariance, so each domain's Bayes rule has a closed form.
 
 Three kinds of shift are supported:
 
@@ -73,9 +72,6 @@ class LabeledSet:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def subset(self, idx) -> "LabeledSet":
-        return LabeledSet(self.X[idx], self.y[idx])
 
 
 def _is_number(v) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
-from .benchmarks import BenchmarkConfig, _is_number, validate_benchmark
+from .benchmarks import BenchmarkConfig, _is_count, _is_number, validate_benchmark
 from .errors import ConfigError
 from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 
@@ -97,7 +97,7 @@ def _check_positive_int(value, name, problems, minimum=1):
     if not values:
         problems.append(f"{name}: grid list is empty")
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        if not _is_count(v, minimum):
             problems.append(f"{name}: expected integer >= {minimum}, got {v!r}")
 
 
@@ -121,8 +121,7 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
             f"{', '.join(STRATEGY_NAMES)}"
         )
     for field_name, value in (("hidden", sc.hidden), ("router_hidden", sc.router_hidden)):
-        if (not isinstance(value, list)
-                or not all(isinstance(h, int) and h >= 1 for h in value)):
+        if not isinstance(value, list) or not all(_is_count(h) for h in value):
             problems.append(f"{where}.{field_name}: expected a list of integers >= 1")
     _check_positive_int(sc.epochs, f"{where}.epochs", problems, minimum=0)
     _check_positive_int(sc.batch_size, f"{where}.batch_size", problems)

@@ -73,14 +73,6 @@ def _log_norm(lp: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
 
 
-def log_likelihood(mix: Mixture, X: np.ndarray) -> float:
-    """Total log density of X under the mixture, via log-sum-exp per row."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != mix.dim:
-        raise ShapeError(f"expected batch of shape (n, {mix.dim}), got {X.shape}")
-    return float(_log_norm(_log_prob_matrix(mix, X)).sum())
-
-
 def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
     """EM for a diagonal-covariance mixture.
 
@@ -154,14 +146,6 @@ class GmmGenerator:
     domain_id: int
     mixtures: list = field(default_factory=list)   # one Mixture per class
     ll_traces: list = field(default_factory=list)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.mixtures)
-
-    @property
-    def dim(self) -> int:
-        return self.mixtures[0].dim
 
 
 def fit_generator(trainset: LabeledSet, domain_id: int, n_classes: int,

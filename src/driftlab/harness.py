@@ -170,10 +170,9 @@ def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: 
         true = np.concatenate([np.full(len(d.test), d.domain_id) for d in stream.domains])
         routed = strategy.route(X)
         record.routing = routing_accuracy(routed, true, T)
-        proj = pca_project_2d(X)
+        coords = pca_project_2d(X)
         record.projection = [
-            (int(true[i]), i, float(proj.coords[i, 0]), float(proj.coords[i, 1]),
-             int(routed[i]))
+            (int(true[i]), i, float(coords[i, 0]), float(coords[i, 1]), int(routed[i]))
             for i in range(len(true))
         ]
     return strategy

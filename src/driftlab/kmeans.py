@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 
+# Lloyd stops after MAX_ITER rounds or once no center moves more than MOVE_TOL
+MAX_ITER = 100
+MOVE_TOL = 1e-6
+
 
 def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: iteratively sample points proportional to squared
@@ -38,11 +42,9 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-               max_iter: int = 100, move_tol: float = 1e-6):
+def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd iterations from a k-means++ start.
 
-    Stops after max_iter rounds or once no center moves more than move_tol.
     Returns (centers, labels, inertia_trace); the trace of within-cluster
     sums of squares is non-increasing. Empty clusters are rescued by moving
     their center onto the point farthest from its assigned center.
@@ -55,7 +57,7 @@ def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
     centers = kmeans_pp_init(X, k, rng)
     labels = _assign(X, centers)
     trace = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         old = centers.copy()
         for j in range(k):
             mask = labels == j
@@ -66,7 +68,7 @@ def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
                 centers[j] = X[far]
         labels = _assign(X, centers)
         trace.append(float(((X - centers[labels]) ** 2).sum()))
-        if np.sqrt(((centers - old) ** 2).sum(axis=1)).max() < move_tol:
+        if np.sqrt(((centers - old) ** 2).sum(axis=1)).max() < MOVE_TOL:
             break
     return centers, labels, np.asarray(trace)
 
@@ -80,7 +82,7 @@ class CentroidRouter:
     toward the lowest domain id.
     """
 
-    def __init__(self, n_centroids: int = 5, n_neighbors: int = 1):
+    def __init__(self, n_centroids: int, n_neighbors: int):
         if n_centroids < 1 or n_neighbors < 1:
             raise ValidationError("n_centroids and n_neighbors must be >= 1")
         self.n_centroids = n_centroids

@@ -10,7 +10,7 @@ diagonal entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,21 +99,12 @@ def bwt(matrix: AccuracyMatrix) -> float:
 @dataclass
 class RoutingReport:
     accuracy: float
-    confusion: np.ndarray                 # rows: true domain, cols: predicted
-    per_domain: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.per_domain is None:
-            row_sums = self.confusion.sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                self.per_domain = np.where(
-                    row_sums > 0, np.diag(self.confusion) / np.maximum(row_sums, 1), np.nan
-                )
+    per_domain: np.ndarray     # per true domain, the share of its samples routed to it
 
 
 def routing_accuracy(predicted, true, n_domains: int) -> RoutingReport:
-    """Share of samples routed to their true domain, with the full
-    confusion matrix (rows sum to per-domain sample counts)."""
+    """Share of samples routed to their true domain, overall and per
+    domain."""
     predicted = np.asarray(predicted, dtype=int)
     true = np.asarray(true, dtype=int)
     if predicted.shape != true.shape or predicted.ndim != 1:
@@ -131,6 +122,6 @@ def routing_accuracy(predicted, true, n_domains: int) -> RoutingReport:
     if len(present) < n_domains:
         missing = sorted(set(range(n_domains)) - set(present.tolist()))
         raise ValidationError(f"no test samples for domains {missing}")
-    confusion = np.zeros((n_domains, n_domains), dtype=int)
-    np.add.at(confusion, (true, predicted), 1)
-    return RoutingReport(float(np.mean(predicted == true)), confusion)
+    hits = predicted == true
+    per_domain = np.bincount(true, weights=hits, minlength=n_domains) / np.bincount(true)
+    return RoutingReport(float(np.mean(hits)), per_domain)

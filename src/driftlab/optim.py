@@ -7,6 +7,11 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .nn import Classifier, layer_views
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class OptimizerState:
     """Per-model optimizer state.
@@ -16,17 +21,13 @@ class OptimizerState:
     counter. The counter increments by exactly one per applied step.
     """
 
-    def __init__(self, kind: str, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, kind: str, learning_rate: float):
         if kind not in ("sgd", "adam"):
             raise ValidationError(f"unknown optimizer kind {kind!r}; expected 'sgd' or 'adam'")
         if learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {learning_rate}")
         self.kind = kind
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = None
         self.v = None
@@ -53,7 +54,7 @@ def apply_step(model: Classifier, grad: np.ndarray, state: OptimizerState) -> Cl
         state.m = np.zeros_like(grad)
         state.v = np.zeros_like(grad)
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPS
     m, v = state.m, state.v
     m *= b1
     m += (1 - b1) * grad

@@ -35,6 +35,16 @@ def gmm_log_likelihood_naive(X, weights, means, variances):
     return total
 
 
+def routing_shares_from_confusion(predicted, true, n_domains):
+    """Per-domain routing accuracy as the diagonal of the (true, predicted)
+    count matrix over its row sums; NaN for a domain with no samples."""
+    confusion = np.zeros((n_domains, n_domains), dtype=int)
+    np.add.at(confusion, (true, predicted), 1)
+    row_sums = confusion.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), np.nan)
+
+
 def single_gaussian_mle(X, var_floor):
     """Closed-form diagonal Gaussian fit: sample mean, floored biased variance."""
     mean = X.mean(axis=0)
@@ -142,11 +152,9 @@ def fit_em_two_pass(X, config, rng):
 
 
 def pca_2d_reference(X):
-    """Top-2 PCA through the covariance eigendecomposition.
-
-    Returns (coords, components, explained_ratio) under the same sign
-    convention as the package: the largest-magnitude entry of each
-    component is positive.
+    """Top-2 PCA coordinates through the covariance eigendecomposition,
+    under the same sign convention as the package: the largest-magnitude
+    entry of each component is positive.
     """
     Xc = X - X.mean(axis=0)
     evals, evecs = np.linalg.eigh(Xc.T @ Xc)
@@ -156,8 +164,7 @@ def pca_2d_reference(X):
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    explained = evals[order[:2]] / evals.sum()
-    return Xc @ components.T, components, explained
+    return Xc @ components.T
 
 
 # ---------------------------------------------------------------------------

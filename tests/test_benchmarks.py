@@ -72,7 +72,7 @@ def test_covariate_shift_accepts_per_domain_matrix():
     assert np.allclose(domains[2][0][1], [10.0, 2.0])
 
 
-def test_covariate_empirical_means_land_near_recipe_means():
+def test_covariate_samples_land_near_domain_means():
     stream = build_stream(two_class_bench(n_domains=2, shift=(6.0, 0.0), n_train=4000), 5)
     train = stream.domains[1].train
     want = np.array([[6.0, -1.0], [6.0, 1.0]])
@@ -106,7 +106,7 @@ def test_conditional_flip_cyclic_for_three_classes():
     assert labels1.tolist() == [1, 2, 0]
 
 
-def test_rotation_recipe_turns_means_in_first_two_coords():
+def test_rotation_domains_turn_means_in_first_two_coords():
     angle = np.pi / 2
     bench = BenchmarkConfig(kind="rotation", n_domains=2,
                             class_means=[[1.0, 0.0, 5.0], [0.0, 1.0, 5.0]],
@@ -120,7 +120,7 @@ def test_rotation_recipe_turns_means_in_first_two_coords():
     assert labels1.tolist() == [0, 1]
 
 
-def test_recipe_validation_errors():
+def test_benchmark_validation_errors():
     cases = [
         (dict(kind="nope"), "benchmark.kind"),
         (dict(variance=[1.0, 1.0, 1.0]), "benchmark.variance: expected 2 entries"),
@@ -142,7 +142,7 @@ def test_recipe_validation_errors():
         assert any(message in p for p in problems), (fields, problems)
 
 
-def test_build_stream_collects_all_recipe_problems():
+def test_build_stream_collects_all_benchmark_problems():
     bad = two_class_bench(n_domains=2, kind="rotation", class_means=[[0.0], [1.0]],
                           shift=(1.0,), variance=0.0, flip_domains=[5],
                           angles=[0.0, True], n_train=6, n_val=5, n_test=5)

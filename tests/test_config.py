@@ -257,6 +257,8 @@ def test_strategy_knob_validation():
         ("epochs: 10\n    n_per_class: 20", "batch_size: 0"),
         ("epochs: 10\n    n_per_class: 20", "learning_rate: 0.0"),
         ("epochs: 10\n    n_per_class: 20", "hidden: [0]"),
+        ("epochs: 10\n    n_per_class: 20", "hidden: [true]"),
+        ("epochs: 10\n    n_per_class: 20", "router_hidden: [true, 3]"),
         ("epochs: 10\n    n_per_class: 20", "quota: 0"),
         ("epochs: 10\n    n_per_class: 20", "expert_init: lazy"),
         ("epochs: 10\n    n_per_class: 20", "epochs: []"),
@@ -302,7 +304,7 @@ def test_grid_order_varies_later_fields_fastest():
 # The per-domain values a parsed benchmark section stands for: one
 # (class means, cluster -> label) pair per domain.
 
-def test_make_recipes_covariate_vector_accumulates():
+def test_domains_covariate_vector_accumulates():
     cfg = parse_config(VALID_DOC)
     domains = list(_domains(cfg.benchmark))
     assert len(domains) == 3
@@ -312,7 +314,7 @@ def test_make_recipes_covariate_vector_accumulates():
         assert np.allclose(means, base + t * np.array([5.0, 0.0]))
 
 
-def test_make_recipes_covariate_matrix_is_per_domain():
+def test_domains_covariate_matrix_is_per_domain():
     doc = VALID_DOC.replace("domain_shift: [5.0, 0.0]",
                             "domain_shift: [[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]]")
     cfg = parse_config(doc)
@@ -322,7 +324,7 @@ def test_make_recipes_covariate_matrix_is_per_domain():
     assert np.allclose(domains[2][0], base + np.array([9.0, 9.0]))
 
 
-def test_make_recipes_flip_marks_only_listed_domains():
+def test_domains_flip_marks_only_listed_domains():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: conditional_flip\n  flip_domains: [1]")
     cfg = parse_config(doc)
@@ -330,7 +332,7 @@ def test_make_recipes_flip_marks_only_listed_domains():
         [[0, 1], [1, 0], [0, 1]]
 
 
-def test_make_recipes_rotation_carries_angles():
+def test_domains_rotation_carries_angles():
     doc = VALID_DOC.replace("kind: covariate_shift",
                             "kind: rotation\n  angles: [0.0, 0.7, 1.4]").replace(NO_SHIFT, "")
     cfg = parse_config(doc)

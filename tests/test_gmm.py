@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from driftlab import gmm
 from driftlab.benchmarks import LabeledSet
-from driftlab.errors import NumericError, ShapeError, ValidationError
-from driftlab.gmm import (FitConfig, Mixture, fit_em, fit_generator,
-                          log_likelihood, sample_buffer)
+from driftlab.errors import NumericError, ValidationError
+from driftlab.gmm import FitConfig, Mixture, fit_em, fit_generator, sample_buffer
 from driftlab.rng import make_rng
 from driftlab.config import StrategyConfig
 from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
@@ -32,13 +31,7 @@ def test_log_likelihood_matches_naive_density_sum():
     )
     X = rng.normal(size=(40, 3))
     want = oracles.gmm_log_likelihood_naive(X, mix.weights, mix.means, mix.variances)
-    assert abs(log_likelihood(mix, X) - want) < 1e-9
-
-
-def test_log_likelihood_checks_dimensions():
-    mix = Mixture(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-    with pytest.raises(ShapeError):
-        log_likelihood(mix, np.zeros((5, 3)))
+    assert abs(gmm._log_norm(gmm._log_prob_matrix(mix, X)).sum() - want) < 1e-9
 
 
 def test_em_trace_is_monotone_non_decreasing():
@@ -156,8 +149,8 @@ def test_fit_generator_one_mixture_per_class():
     data = LabeledSet(rng.normal(size=(60, 2)), np.repeat([0, 1, 2], 20))
     gen = fit_generator(data, 4, 3, FitConfig(n_components=1), 99)
     assert gen.domain_id == 4
-    assert gen.n_classes == 3
-    assert gen.dim == 2
+    assert len(gen.mixtures) == len(gen.ll_traces) == 3
+    assert all(mix.dim == 2 for mix in gen.mixtures)
 
 
 def test_fit_generator_rejects_classes_smaller_than_k():

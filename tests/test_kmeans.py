@@ -82,7 +82,7 @@ def test_router_routes_separated_domains_perfectly():
 
 def test_adding_a_domain_leaves_earlier_centroids_alone():
     rng = np.random.default_rng(7)
-    router = CentroidRouter(n_centroids=2)
+    router = CentroidRouter(n_centroids=2, n_neighbors=1)
     router.add_domain(rng.normal(size=(30, 2)), make_rng(0, "c"))
     before = router.centroids.copy()
     router.add_domain(rng.normal(5.0, 1.0, size=(30, 2)), make_rng(1, "c"))
@@ -106,15 +106,15 @@ def test_exact_distance_ties_resolve_to_the_lowest_domain_id():
 
 
 def test_router_caps_centroids_by_domain_size():
-    router = CentroidRouter(n_centroids=10)
+    router = CentroidRouter(n_centroids=10, n_neighbors=1)
     router.add_domain(np.array([[0.0, 0.0], [1.0, 1.0]]), make_rng(0, "c"))
     assert router.centroids.shape == (2, 2)
 
 
 def test_router_validation():
     with pytest.raises(ValidationError):
-        CentroidRouter(n_centroids=0)
-    router = CentroidRouter()
+        CentroidRouter(n_centroids=0, n_neighbors=1)
+    router = CentroidRouter(n_centroids=5, n_neighbors=1)
     with pytest.raises(ValidationError):
         router.predict(np.zeros((2, 2)))
     router.add_domain(np.zeros((4, 2)), make_rng(0, "c"))

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import nn
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import ContractError, ValidationError
 from driftlab.metrics import (AccuracyMatrix, average_accuracy, bwt,
                               evaluate_accuracy, routing_accuracy)
+
+import oracles
 
 
 def test_evaluate_accuracy_with_callable_and_with_classifier():
@@ -98,13 +102,32 @@ def test_bwt_needs_two_domains_and_filled_cells():
         bwt(m)
 
 
-def test_routing_accuracy_and_confusion():
+def test_routing_accuracy_and_per_domain_shares():
     true = np.array([0, 0, 0, 1, 1, 1])
     pred = np.array([0, 0, 1, 1, 1, 0])
     report = routing_accuracy(pred, true, 2)
     assert abs(report.accuracy - 4 / 6) < 1e-12
-    assert report.confusion.tolist() == [[2, 1], [1, 2]]
     assert np.allclose(report.per_domain, [2 / 3, 2 / 3])
+
+
+@st.composite
+def routing_batches(draw):
+    """(predicted, true, T) with every one of the T domains present."""
+    T = draw(st.integers(1, 6))
+    domain = st.integers(0, T - 1)
+    extra = draw(st.lists(domain, max_size=40))
+    true = draw(st.permutations(list(range(T)) + extra))
+    predicted = draw(st.lists(domain, min_size=len(true), max_size=len(true)))
+    return np.array(predicted), np.array(true), T
+
+
+@settings(max_examples=200, deadline=None)
+@given(routing_batches())
+def test_per_domain_shares_match_the_confusion_matrix(batch):
+    predicted, true, T = batch
+    got = routing_accuracy(predicted, true, T).per_domain
+    want = oracles.routing_shares_from_confusion(predicted, true, T)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_routing_accuracy_requires_every_domain_present():

@@ -5,7 +5,7 @@ import pytest
 
 from driftlab import nn
 from driftlab.errors import NumericError, ValidationError
-from driftlab.optim import OptimizerState, apply_step
+from driftlab.optim import ADAM_EPS, OptimizerState, apply_step
 
 import oracles
 
@@ -37,7 +37,7 @@ def test_adam_first_step_closed_form():
     state = OptimizerState("adam", learning_rate=0.05)
     g = 2.0
     apply_step(model, constant_grads(model, g), state)
-    expected = -0.05 * g / (abs(g) + state.eps)
+    expected = -0.05 * g / (abs(g) + ADAM_EPS)
     assert np.allclose(model.weights[0], expected, atol=1e-15)
     assert state.step_count == 1
 
@@ -67,7 +67,7 @@ def test_apply_step_dispatches_on_kind():
     apply_step(m2, constant_grads(m2, 2.0), adam)
     start = tiny_model(1.0).params
     assert np.array_equal(m1.params, start - 0.1 * 2.0)
-    assert np.array_equal(m2.params, start - 0.1 * 2.0 / (2.0 + adam.eps))
+    assert np.array_equal(m2.params, start - 0.1 * 2.0 / (2.0 + ADAM_EPS))
 
 
 def test_non_finite_gradient_is_rejected_naming_the_layer():
