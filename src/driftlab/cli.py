@@ -8,7 +8,8 @@ Subcommands:
 * validate <config>                     check a config, list every violation
 
 Exit codes: 0 success, 1 validation failure (bad config, unknown run id,
-missing files), 2 runtime failure.
+missing files), 2 runtime failure, 130 interrupted (Ctrl-C) with the
+results of the strategies finished so far written.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, DriftLabError, ValidationError
-from .harness import PROJECTION_HEADER, persist_results, run_experiment
+from .harness import PROJECTION_HEADER, RunInterrupted, persist_results, run_experiment
 from .strategies import ROUTER_KINDS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+EXIT_INTERRUPTED = 130
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a YAML experiment config")
     p_run.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="strategies run in parallel processes (default 1)")
 
     p_report = sub.add_parser("report", help="print the saved report of an experiment")
     p_report.add_argument("dir", help="results directory containing report.txt")
@@ -61,7 +64,13 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     out = args.out if args.out is not None else cfg.out_dir
-    records = run_experiment(cfg, out_dir=out, jobs=args.jobs)
+    try:
+        records = run_experiment(cfg, out_dir=out, jobs=args.jobs)
+    except RunInterrupted as stop:
+        persist_results(stop.records, out)
+        print(f"interrupted: {len(stop.records)} finished runs written to {out}",
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
     persist_results(records, out)
     failed = [r for r in records if not r.ok]
     for rec in records:

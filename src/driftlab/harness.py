@@ -2,7 +2,9 @@
 
 A run is one (strategy, seed) pair. The stream is rebuilt from the seed
 alone, so every strategy in a config sees byte-identical data under the
-same seed, no matter what its hyperparameters are. After each domain the
+same seed, no matter what its hyperparameters are. A task is one strategy
+with all of its seeds: the runs of a task step together, and their
+matching training requests train in lockstep. After each domain the
 strategy is evaluated on the test splits of all seen domains, filling the
 lower-triangular accuracy matrix; routing strategies are additionally
 scored on domain identification over the union of test sets.
@@ -38,7 +40,7 @@ from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import save_checkpoint, strategy_dispatch
+from .strategies import run_lockstep, save_checkpoint, strategy_dispatch
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -62,7 +64,7 @@ class RunRecord:
     router_kind: str = None
     routing: RoutingReport = None
     projection: list = field(default_factory=list)     # rows for projection.csv
-    duration: float = 0.0
+    duration: float = 0.0    # an equal share of its task's wall time
     failure: str = ""        # "Type: message"; empty for a run that finished
     traceback: str = ""      # the failure's full traceback
 
@@ -88,8 +90,18 @@ def benchmark_label(cfg: ExperimentConfig) -> str:
     return f"{cfg.benchmark.kind}/T{cfg.benchmark.n_domains}"
 
 
+class RunInterrupted(KeyboardInterrupt):
+    """A KeyboardInterrupt that carries the records of the tasks finished
+    before it, in config order."""
+
+    def __init__(self, records):
+        super().__init__()
+        self.records = records
+
+
 def _select_and_train(strategy, grid, t, guard):
-    """Per-domain model selection on the current domain's validation split.
+    """Per-domain model selection on the current domain's validation split,
+    as a generator that yields the training requests (Strategy.learn_steps).
 
     With a single grid point the strategy trains in place. Otherwise each
     combination learns a cloned candidate; the best current-domain
@@ -98,13 +110,14 @@ def _select_and_train(strategy, grid, t, guard):
     prediction, so it cannot change the choice).
     """
     if len(grid) == 1:
-        strategy.train_on_domain(t, guard, grid[0])
+        yield from strategy.learn_steps(t, guard, grid[0])
+        strategy.consolidate(t, guard, grid[0])
         return strategy
     val = guard.val(t)
     best, best_hp, best_score = None, None, -1.0
     for hp in grid:
         candidate = strategy.clone()
-        candidate.learn(t, guard, hp)
+        yield from candidate.learn_steps(t, guard, hp)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
             best, best_hp, best_score = candidate, hp, score
@@ -128,25 +141,37 @@ def _fail(record: RunRecord, exc: Exception):
     record.traceback = traceback.format_exc()
 
 
-def execute_run(cfg: ExperimentConfig, strategy_cfg, seed: int):
-    """One strategy under one seed, start to finish.
+def execute_run(cfg: ExperimentConfig, strategy_cfg, seeds):
+    """Every seed of one strategy, start to finish, stepped together so
+    that their matching training requests train in lockstep.
 
-    Returns (record, strategy): the finished strategy, or None for a run
-    that failed. Failures are captured in the record instead of
-    propagating, so sibling runs continue."""
-    record = _new_record(cfg, strategy_cfg.name, seed)
-    strategy = None
+    Returns [(record, strategy), ...] in seed order, with the finished
+    strategy, or None for a run that failed. If anything raises, each seed
+    reruns alone: a failed run keeps its own traceback, and the others get
+    the results of their solo runs, which lockstep reproduces bit for bit.
+    Failures are captured in the records instead of propagating, so
+    sibling tasks continue. Each record's duration is an equal share of
+    the wall time spent."""
     start = time.perf_counter()
+    records = [_new_record(cfg, strategy_cfg.name, seed) for seed in seeds]
     try:
-        strategy = _execute_into(record, cfg, strategy_cfg, seed)
+        runs = [_run_steps(rec, cfg, strategy_cfg, seed) for rec, seed in zip(records, seeds)]
+        pairs = list(zip(records, run_lockstep(runs)))
     except Exception as exc:   # a failing run must not sink its siblings
-        _fail(record, exc)
-    record.duration = time.perf_counter() - start
-    return record, strategy
+        if len(seeds) > 1:
+            pairs = [pair for seed in seeds for pair in execute_run(cfg, strategy_cfg, [seed])]
+        else:
+            _fail(records[0], exc)
+            pairs = [(records[0], None)]
+    share = (time.perf_counter() - start) / len(seeds)
+    for record, _ in pairs:
+        record.duration = share
+    return pairs
 
 
-def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int):
-    """Fill the record from one run and return the finished strategy."""
+def _run_steps(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int):
+    """One run as a generator that yields its training requests: fills the
+    record and returns the finished strategy."""
     stream = build_stream(cfg.benchmark, derive(seed, "stream"))
     grid = expand_grid(strategy_cfg)
     strategy = strategy_dispatch(strategy_cfg.name, seed, stream.dim,
@@ -156,7 +181,7 @@ def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: 
     matrix = AccuracyMatrix(T)
     for t in range(T):
         guard.advance(t)
-        strategy = _select_and_train(strategy, grid, t, guard)
+        strategy = yield from _select_and_train(strategy, grid, t, guard)
         for s in range(t + 1):
             test = stream.domains[s].test
             matrix.record_alpha(s, t, strategy.predict(test.X), test.y)
@@ -179,33 +204,52 @@ def _execute_into(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: 
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
-    """Execute every (strategy, seed) pair of a config.
+    """Execute every (strategy, seed) pair of a config, one task per
+    strategy (execute_run).
 
     Returns the records in config order (strategies outer, seeds inner)
     and writes each run's <out>/runs/<run_id>/checkpoint.txt, or the
     traceback of a failed run to <out>/runs/<run_id>/failure.txt. Under
-    jobs > 1 a run whose worker dies (BrokenProcessPool) becomes a failed
-    record too, and the runs that finished keep theirs. Persisting the
-    aggregate CSVs is a separate step (persist_results).
+    jobs > 1, tasks run in at most min(jobs, tasks) worker processes, and
+    the runs of a task whose worker dies (BrokenProcessPool) become failed
+    records too, while the tasks that finished keep theirs. A
+    KeyboardInterrupt comes out as RunInterrupted with the records of the
+    tasks finished so far. Persisting the aggregate CSVs is a separate
+    step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    tasks = [(cfg, sc, seed, out) for sc in cfg.strategies for seed in cfg.seeds]
-    if jobs <= 1:
-        return [_run_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_task, task) for task in tasks]
-        return [_pool_result(future, task) for future, task in zip(futures, tasks)]
+    tasks = [(cfg, sc, out) for sc in cfg.strategies]
+    done = []
+    try:
+        if jobs <= 1:
+            for task in tasks:
+                done.append(_run_task(task))
+        else:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                futures = [pool.submit(_run_task, task) for task in tasks]
+                try:
+                    done = [_pool_result(future, task) for future, task in zip(futures, tasks)]
+                except KeyboardInterrupt:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    done = [future.result() for future in futures
+                            if future.done() and not future.cancelled()
+                            and future.exception() is None]
+                    raise
+    except KeyboardInterrupt:
+        raise RunInterrupted([rec for records in done for rec in records]) from None
+    return [rec for records in done for rec in records]
 
 
-def _pool_result(future, task) -> RunRecord:
+def _pool_result(future, task) -> list:
     try:
         return future.result()
     except Exception as exc:   # the worker died before it could report
-        cfg, sc, seed, out = task
-        record = _new_record(cfg, sc.name, seed)
-        _fail(record, exc)
-        _write_failure(record, out)
-        return record
+        cfg, sc, out = task
+        records = [_new_record(cfg, sc.name, seed) for seed in cfg.seeds]
+        for record in records:
+            _fail(record, exc)
+            _write_failure(record, out)
+        return records
 
 
 def _write_failure(record: RunRecord, out):
@@ -215,15 +259,17 @@ def _write_failure(record: RunRecord, out):
         fh.write(record.traceback)
 
 
-def _run_task(task) -> RunRecord:
-    cfg, sc, seed, out = task
-    record, strategy = execute_run(cfg, sc, seed)
-    # checkpoint in the worker: strategies do not cross process boundaries
-    if strategy is None:
-        _write_failure(record, out)
-    else:
-        save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
-    return record
+def _run_task(task) -> list:
+    cfg, sc, out = task
+    records = []
+    for record, strategy in execute_run(cfg, sc, cfg.seeds):
+        # checkpoint in the worker: strategies do not cross process boundaries
+        if strategy is None:
+            _write_failure(record, out)
+        else:
+            save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
+        records.append(record)
+    return records
 
 
 def _fmt(x: float) -> str:

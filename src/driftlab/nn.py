@@ -19,8 +19,10 @@ class Classifier:
     """An MLP: ``layer_dims = [d, h1, ..., C]``, weights[i] of shape (dims[i], dims[i+1]).
 
     Hidden activations are ReLU; the final layer emits raw logits. All
-    parameters live in one contiguous float64 vector ``params`` laid out
-    W0, b0, W1, b1, ...; ``weights[i]`` and ``biases[i]`` are views into it.
+    parameters live in one float64 vector ``params`` laid out W0, b0, W1,
+    b1, ...; ``weights[i]`` and ``biases[i]`` are views into it. A stack
+    (see ``stack``) holds S models of the same dims in one (S, P) matrix,
+    and its weights and biases carry the same leading seed axis.
     Instances are mutated only by optimizer steps.
     """
 
@@ -29,11 +31,17 @@ class Classifier:
             raise ValidationError(f"layer_dims needs at least [input, output], got {layer_dims}")
         self.layer_dims = [int(d) for d in layer_dims]
         arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
-        self.params = np.concatenate([a.ravel() for a in arrays])
-        views = layer_views(self, self.params)
-        if [a.shape for a in arrays] != [v.shape for pair in views for v in pair]:
+        self._bind(np.concatenate([a.ravel() for a in arrays]))
+        if [a.shape for a in arrays] != [v.shape for pair in zip(self.weights, self.biases)
+                                         for v in pair]:
             raise ShapeError(f"parameter shapes {[a.shape for a in arrays]} do not fit "
                              f"layer_dims {self.layer_dims}")
+
+    def _bind(self, params: np.ndarray):
+        """Make ``params`` (a vector, or an (S, P) matrix for a stack) this
+        model's parameters, with weights and biases as views into it."""
+        views = layer_views(self, params)
+        self.params = params
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
 
@@ -58,17 +66,40 @@ class Classifier:
 
 def layer_views(model: Classifier, vec: np.ndarray):
     """[(W, b), ...] per layer: reshaped views into a vector in the layout
-    of ``model.params``, so writing a view writes the vector."""
+    of ``model.params``, so writing a view writes the vector. An (S, P)
+    matrix of S such vectors gives views with a leading seed axis."""
     dims = model.layer_dims
     size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    if vec.shape != (size,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != size:
         raise ShapeError(f"expected a vector of {size} parameters, got shape {vec.shape}")
+    lead = vec.shape[:-1]
     views, start = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         mid = start + fan_in * fan_out
-        views.append((vec[start:mid].reshape(fan_in, fan_out), vec[mid:mid + fan_out]))
+        views.append((vec[..., start:mid].reshape(*lead, fan_in, fan_out),
+                      vec[..., mid:mid + fan_out]))
         start = mid + fan_out
     return views
+
+
+def stack(models) -> Classifier:
+    """One Classifier over S models of the same layer_dims.
+
+    Its ``params`` is an (S, P) matrix whose row s becomes ``models[s].params``
+    (each model is rebound to a view of its row), so a step on the stack
+    steps every model. Batches for it carry the same leading seed axis.
+    """
+    dims = models[0].layer_dims
+    if any(m.layer_dims != dims for m in models):
+        raise ShapeError(f"cannot stack models of layer_dims "
+                         f"{sorted({tuple(m.layer_dims) for m in models})}")
+    shared = np.stack([m.params for m in models])
+    for model, row in zip(models, shared):
+        model._bind(row)
+    stacked = Classifier.__new__(Classifier)
+    stacked.layer_dims = list(dims)
+    stacked._bind(shared)
+    return stacked
 
 
 def init_classifier(layer_dims, seed: int) -> Classifier:
@@ -90,11 +121,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _check_batch(model: Classifier, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] != model.n_inputs:
-        raise ShapeError(
-            f"expected batch of shape (n, {model.n_inputs}), got {batch.shape}"
-        )
+    want = (*model.params.shape[:-1], "n", model.n_inputs)
+    if batch.ndim != len(want) or batch.shape[:-2] != want[:-2] \
+            or batch.shape[-1] != model.n_inputs:
+        raise ShapeError(f"expected batch of shape ({', '.join(map(str, want))}), "
+                         f"got {batch.shape}")
     return batch
+
+
+def _check_labels(model: Classifier, x: np.ndarray, labels) -> np.ndarray:
+    y = np.asarray(labels)
+    if x.shape[-2] == 0:
+        raise ValidationError("empty batch")
+    if y.shape != x.shape[:-1]:
+        raise ShapeError(f"expected labels of shape {x.shape[:-1]}, got {y.shape}")
+    c = model.n_outputs
+    if y.min() < 0 or y.max() >= c:
+        raise ValidationError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
+    return y
 
 
 def _activations(model: Classifier, x: np.ndarray) -> list:
@@ -102,7 +146,7 @@ def _activations(model: Classifier, x: np.ndarray) -> list:
     out = [x]
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = out[-1] @ w + b
+        a = out[-1] @ w + b[..., None, :]
         out.append(np.maximum(a, 0.0) if i < last else a)
     return out
 
@@ -112,52 +156,53 @@ def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
     return _activations(model, _check_batch(model, batch))[-1]
 
 
-def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray):
+def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray, *,
+                  checked: bool = False):
     """Mean softmax cross-entropy and its exact gradients.
 
     Returns (loss, grad) with grad one vector in the layout of
-    ``model.params``.
+    ``model.params``. For a stack of S models, batch is (S, n, d), labels
+    (S, n), loss an (S,) vector and grad an (S, P) matrix; each slice is
+    computed exactly as the single model would compute it. checked=True
+    skips the shape and label checks, for a caller that has already
+    checked the sets its batches are drawn from.
     """
-    x = _check_batch(model, batch)
-    y = np.asarray(labels)
-    n = x.shape[0]
-    if n == 0:
-        raise ValidationError("empty batch")
-    if y.shape != (n,):
-        raise ShapeError(f"expected {n} labels, got shape {y.shape}")
-    c = model.n_outputs
-    if y.min() < 0 or y.max() >= c:
-        raise ValidationError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
+    if not checked:
+        batch = _check_batch(model, batch)
+        labels = _check_labels(model, batch, labels)
     grad = np.empty_like(model.params)
-    loss = _loss_and_grad_into(model, x, y, layer_views(model, grad))
+    loss = _loss_and_grad_into(model, batch, labels, layer_views(model, grad))
     return loss, grad
 
 
-def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, views) -> float:
+def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, views):
     """The backprop body behind loss_and_grad, without its checks: returns
-    the loss and writes the gradient into ``views`` (layer_views of a
-    vector in the layout of ``model.params``).
+    the loss and writes the gradient into ``views`` (layer_views of an
+    array shaped like ``model.params``).
 
     Forward caches post-activation values per layer; backward applies the
     standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
     """
-    n = x.shape[0]
+    n = x.shape[-2]
     activations = _activations(model, x)
     logits = activations[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), y].mean()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # (row, label) pairs of every slice, over the rows flattened to (S*n, C)
+    picked = (np.arange(y.size), y.reshape(-1))
+    c = logits.shape[-1]
+    loss = -log_probs.reshape(-1, c)[picked].reshape(y.shape).sum(axis=-1) / n
 
     delta = np.exp(log_probs)
-    delta[np.arange(n), y] -= 1.0
+    delta.reshape(-1, c)[picked] -= 1.0
     delta /= n
 
     for i in range(model.n_layers - 1, -1, -1):
         dw, db = views[i]
-        dw[...] = activations[i].T @ delta
-        db[...] = delta.sum(axis=0)
+        dw[...] = activations[i].mT @ delta
+        db[...] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+            delta = (delta @ model.weights[i].mT) * (activations[i] > 0.0)
     return loss
 
 

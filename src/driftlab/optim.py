@@ -16,9 +16,10 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     """Per-model optimizer state.
 
-    kind is "sgd" or "adam". Adam keeps first/second moment vectors in the
-    layout of ``Classifier.params`` plus a step counter; SGD keeps only the
-    counter. The counter increments by exactly one per applied step.
+    kind is "sgd" or "adam". Adam keeps first/second moments shaped like
+    ``Classifier.params`` (an (S, P) matrix for a stack of S models) plus a
+    step counter; SGD keeps only the counter. The counter increments by
+    exactly one per applied step.
     """
 
     def __init__(self, kind: str, learning_rate: float):
@@ -37,13 +38,16 @@ def apply_step(model: Classifier, grad: np.ndarray, state: OptimizerState) -> Cl
     """One in-place step on ``model.params`` with a gradient in its layout.
 
     SGD: theta <- theta - lr * g. Adam: bias-corrected,
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Every operation is
+    elementwise, so a stack's (S, P) step gives each row the bits of that
+    model's own step.
     """
     if not isinstance(grad, np.ndarray) or grad.shape != model.params.shape:
-        raise ValidationError(f"expected a gradient vector of shape {model.params.shape}")
+        raise ValidationError(f"expected a gradient of shape {model.params.shape}")
     if not np.isfinite(grad).all():
-        bad = np.flatnonzero(~np.isfinite(grad))[0]
-        index = layer_views(model, np.arange(grad.size))
+        size = grad.shape[-1]
+        bad = np.flatnonzero(~np.isfinite(grad))[0] % size
+        index = layer_views(model, np.arange(size))
         layer = next(i for i, (_, b) in enumerate(index) if bad <= b[-1])
         raise NumericError(f"non-finite gradient at layer {layer}")
     state.step_count += 1

@@ -47,7 +47,7 @@ from .memory import (build_router_trainset, compose_replay_trainset,
                      concat_sets, update_replay_buffer)
 from .optim import OptimizerState
 from .rng import derive, make_rng
-from .training import estimate_fisher_diag, ewc_penalty, train_classifier
+from .training import TrainRequest, estimate_fisher_diag, ewc_penalty, train_classifier
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
@@ -74,7 +74,10 @@ class Strategy:
     hp is a config.StrategyConfig whose grid fields hold one scalar each
     (one point of config.expand_grid). The base keeps one classifier,
     ``model``; every model a strategy trains, expert and router included,
-    is built by _new_model and trained by _train.
+    is built by _new_model and trained by _train. _train yields the
+    training as a TrainRequest, so learn_steps lets a caller train the
+    requests of several runs in lockstep (run_lockstep); learn trains its
+    own one at a time.
     """
 
     name = "base"
@@ -96,6 +99,11 @@ class Strategy:
 
     def learn(self, t: int, guard: StreamGuard, hp=None):
         """Train on domain t; the previous domain must be consolidated."""
+        run_lockstep([self.learn_steps(t, guard, hp)])
+
+    def learn_steps(self, t: int, guard: StreamGuard, hp=None):
+        """learn as a generator that yields each TrainRequest and expects
+        the request's model trained before it is resumed."""
         if self.last_trained != self.last_consolidated:
             raise ContractError(f"learn({t}) before domain {self.last_trained} "
                                 f"is consolidated")
@@ -103,7 +111,7 @@ class Strategy:
             raise ContractError(
                 f"domains must arrive in order: expected {self.last_trained + 1}, got {t}"
             )
-        self._learn(t, guard, hp or self.hp)
+        yield from self._learn(t, guard, hp or self.hp)
         self.last_trained = t
 
     def consolidate(self, t: int, guard: StreamGuard, hp=None):
@@ -126,10 +134,10 @@ class Strategy:
         return nn.init_classifier(dims, derive(self.seed, *seed_labels))
 
     def _train(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
-               epochs: int, learning_rate: float, hp, penalty=None) -> nn.Classifier:
-        opt = OptimizerState(hp.optimizer, learning_rate)
-        train_classifier(model, data, epochs=epochs, batch_size=hp.batch_size, opt=opt,
-                         seed=derive(self.seed, "domain", t, role), penalty=penalty)
+               epochs: int, learning_rate: float, hp, penalty=None):
+        """Yield the request that trains model on data; return the model."""
+        yield TrainRequest(model, data, epochs, hp.batch_size, hp.optimizer, learning_rate,
+                           derive(self.seed, "domain", t, role), penalty)
         return model
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -153,7 +161,8 @@ class SeqFT(Strategy):
     def _learn(self, t, guard, hp):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        self._train(self.model, guard.train(t), t, "train", hp.epochs, hp.learning_rate, hp)
+        yield from self._train(self.model, guard.train(t), t, "train",
+                               hp.epochs, hp.learning_rate, hp)
 
 
 class Ewc(Strategy):
@@ -172,7 +181,8 @@ class Ewc(Strategy):
         penalty = None
         if hp.lam > 0 and self.anchors:
             penalty = lambda m: ewc_penalty(m, self.anchors, hp.lam)
-        self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate, hp, penalty)
+        yield from self._train(self.model, data, t, "train",
+                               hp.epochs, hp.learning_rate, hp, penalty)
 
     def _consolidate(self, t, guard, hp):
         fisher = estimate_fisher_diag(
@@ -195,8 +205,8 @@ class Er(Strategy):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
-        self._train(self.model, compose_replay_trainset(data, self.buffer), t, "train",
-                    hp.epochs, hp.learning_rate, hp)
+        yield from self._train(self.model, compose_replay_trainset(data, self.buffer), t,
+                               "train", hp.epochs, hp.learning_rate, hp)
 
     def _consolidate(self, t, guard, hp):
         update_replay_buffer(self.buffer, guard.train(t), t, hp.quota,
@@ -228,8 +238,8 @@ class GenReplay(Strategy):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
         data = guard.train(t)
-        self._train(self.model, compose_replay_trainset(data, self.synthetic), t, "train",
-                    hp.epochs, hp.learning_rate, hp)
+        yield from self._train(self.model, compose_replay_trainset(data, self.synthetic), t,
+                               "train", hp.epochs, hp.learning_rate, hp)
 
     def _consolidate(self, t, guard, hp):
         draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
@@ -261,13 +271,13 @@ class _ExpertBank(Strategy):
             model = self.experts[-1].copy()
         else:
             model = self._new_model(hp.hidden, self.n_classes, "domain", t, "init")
-        self.experts.append(self._train(model, data, t, "train",
-                                        hp.epochs, hp.learning_rate, hp))
+        self.experts.append((yield from self._train(model, data, t, "train",
+                                                     hp.epochs, hp.learning_rate, hp)))
 
     def _train_router(self, trainset: LabeledSet, t: int, hp):
         router = self._new_model(hp.router_hidden, t + 1, "domain", t, "router_init")
-        self.router = self._train(router, trainset, t, "router",
-                                  hp.router_epochs, hp.router_learning_rate, hp)
+        self.router = yield from self._train(router, trainset, t, "router",
+                                             hp.router_epochs, hp.router_learning_rate, hp)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
@@ -307,10 +317,10 @@ class G2d(_ExpertBank):
     def _learn(self, t, guard, hp):
         # the buffer is drawn here, not in consolidate: the router trains on it
         data = guard.train(t)
-        self._train_expert(data, t, hp)
+        yield from self._train_expert(data, t, hp)
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
         if t > 0:
-            self._train_router(build_router_trainset(self.synthetic), t, hp)
+            yield from self._train_router(build_router_trainset(self.synthetic), t, hp)
 
 
 class OracleRouter(_ExpertBank):
@@ -324,10 +334,10 @@ class OracleRouter(_ExpertBank):
     privileged = True
 
     def _learn(self, t, guard, hp):
-        self._train_expert(guard.train(t), t, hp)
+        yield from self._train_expert(guard.train(t), t, hp)
         if t > 0:
             trainset = build_router_trainset([guard.train(i) for i in range(t + 1)])
-            self._train_router(trainset, t, hp)
+            yield from self._train_router(trainset, t, hp)
 
 
 class CentroidRouted(_ExpertBank):
@@ -338,7 +348,7 @@ class CentroidRouted(_ExpertBank):
 
     def _learn(self, t, guard, hp):
         data = guard.train(t)
-        self._train_expert(data, t, hp)
+        yield from self._train_expert(data, t, hp)
         if self.router is None:
             self.router = CentroidRouter(hp.n_centroids, hp.n_neighbors)
         self.router.add_domain(data.X, make_rng(self.seed, "domain", t, "centroids"))
@@ -356,11 +366,54 @@ class Mtl(Strategy):
     def _learn(self, t, guard, hp):
         self.model = self._new_model(hp.hidden, self.n_classes, "init")
         union = concat_sets([guard.train(i) for i in range(t + 1)])
-        self._train(self.model, union, t, "train", hp.epochs, hp.learning_rate, hp)
+        yield from self._train(self.model, union, t, "train",
+                               hp.epochs, hp.learning_rate, hp)
 
 
 _REGISTRY = {cls.name: cls for cls in
              (SeqFT, Ewc, Er, GenReplay, G2d, OracleRouter, CentroidRouted, Mtl)}
+
+
+def train_lockstep(requests):
+    """Train every request, stacking into one train_classifier call those
+    whose layer dims, row count, epochs, batch size, optimizer and
+    learning rate match and that have no penalty; the rest train alone."""
+    groups = {}
+    for req in requests:
+        key = (id(req),) if req.penalty is not None else (
+            tuple(req.model.layer_dims), len(req.data), req.epochs, req.batch_size,
+            req.optimizer, req.learning_rate)
+        groups.setdefault(key, []).append(req)
+    for group in groups.values():
+        first = group[0]
+        train_classifier([req.model for req in group], [req.data for req in group],
+                         epochs=first.epochs, batch_size=first.batch_size,
+                         opt=OptimizerState(first.optimizer, first.learning_rate),
+                         seeds=[req.seed for req in group], penalty=first.penalty)
+
+
+def run_lockstep(runs) -> list:
+    """Drive generators that yield TrainRequests (learn_steps, or whole
+    runs built on it) until each returns, and return their return values
+    in order. Each round trains the pending request of every generator
+    that has one in one train_lockstep call."""
+    results = [None] * len(runs)
+    pending = {}
+
+    def advance(i):
+        try:
+            pending[i] = next(runs[i])
+        except StopIteration as done:
+            pending.pop(i, None)
+            results[i] = done.value
+
+    for i in range(len(runs)):
+        advance(i)
+    while pending:
+        train_lockstep(list(pending.values()))
+        for i in list(pending):
+            advance(i)
+    return results
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:

@@ -2,9 +2,11 @@
 
 One loop serves every strategy: shuffle, batch, backprop, optimizer step,
 with an optional penalty hook that contributes extra loss and gradients.
-Elastic weight consolidation plugs in through that hook; its Fisher
-information is estimated with labels sampled from the model's own
-predictive distribution, not the true labels.
+The loop trains S same-shaped models in lockstep, one stacked step for all
+of them, and S = 1 is the ordinary path. Elastic weight consolidation
+plugs in through the hook; its Fisher information is estimated with
+labels sampled from the model's own predictive distribution, not the true
+labels.
 """
 
 from __future__ import annotations
@@ -21,55 +23,93 @@ from .rng import make_rng
 
 
 @dataclass
+class TrainRequest:
+    """One model to train: what train_classifier needs for it, with the
+    optimizer given by kind and learning rate."""
+
+    model: nn.Classifier
+    data: LabeledSet
+    epochs: int
+    batch_size: int
+    optimizer: str
+    learning_rate: float
+    seed: int
+    penalty: object = None
+
+
+@dataclass
 class TrainLog:
-    epoch_losses: np.ndarray
-    n_steps: int = 0
+    epoch_losses: np.ndarray   # (S, epochs): each model's mean loss per epoch
+    n_steps: int = 0           # lockstep steps; each one steps all S models
 
 
-def train_classifier(model: nn.Classifier, data: LabeledSet, *, epochs: int,
-                     batch_size: int, opt: OptimizerState, seed: int,
-                     penalty=None) -> TrainLog:
-    """Stochastic training with a fixed shuffle stream.
+def train_classifier(models, datas, *, epochs: int, batch_size: int,
+                     opt: OptimizerState, seeds, penalty=None) -> TrainLog:
+    """Stochastic training of S models in lockstep, each on a fixed
+    shuffle stream.
 
-    penalty, if given, is called once per batch as penalty(model) and must
-    return (extra_loss, grad) with grad in the layout of ``model.params``;
-    both are added before the optimizer step. The log records the mean
-    total loss (data + penalty) per epoch. epochs=0 is a no-op that leaves
-    the model untouched.
+    Model s trains on datas[s], shuffled by make_rng(seeds[s], "shuffle").
+    The models share one layer_dims and the sets one row count, so every
+    step is one batch per model: one stacked loss_and_grad and one stacked
+    apply_step on the models' shared (S, P) parameter matrix (nn.stack).
+    Each model ends with the bits it would get if trained alone, and S = 1
+    steps the model itself. opt is one fresh OptimizerState for all S.
+
+    penalty, if given, needs S = 1. It is called once per batch as
+    penalty(model) and must return (extra_loss, grad) with grad in the
+    layout of ``model.params``; both are added before the optimizer step.
+    The log records each model's mean total loss (data + penalty) per
+    epoch. epochs=0 is a no-op that leaves the models untouched.
     """
+    S = len(models)
+    if S == 0 or len(datas) != S or len(seeds) != S:
+        raise ValidationError(f"need one set and one seed per model, got {S} models, "
+                              f"{len(datas)} sets and {len(seeds)} seeds")
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    if len(data) == 0:
+    n = len(datas[0])
+    if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    if (data.y < 0).any() or (data.y >= model.n_outputs).any():
-        raise ValidationError(f"labels outside model output range [0, {model.n_outputs})")
+    if any(len(data) != n for data in datas):
+        raise ValidationError(f"lockstep training needs sets of one size, got "
+                              f"{[len(data) for data in datas]}")
+    if penalty is not None and S != 1:
+        raise ValidationError(f"a penalty trains one model at a time, got {S}")
+    # S = 1 trains the model itself, on batches without the seed axis
+    stacked, seed_axis = (models[0], 0) if S == 1 else (nn.stack(models), slice(None))
+    X = np.stack([data.X for data in datas])
+    Y = np.stack([data.y for data in datas])
+    # checked once here, so that every step skips loss_and_grad's checks
+    nn._check_labels(stacked, nn._check_batch(stacked, X[seed_axis]), Y[seed_axis])
 
-    rng = make_rng(seed, "shuffle")
-    n = len(data)
-    epoch_losses = np.empty(epochs)
+    rngs = [make_rng(seed, "shuffle") for seed in seeds]
+    slices = np.arange(S)[:, None]
+    epoch_losses = np.empty((S, epochs))
     steps = 0
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so NumPy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = rng.permutation(n)
-            total, batches = 0.0, 0
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            X_epoch, Y_epoch = X[slices, order], Y[slices, order]
+            total, batches = np.zeros(S), 0
             for b, start in enumerate(range(0, n, batch_size)):
-                idx = order[start:start + batch_size]
-                loss, grad = nn.loss_and_grad(model, data.X[idx], data.y[idx])
+                batch = seed_axis, slice(start, start + batch_size)
+                loss, grad = nn.loss_and_grad(stacked, X_epoch[batch], Y_epoch[batch],
+                                              checked=True)
                 if penalty is not None:
-                    ploss, pgrad = penalty(model)
+                    ploss, pgrad = penalty(models[0])
                     loss += ploss
-                    grad = grad + pgrad
-                if not np.isfinite(loss):
+                    grad += pgrad
+                if not np.isfinite(loss).all():
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-                apply_step(model, grad, opt)
+                apply_step(stacked, grad, opt)
                 total += loss
                 batches += 1
                 steps += 1
-            epoch_losses[epoch] = total / batches
+            epoch_losses[:, epoch] = total / batches
     return TrainLog(epoch_losses, steps)
 
 

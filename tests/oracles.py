@@ -4,9 +4,10 @@ Everything here recomputes a quantity from first principles: plain loops,
 closed forms, or a different algorithm entirely (eigendecomposition instead
 of SVD, direct densities instead of log-sum-exp, central differences
 instead of backpropagation). Apart from finite_diff_check, which
-differences driftlab's own loss, and fit_em_two_pass, which starts from
-driftlab's k-means++ seeds, nothing here imports from driftlab, so
-agreement between the two routes is meaningful. tree_mismatches and
+differences driftlab's own loss, fit_em_two_pass, which starts from
+driftlab's k-means++ seeds, and train_one_at_a_time, which steps one
+model with driftlab's own loss and optimizer, nothing here imports from
+driftlab, so agreement between the two routes is meaningful. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
 """
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from driftlab import gmm, nn
 from driftlab.errors import NumericError, ValidationError
+from driftlab.optim import apply_step
+from driftlab.rng import make_rng
 
 
 def gmm_log_likelihood_naive(X, weights, means, variances):
@@ -356,3 +359,30 @@ def buffer_fingerprint(data) -> str:
     h.update(np.ascontiguousarray(data.X, dtype=float).tobytes())
     h.update(np.ascontiguousarray(data.y, dtype=int).tobytes())
     return h.hexdigest()[:16]
+
+
+def train_one_at_a_time(model, data, *, epochs, batch_size, opt, seed, penalty=None):
+    """The per-model training loop that lockstep training replaced: one
+    loss_and_grad and one apply_step per batch of one model. Returns the
+    per-epoch mean losses."""
+    rng = make_rng(seed, "shuffle")
+    n = len(data)
+    epoch_losses = np.empty(epochs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            total, batches = 0.0, 0
+            for b, start in enumerate(range(0, n, batch_size)):
+                idx = order[start:start + batch_size]
+                loss, grad = nn.loss_and_grad(model, data.X[idx], data.y[idx])
+                if penalty is not None:
+                    ploss, pgrad = penalty(model)
+                    loss += ploss
+                    grad = grad + pgrad
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
+                apply_step(model, grad, opt)
+                total += loss
+                batches += 1
+            epoch_losses[epoch] = total / batches
+    return epoch_losses

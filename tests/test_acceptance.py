@@ -31,16 +31,17 @@ CONFIG_DIR = ROOT / "configs"
 
 def execute_config(name):
     """(cfg, records, strategies, duration); records and finished strategies
-    are keyed by (strategy name, seed), in config order."""
+    are keyed by (strategy name, seed), in config order. Each strategy's
+    seeds run in lockstep through one execute_run call, as the harness
+    runs them."""
     cfg = load_config(CONFIG_DIR / f"{name}.yaml")
     start = time.perf_counter()
     records, strategies = {}, {}
     for sc in cfg.strategies:
-        for seed in cfg.seeds:
-            rec, strategy = execute_run(cfg, sc, seed)
-            assert rec.ok, f"{sc.name}/seed {seed} failed: {rec.failure}"
-            records[(sc.name, seed)] = rec
-            strategies[(sc.name, seed)] = strategy
+        for rec, strategy in execute_run(cfg, sc, cfg.seeds):
+            assert rec.ok, f"{sc.name}/seed {rec.seed} failed: {rec.failure}"
+            records[(sc.name, rec.seed)] = rec
+            strategies[(sc.name, rec.seed)] = strategy
     return cfg, records, strategies, time.perf_counter() - start
 
 

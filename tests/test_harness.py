@@ -5,11 +5,14 @@ import csv
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftlab import cli, harness, strategies
@@ -19,6 +22,8 @@ from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               persist_results, run_experiment, run_id_for)
 from driftlab.harness_report import _mean_std, render_report
 from driftlab.metrics import evaluate_accuracy
+from driftlab.rng import derive
+from driftlab.strategies import save_checkpoint
 
 import oracles
 
@@ -95,8 +100,8 @@ def test_run_ids_are_short_hashes_distinct_per_run(tiny):
 
 def test_rerunning_a_run_reproduces_it_bit_for_bit(tiny):
     cfg = tiny[0]
-    a, strategy = execute_run(cfg, cfg.strategies[1], 21)
-    b, _ = execute_run(cfg, cfg.strategies[1], 21)
+    [(a, strategy)] = execute_run(cfg, cfg.strategies[1], [21])
+    [(b, _)] = execute_run(cfg, cfg.strategies[1], [21])
     for t in range(2):
         for s in range(t + 1):
             assert a.matrix.entry(s, t) == b.matrix.entry(s, t)
@@ -109,10 +114,10 @@ def test_rerunning_a_run_reproduces_it_bit_for_bit(tiny):
 
 def test_grid_selection_recovers_the_winning_scalar_run(tiny):
     cfg = tiny[0]
-    scalar, _ = execute_run(cfg, cfg.strategies[0], 21)
+    [(scalar, _)] = execute_run(cfg, cfg.strategies[0], [21])
     gridded_cfg = parse_config(TINY_DOC)
     gridded_cfg.strategies[0].epochs = [0, 4]
-    gridded, _ = execute_run(gridded_cfg, gridded_cfg.strategies[0], 21)
+    [(gridded, _)] = execute_run(gridded_cfg, gridded_cfg.strategies[0], [21])
     for t in range(2):
         for s in range(t + 1):
             assert gridded.matrix.entry(s, t) == scalar.matrix.entry(s, t)
@@ -162,21 +167,26 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
     fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
     admitted = count_calls(monkeypatch, strategies, "update_replay_buffer")
     T = cfg.benchmark.n_domains
-    assert execute_run(cfg, cfg.strategies[0], 23)[0].ok
+    [(rec, _)] = execute_run(cfg, cfg.strategies[0], [23])
+    assert rec.ok
     assert len(fisher) == T
-    assert execute_run(cfg, cfg.strategies[1], 23)[0].ok
+    [(rec, _)] = execute_run(cfg, cfg.strategies[1], [23])
+    assert rec.ok
     # update_replay_buffer(buffer, trainset, domain_id, ...): each domain once
     assert [args[2] for args in admitted] == list(range(T))
 
 
 def consolidate_every_candidate(strategy, grid, t, guard):
     """Selection as it was before winner-only consolidation: every
-    candidate runs the whole of train_on_domain."""
+    candidate runs the whole of train_on_domain, learn then consolidate.
+    A generator like harness._select_and_train, so its runs still step in
+    lockstep."""
     val = guard.val(t)
     best, best_score = None, -1.0
     for hp in grid:
         candidate = strategy.clone()
-        candidate.train_on_domain(t, guard, hp)
+        yield from candidate.learn_steps(t, guard, hp)
+        candidate.consolidate(t, guard, hp)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
             best, best_score = candidate, score
@@ -405,9 +415,9 @@ def test_a_dead_worker_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
     g2d_ids = [run_id_for(cfg, "g2d", seed) for seed in cfg.seeds]
     execute_run = harness.execute_run
 
-    def execute_or_die(cfg, sc, seed):
+    def execute_or_die(cfg, sc, seeds):
         if sc.name != "g2d":
-            return execute_run(cfg, sc, seed)
+            return execute_run(cfg, sc, seeds)
         # die once both seqft runs are done, so that only g2d is lost
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline and not all(
@@ -425,6 +435,96 @@ def test_a_dead_worker_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
         assert (out / "runs" / run_id / "checkpoint.txt").exists()
     for run_id in g2d_ids:
         assert "BrokenProcessPool" in (out / "runs" / run_id / "failure.txt").read_text()
+
+
+def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, monkeypatch):
+    # seed 22's first training row is NaN, so its slice of the stacked step
+    # turns non-finite; 21 and 23 must end as if each had run alone
+    cfg = parse_config(TINY_DOC.replace("seeds: [21, 22]", "seeds: [21, 22, 23]"))
+    real_build_stream = harness.build_stream
+
+    def poisoned(bench, seed):
+        stream = real_build_stream(bench, seed)
+        if seed == derive(22, "stream"):
+            stream.domains[0].train.X[0, 0] = np.nan
+        return stream
+
+    monkeypatch.setattr(harness, "build_stream", poisoned)
+    trained = count_calls(monkeypatch, strategies, "train_classifier")
+    lockstep = run_experiment(cfg, out_dir=str(tmp_path / "lockstep"))
+    assert max(len(models) for models, _ in trained) == 3
+
+    healthy = [rec for rec in lockstep if rec.seed != 22]
+    alone = []
+    for sc in cfg.strategies:
+        for seed in (21, 23):
+            [(rec, strategy)] = execute_run(cfg, sc, [seed])
+            save_checkpoint(strategy, tmp_path / "alone" / "runs" / rec.run_id)
+            alone.append(rec)
+    assert [rec.run_id for rec in healthy] == [rec.run_id for rec in alone]
+    assert all(rec.ok for rec in healthy)
+    persist_results(healthy, str(tmp_path / "lockstep"))
+    persist_results(alone, str(tmp_path / "alone"))
+    for rec in lockstep:
+        if rec.seed == 22:
+            assert rec.failure.startswith("NumericError: non-finite loss")
+            text = (tmp_path / "lockstep" / "runs" / rec.run_id / "failure.txt").read_text()
+            assert text == rec.traceback
+            assert "in train_classifier" in text
+            shutil.rmtree(tmp_path / "lockstep" / "runs" / rec.run_id)
+    assert oracles.tree_mismatches(tmp_path / "lockstep", tmp_path / "alone") == []
+
+
+def test_jobs_never_start_more_workers_than_tasks(tiny, tmp_path, monkeypatch):
+    cfg, serial, _, _ = tiny
+    started = []
+
+    class RecordingPool:
+        """ProcessPoolExecutor's stand-in: records max_workers and runs
+        each task as it is submitted, starting no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    records = run_experiment(cfg, out_dir=str(tmp_path), jobs=4)
+    assert started == [len(cfg.strategies)]
+    assert [r.run_id for r in records] == [r.run_id for r in serial]
+    assert all(r.ok for r in records)
+
+
+def test_ctrl_c_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(TINY_DOC)
+    cfg = parse_config(TINY_DOC)
+    out = tmp_path / "out"
+    seqft_ids = {run_id_for(cfg, "seqft", seed) for seed in cfg.seeds}
+    execute_run = harness.execute_run
+
+    def interrupted_at_g2d(cfg, sc, seeds):
+        if sc.name == "g2d":
+            raise KeyboardInterrupt
+        return execute_run(cfg, sc, seeds)
+
+    monkeypatch.setattr(harness, "execute_run", interrupted_at_g2d)
+    assert cli.main(["run", str(config_path), "--out", str(out)]) == 130
+    assert "interrupted" in capsys.readouterr().err
+    assert {row["run_id"] for row in read_rows(out / "matrix.csv")} == seqft_ids
+    assert {p.name for p in (out / "runs").iterdir()} == seqft_ids
+    for run_id in seqft_ids:
+        assert (out / "runs" / run_id / "checkpoint.txt").exists()
+    assert (out / "report.txt").exists()
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

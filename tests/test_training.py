@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import nn
 from driftlab.benchmarks import LabeledSet
-from driftlab.errors import NumericError, ValidationError
+from driftlab.errors import NumericError, ShapeError, ValidationError
 from driftlab.optim import OptimizerState
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
@@ -31,10 +33,10 @@ def fresh_model(seed=1, dims=(2, 8, 2)):
 def test_zero_epochs_is_a_no_op():
     model = fresh_model()
     before = model.params.copy()
-    log = train_classifier(model, separable_data(), epochs=0, batch_size=16,
-                           opt=OptimizerState("adam", 0.01), seed=0)
+    log = train_classifier([model], [separable_data()], epochs=0, batch_size=16,
+                           opt=OptimizerState("adam", 0.01), seeds=[0])
     assert log.n_steps == 0
-    assert log.epoch_losses.shape == (0,)
+    assert log.epoch_losses.shape == (1, 0)
     assert np.array_equal(before, model.params)
 
 
@@ -42,18 +44,19 @@ def test_training_is_deterministic_in_seed():
     data = separable_data()
     m1, m2, m3 = fresh_model(), fresh_model(), fresh_model()
     for m, seed in ((m1, 5), (m2, 5), (m3, 6)):
-        train_classifier(m, data, epochs=3, batch_size=16,
-                         opt=OptimizerState("adam", 0.01), seed=seed)
+        train_classifier([m], [data], epochs=3, batch_size=16,
+                         opt=OptimizerState("adam", 0.01), seeds=[seed])
     assert np.array_equal(m1.params, m2.params)
     assert not np.array_equal(m1.weights[0], m3.weights[0])
 
 
 def test_loss_falls_on_separable_data():
     model = fresh_model()
-    log = train_classifier(model, separable_data(), epochs=10, batch_size=16,
-                           opt=OptimizerState("adam", 0.01), seed=1)
-    assert log.epoch_losses[-1] < log.epoch_losses[0]
-    assert log.epoch_losses[-1] < 0.1
+    log = train_classifier([model], [separable_data()], epochs=10, batch_size=16,
+                           opt=OptimizerState("adam", 0.01), seeds=[1])
+    losses, = log.epoch_losses
+    assert losses[-1] < losses[0]
+    assert losses[-1] < 0.1
     assert log.n_steps == 10 * 5  # 80 samples / batch 16
 
 
@@ -61,18 +64,18 @@ def test_labels_outside_model_range_are_rejected():
     model = fresh_model()
     data = LabeledSet(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
     with pytest.raises(ValidationError):
-        train_classifier(model, data, epochs=1, batch_size=2,
-                         opt=OptimizerState("adam", 0.01), seed=0)
+        train_classifier([model], [data], epochs=1, batch_size=2,
+                         opt=OptimizerState("adam", 0.01), seeds=[0])
 
 
 def test_zero_penalty_hook_changes_nothing():
     data = separable_data()
     plain, hooked = fresh_model(), fresh_model()
     zero = lambda m: (0.0, np.zeros_like(m.params))
-    train_classifier(plain, data, epochs=3, batch_size=16,
-                     opt=OptimizerState("adam", 0.01), seed=2)
-    train_classifier(hooked, data, epochs=3, batch_size=16,
-                     opt=OptimizerState("adam", 0.01), seed=2, penalty=zero)
+    train_classifier([plain], [data], epochs=3, batch_size=16,
+                     opt=OptimizerState("adam", 0.01), seeds=[2])
+    train_classifier([hooked], [data], epochs=3, batch_size=16,
+                     opt=OptimizerState("adam", 0.01), seeds=[2], penalty=zero)
     assert np.array_equal(plain.params, hooked.params)
 
 
@@ -80,10 +83,10 @@ def test_penalty_gradients_are_applied():
     data = separable_data()
     plain, hooked = fresh_model(), fresh_model()
     pull = lambda m: (0.0, np.full_like(m.params, 0.1))
-    train_classifier(plain, data, epochs=1, batch_size=80,
-                     opt=OptimizerState("sgd", 0.5), seed=2)
-    train_classifier(hooked, data, epochs=1, batch_size=80,
-                     opt=OptimizerState("sgd", 0.5), seed=2, penalty=pull)
+    train_classifier([plain], [data], epochs=1, batch_size=80,
+                     opt=OptimizerState("sgd", 0.5), seeds=[2])
+    train_classifier([hooked], [data], epochs=1, batch_size=80,
+                     opt=OptimizerState("sgd", 0.5), seeds=[2], penalty=pull)
     assert not np.array_equal(plain.weights[0], hooked.weights[0])
 
 
@@ -91,8 +94,64 @@ def test_non_finite_loss_is_reported_with_location():
     model = fresh_model()
     bad = lambda m: (np.inf, np.zeros_like(m.params))
     with pytest.raises(NumericError, match="epoch 0, batch 0"):
-        train_classifier(model, separable_data(), epochs=1, batch_size=16,
-                         opt=OptimizerState("adam", 0.01), seed=0, penalty=bad)
+        train_classifier([model], [separable_data()], epochs=1, batch_size=16,
+                         opt=OptimizerState("adam", 0.01), seeds=[0], penalty=bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), S=st.integers(1, 4),
+       dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       n_classes=st.integers(2, 4), batch_size=st.integers(2, 9),
+       full_batches=st.integers(0, 3), epochs=st.integers(0, 3),
+       kind=st.sampled_from(["sgd", "adam"]), seed=st.integers(0, 2 ** 16),
+       penalised=st.booleans())
+def test_lockstep_matches_the_per_model_loop(data, S, dims, n_classes, batch_size,
+                                             full_batches, epochs, kind, seed, penalised):
+    # the last batch is ragged: 1 to batch_size - 1 rows
+    n = full_batches * batch_size + data.draw(st.integers(1, batch_size - 1))
+    dims = [*dims, n_classes]
+    rng = np.random.default_rng(seed)
+    sets = [LabeledSet(rng.normal(size=(n, dims[0])), rng.integers(0, n_classes, n))
+            for _ in range(S)]
+    seeds = [seed + s for s in range(S)]
+    penalty = None
+    if penalised and S == 1:
+        size = nn.init_classifier(dims, 0).params.size
+        anchors = [(rng.normal(size=size), rng.uniform(0.0, 2.0, size))]
+        penalty = lambda m: ewc_penalty(m, anchors, 0.5)
+    rate = 0.05 if kind == "sgd" else 0.01
+
+    lockstep = [nn.init_classifier(dims, s) for s in seeds]
+    log = train_classifier(lockstep, sets, epochs=epochs, batch_size=batch_size,
+                           opt=OptimizerState(kind, rate), seeds=seeds, penalty=penalty)
+    assert log.epoch_losses.shape == (S, epochs)
+    assert log.n_steps == epochs * -(-n // batch_size)
+    for s, (model, train) in enumerate(zip(lockstep, sets)):
+        alone = nn.init_classifier(dims, seeds[s])
+        losses = oracles.train_one_at_a_time(alone, train, epochs=epochs,
+                                             batch_size=batch_size,
+                                             opt=OptimizerState(kind, rate),
+                                             seed=seeds[s], penalty=penalty)
+        assert np.array_equal(model.params, alone.params)
+        assert np.array_equal(log.epoch_losses[s], losses)
+
+
+def test_lockstep_rejects_what_cannot_stack():
+    data = separable_data()
+    opt = lambda: OptimizerState("adam", 0.01)
+    with pytest.raises(ValidationError, match="one size"):
+        train_classifier([fresh_model(), fresh_model()], [data, separable_data(n=40)],
+                         epochs=1, batch_size=16, opt=opt(), seeds=[0, 1])
+    with pytest.raises(ShapeError):
+        train_classifier([fresh_model(), fresh_model(dims=(2, 4, 2))], [data, data],
+                         epochs=1, batch_size=16, opt=opt(), seeds=[0, 1])
+    with pytest.raises(ValidationError, match="one model at a time"):
+        train_classifier([fresh_model(), fresh_model()], [data, data], epochs=1,
+                         batch_size=16, opt=opt(), seeds=[0, 1],
+                         penalty=lambda m: (0.0, np.zeros_like(m.params)))
+    with pytest.raises(ValidationError, match="one seed per model"):
+        train_classifier([fresh_model()], [data], epochs=1, batch_size=16, opt=opt(),
+                         seeds=[0, 1])
 
 
 # ---------------------------------------------------------------------------
