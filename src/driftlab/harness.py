@@ -40,7 +40,7 @@ from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import run_lockstep, save_checkpoint, strategy_dispatch
+from .strategies import lockstep, run_lockstep, save_checkpoint, strategy_dispatch
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -104,25 +104,21 @@ def _select_and_train(strategy, grid, t, guard):
     as a generator that yields the training requests (Strategy.learn_steps).
 
     With a single grid point the strategy trains in place. Otherwise each
-    combination learns a cloned candidate; the best current-domain
-    validation accuracy wins, ties resolving to the earliest combination,
-    and only the winner consolidates (consolidation never changes a
-    prediction, so it cannot change the choice).
+    combination learns a cloned candidate, all of them in lockstep; the
+    best current-domain validation accuracy wins, ties resolving to the
+    earliest combination, and only the winner consolidates (consolidation
+    never changes a prediction, so it cannot change the choice).
     """
-    if len(grid) == 1:
-        yield from strategy.learn_steps(t, guard, grid[0])
-        strategy.consolidate(t, guard, grid[0])
-        return strategy
-    val = guard.val(t)
-    best, best_hp, best_score = None, None, -1.0
-    for hp in grid:
-        candidate = strategy.clone()
-        yield from candidate.learn_steps(t, guard, hp)
-        score = evaluate_accuracy(candidate.predict, val)
-        if score > best_score:
-            best, best_hp, best_score = candidate, hp, score
-    best.consolidate(t, guard, best_hp)
-    return best
+    candidates = [strategy] if len(grid) == 1 else [strategy.clone() for _ in grid]
+    yield from lockstep([candidate.learn_steps(t, guard, hp)
+                         for candidate, hp in zip(candidates, grid)])
+    best = 0
+    if len(grid) > 1:
+        val = guard.val(t)
+        scores = [evaluate_accuracy(candidate.predict, val) for candidate in candidates]
+        best = scores.index(max(scores))
+    candidates[best].consolidate(t, guard, grid[best])
+    return candidates[best]
 
 
 def _new_record(cfg: ExperimentConfig, strategy_name: str, seed: int) -> RunRecord:

@@ -47,7 +47,7 @@ from .memory import (build_router_trainset, compose_replay_trainset,
                      concat_sets, update_replay_buffer)
 from .optim import OptimizerState
 from .rng import derive, make_rng
-from .training import TrainRequest, estimate_fisher_diag, ewc_penalty, train_classifier
+from .training import TrainRequest, estimate_fisher_diag, ewc_hook, train_classifier
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
@@ -75,9 +75,9 @@ class Strategy:
     (one point of config.expand_grid). The base keeps one classifier,
     ``model``; every model a strategy trains, expert and router included,
     is built by _new_model and trained by _train. _train yields the
-    training as a TrainRequest, so learn_steps lets a caller train the
-    requests of several runs in lockstep (run_lockstep); learn trains its
-    own one at a time.
+    training as a list of one TrainRequest, so learn_steps lets a caller
+    train the requests of several runs in lockstep (lockstep); learn
+    trains its own one at a time.
     """
 
     name = "base"
@@ -102,8 +102,9 @@ class Strategy:
         run_lockstep([self.learn_steps(t, guard, hp)])
 
     def learn_steps(self, t: int, guard: StreamGuard, hp=None):
-        """learn as a generator that yields each TrainRequest and expects
-        the request's model trained before it is resumed."""
+        """learn as a generator that yields each training as a list of
+        TrainRequests and expects their models trained before it is
+        resumed."""
         if self.last_trained != self.last_consolidated:
             raise ContractError(f"learn({t}) before domain {self.last_trained} "
                                 f"is consolidated")
@@ -134,10 +135,10 @@ class Strategy:
         return nn.init_classifier(dims, derive(self.seed, *seed_labels))
 
     def _train(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
-               epochs: int, learning_rate: float, hp, penalty=None):
+               epochs: int, learning_rate: float, hp, anchors=(), lam=0.0):
         """Yield the request that trains model on data; return the model."""
-        yield TrainRequest(model, data, epochs, hp.batch_size, hp.optimizer, learning_rate,
-                           derive(self.seed, "domain", t, role), penalty)
+        yield [TrainRequest(model, data, epochs, hp.batch_size, hp.optimizer, learning_rate,
+                            derive(self.seed, "domain", t, role), anchors, lam)]
         return model
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -177,12 +178,10 @@ class Ewc(Strategy):
     def _learn(self, t, guard, hp):
         if self.model is None:
             self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        data = guard.train(t)
-        penalty = None
-        if hp.lam > 0 and self.anchors:
-            penalty = lambda m: ewc_penalty(m, self.anchors, hp.lam)
-        yield from self._train(self.model, data, t, "train",
-                               hp.epochs, hp.learning_rate, hp, penalty)
+        # lam = 0 is no penalty at all: the model trains as seqft's does
+        anchors = self.anchors if hp.lam > 0 else []
+        yield from self._train(self.model, guard.train(t), t, "train",
+                               hp.epochs, hp.learning_rate, hp, anchors, hp.lam)
 
     def _consolidate(self, t, guard, hp):
         fisher = estimate_fisher_diag(
@@ -376,27 +375,32 @@ _REGISTRY = {cls.name: cls for cls in
 
 def train_lockstep(requests):
     """Train every request, stacking into one train_classifier call those
-    whose layer dims, row count, epochs, batch size, optimizer and
-    learning rate match and that have no penalty; the rest train alone."""
+    whose layer dims, row count, epochs, batch size, optimizer, learning
+    rate and anchor count match; each keeps its own anchors and lam."""
     groups = {}
     for req in requests:
-        key = (id(req),) if req.penalty is not None else (
-            tuple(req.model.layer_dims), len(req.data), req.epochs, req.batch_size,
-            req.optimizer, req.learning_rate)
+        key = (tuple(req.model.layer_dims), len(req.data), req.epochs, req.batch_size,
+               req.optimizer, req.learning_rate, len(req.anchors))
         groups.setdefault(key, []).append(req)
     for group in groups.values():
         first = group[0]
         train_classifier([req.model for req in group], [req.data for req in group],
                          epochs=first.epochs, batch_size=first.batch_size,
                          opt=OptimizerState(first.optimizer, first.learning_rate),
-                         seeds=[req.seed for req in group], penalty=first.penalty)
+                         seeds=[req.seed for req in group],
+                         penalty=ewc_hook([req.anchors for req in group],
+                                          [req.lam for req in group]))
 
 
-def run_lockstep(runs) -> list:
-    """Drive generators that yield TrainRequests (learn_steps, or whole
-    runs built on it) until each returns, and return their return values
-    in order. Each round trains the pending request of every generator
-    that has one in one train_lockstep call."""
+def lockstep(runs):
+    """Step generators that yield lists of TrainRequests (learn_steps, or
+    anything built on it) together, until each returns; return their
+    return values in order.
+
+    A generator itself: each round it yields the pending requests of every
+    run as one list, and resumes each run once that list is trained.
+    Nested, it stacks grid candidates within a run and runs across seeds.
+    """
     results = [None] * len(runs)
     pending = {}
 
@@ -410,10 +414,22 @@ def run_lockstep(runs) -> list:
     for i in range(len(runs)):
         advance(i)
     while pending:
-        train_lockstep(list(pending.values()))
+        yield [req for reqs in pending.values() for req in reqs]
         for i in list(pending):
             advance(i)
     return results
+
+
+def run_lockstep(runs) -> list:
+    """Drive lockstep(runs) to the end, training each round in one
+    train_lockstep call; return the runs' return values in order."""
+    rounds = lockstep(runs)
+    while True:
+        try:
+            requests = next(rounds)
+        except StopIteration as done:
+            return done.value
+        train_lockstep(requests)
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:

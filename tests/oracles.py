@@ -5,9 +5,12 @@ closed forms, or a different algorithm entirely (eigendecomposition instead
 of SVD, direct densities instead of log-sum-exp, central differences
 instead of backpropagation). Apart from finite_diff_check, which
 differences driftlab's own loss, fit_em_two_pass, which starts from
-driftlab's k-means++ seeds, and train_one_at_a_time, which steps one
-model with driftlab's own loss and optimizer, nothing here imports from
-driftlab, so agreement between the two routes is meaningful. tree_mismatches and
+driftlab's k-means++ seeds, train_one_at_a_time, which steps one model
+with driftlab's own loss and optimizer, fisher_one_row_at_a_time, which
+backprops one row at a time through driftlab's own backprop body, and
+select_one_candidate_at_a_time, which trains one grid candidate at a
+time through driftlab's strategies, nothing here imports from driftlab,
+so agreement between the two routes is meaningful. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
 """
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from driftlab import gmm, nn
 from driftlab.errors import NumericError, ValidationError
+from driftlab.metrics import evaluate_accuracy
 from driftlab.optim import apply_step
 from driftlab.rng import make_rng
 
@@ -386,3 +390,45 @@ def train_one_at_a_time(model, data, *, epochs, batch_size, opt, seed, penalty=N
                 batches += 1
             epoch_losses[epoch] = total / batches
     return epoch_losses
+
+
+def fisher_one_row_at_a_time(model, data, seed, n_samples=None):
+    """The Fisher loop that one stacked backprop per block of rows replaced:
+    rng.choice draws each row's label, and each row backprops alone into
+    one reused gradient buffer whose square is added to the sum."""
+    rng = make_rng(seed, "fisher")
+    n = len(data)
+    if n_samples is None or n_samples == n:
+        idx = np.arange(n)
+    else:
+        idx = rng.choice(n, size=n_samples, replace=False)
+    X = data.X[idx]
+    probs = nn.softmax(nn.forward(model, X))
+    fisher = np.zeros_like(model.params)
+    grad = np.empty_like(model.params)
+    views = nn.layer_views(model, grad)
+    for i, row in enumerate(probs):
+        y_hat = np.array([rng.choice(model.n_outputs, p=row)])
+        nn._loss_and_grad_into(model, X[i:i + 1], y_hat, views)
+        fisher += grad ** 2
+    return fisher / len(idx)
+
+
+def select_one_candidate_at_a_time(strategy, grid, t, guard):
+    """harness._select_and_train as it was before grid candidates trained
+    in lockstep: each candidate is cloned, learns and is scored before the
+    next one starts, and only the winner consolidates."""
+    if len(grid) == 1:
+        yield from strategy.learn_steps(t, guard, grid[0])
+        strategy.consolidate(t, guard, grid[0])
+        return strategy
+    val = guard.val(t)
+    best, best_hp, best_score = None, None, -1.0
+    for hp in grid:
+        candidate = strategy.clone()
+        yield from candidate.learn_steps(t, guard, hp)
+        score = evaluate_accuracy(candidate.predict, val)
+        if score > best_score:
+            best, best_hp, best_score = candidate, hp, score
+    best.consolidate(t, guard, best_hp)
+    return best

@@ -210,6 +210,66 @@ def test_winner_only_consolidation_keeps_checkpoints_byte_identical(tmp_path, mo
             assert b"anchor2.FW0" in winner
 
 
+# GRID_DOC's ewc with a lam grid whose first point is no penalty at all
+LAM_GRID_DOC = GRID_DOC.replace("lam: [0.5, 5.0, 500.0]", "lam: [0.0, 5.0]")
+
+
+def test_a_stacked_ewc_grid_reproduces_each_seed_alone(tmp_path):
+    cfg = parse_config(LAM_GRID_DOC)
+    ewc = cfg.strategies[0]
+    together = execute_run(cfg, ewc, cfg.seeds)
+    alone = [pair for seed in cfg.seeds for pair in execute_run(cfg, ewc, [seed])]
+    for side, pairs in (("together", together), ("alone", alone)):
+        for rec, strategy in pairs:
+            assert rec.ok, rec.failure
+            save_checkpoint(strategy, tmp_path / side / "runs" / rec.run_id)
+        persist_results([rec for rec, _ in pairs], str(tmp_path / side))
+    assert oracles.tree_mismatches(tmp_path / "together", tmp_path / "alone") == []
+    checkpoints = list((tmp_path / "alone" / "runs").glob("*/checkpoint.txt"))
+    assert len(checkpoints) == 2
+    assert all(b"anchor2.FW0" in path.read_bytes() for path in checkpoints)
+
+
+def test_a_zero_lam_candidate_walks_the_seqft_trajectory(monkeypatch):
+    # every candidate ties, so the first one (lam = 0) wins every domain,
+    # while the lam = 5 candidates train beside it
+    cfg = parse_config(LAM_GRID_DOC)
+    seqft = parse_config(LAM_GRID_DOC.replace("name: ewc", "name: seqft")).strategies[0]
+    monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: 0.5)
+    ewc_runs = execute_run(cfg, cfg.strategies[0], cfg.seeds)
+    seqft_runs = execute_run(cfg, seqft, cfg.seeds)
+    for (ewc_rec, ewc), (seqft_rec, plain) in zip(ewc_runs, seqft_runs):
+        assert np.array_equal(ewc.model.params, plain.model.params)
+        assert ewc_rec.avg_accuracy == seqft_rec.avg_accuracy
+        assert len(ewc.anchors) == cfg.benchmark.n_domains
+
+
+def test_train_classifier_runs_once_per_domain_and_stack(monkeypatch):
+    cfg = parse_config(LAM_GRID_DOC)
+    T = cfg.benchmark.n_domains
+    trained = count_calls(monkeypatch, strategies, "train_classifier")
+    execute_run(cfg, cfg.strategies[0], cfg.seeds)
+    # domain 0 has no anchors, so every candidate of both seeds is one stack;
+    # later the lam = 0 candidates (no anchors) and lam = 5 candidates split
+    assert [len(models) for models, _ in trained] == [4] + [2, 2] * (T - 1)
+    trained.clear()
+    execute_run(cfg, cfg.strategies[1], cfg.seeds)   # er, 3 quota candidates
+    assert [len(models) for models, _ in trained] == [6] * T
+
+
+def test_stacked_candidates_match_the_sequential_candidate_loop(tmp_path, monkeypatch):
+    cfg = parse_config(LAM_GRID_DOC)
+    stacked = run_experiment(cfg, out_dir=str(tmp_path / "stacked"))
+    persist_results(stacked, str(tmp_path / "stacked"))
+    monkeypatch.setattr(harness, "_select_and_train", oracles.select_one_candidate_at_a_time)
+    trained = count_calls(monkeypatch, strategies, "train_classifier")
+    sequential = run_experiment(cfg, out_dir=str(tmp_path / "sequential"))
+    persist_results(sequential, str(tmp_path / "sequential"))
+    assert max(len(models) for models, _ in trained) == len(cfg.seeds)
+    assert all(rec.ok for rec in stacked + sequential)
+    assert oracles.tree_mismatches(tmp_path / "stacked", tmp_path / "sequential") == []
+
+
 def test_persisted_files_carry_golden_headers(tiny):
     _, _, _, paths = tiny
     assert set(paths) == {"matrix.csv", "summary.csv", "routing.csv",

@@ -12,7 +12,7 @@ from driftlab.optim import OptimizerState
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.strategies import strategy_dispatch
-from driftlab.training import (estimate_fisher_diag, ewc_penalty,
+from driftlab.training import (estimate_fisher_diag, ewc_hook, ewc_penalty,
                                train_classifier)
 
 import oracles
@@ -104,9 +104,9 @@ def test_non_finite_loss_is_reported_with_location():
        n_classes=st.integers(2, 4), batch_size=st.integers(2, 9),
        full_batches=st.integers(0, 3), epochs=st.integers(0, 3),
        kind=st.sampled_from(["sgd", "adam"]), seed=st.integers(0, 2 ** 16),
-       penalised=st.booleans())
+       n_anchors=st.integers(0, 3))
 def test_lockstep_matches_the_per_model_loop(data, S, dims, n_classes, batch_size,
-                                             full_batches, epochs, kind, seed, penalised):
+                                             full_batches, epochs, kind, seed, n_anchors):
     # the last batch is ragged: 1 to batch_size - 1 rows
     n = full_batches * batch_size + data.draw(st.integers(1, batch_size - 1))
     dims = [*dims, n_classes]
@@ -114,20 +114,24 @@ def test_lockstep_matches_the_per_model_loop(data, S, dims, n_classes, batch_siz
     sets = [LabeledSet(rng.normal(size=(n, dims[0])), rng.integers(0, n_classes, n))
             for _ in range(S)]
     seeds = [seed + s for s in range(S)]
-    penalty = None
-    if penalised and S == 1:
-        size = nn.init_classifier(dims, 0).params.size
-        anchors = [(rng.normal(size=size), rng.uniform(0.0, 2.0, size))]
-        penalty = lambda m: ewc_penalty(m, anchors, 0.5)
+    # an EWC penalty with a lam and n_anchors anchors of its own per model
+    size = nn.init_classifier(dims, 0).params.size
+    anchors = [[(rng.normal(size=size), rng.uniform(0.0, 2.0, size))
+                for _ in range(n_anchors)] for _ in range(S)]
+    lams = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=S, max_size=S))
     rate = 0.05 if kind == "sgd" else 0.01
 
     lockstep = [nn.init_classifier(dims, s) for s in seeds]
     log = train_classifier(lockstep, sets, epochs=epochs, batch_size=batch_size,
-                           opt=OptimizerState(kind, rate), seeds=seeds, penalty=penalty)
+                           opt=OptimizerState(kind, rate), seeds=seeds,
+                           penalty=ewc_hook(anchors, lams))
     assert log.epoch_losses.shape == (S, epochs)
     assert log.n_steps == epochs * -(-n // batch_size)
     for s, (model, train) in enumerate(zip(lockstep, sets)):
         alone = nn.init_classifier(dims, seeds[s])
+        penalty = None
+        if n_anchors:
+            penalty = lambda m, s=s: ewc_penalty(m, anchors[s], lams[s])
         losses = oracles.train_one_at_a_time(alone, train, epochs=epochs,
                                              batch_size=batch_size,
                                              opt=OptimizerState(kind, rate),
@@ -145,13 +149,33 @@ def test_lockstep_rejects_what_cannot_stack():
     with pytest.raises(ShapeError):
         train_classifier([fresh_model(), fresh_model(dims=(2, 4, 2))], [data, data],
                          epochs=1, batch_size=16, opt=opt(), seeds=[0, 1])
-    with pytest.raises(ValidationError, match="one model at a time"):
-        train_classifier([fresh_model(), fresh_model()], [data, data], epochs=1,
-                         batch_size=16, opt=opt(), seeds=[0, 1],
-                         penalty=lambda m: (0.0, np.zeros_like(m.params)))
     with pytest.raises(ValidationError, match="one seed per model"):
         train_classifier([fresh_model()], [data], epochs=1, batch_size=16, opt=opt(),
                          seeds=[0, 1])
+    anchor = (fresh_model().params, unit_fisher(fresh_model()))
+    with pytest.raises(ValidationError, match="one anchor count"):
+        ewc_hook([[anchor], [anchor, anchor]], [1.0, 1.0])
+
+
+def test_a_penalised_stack_trains_each_model_as_alone():
+    # two models, two anchors each, and a lam per model, through one stack
+    data, other = separable_data(), separable_data(seed=4)
+    models = [fresh_model(seed=1), fresh_model(seed=2)]
+    size = models[0].params.size
+    anchors = [[(fresh_model(seed=10 + 2 * s + a).params, np.full(size, a + 0.5))
+                for a in range(2)] for s in range(2)]
+    lams = [0.5, 5.0]
+    log = train_classifier(models, [data, other], epochs=2, batch_size=16,
+                           opt=OptimizerState("sgd", 0.05), seeds=[3, 4],
+                           penalty=ewc_hook(anchors, lams))
+    for s, train in enumerate([data, other]):
+        alone = fresh_model(seed=1 + s)
+        losses = oracles.train_one_at_a_time(
+            alone, train, epochs=2, batch_size=16, opt=OptimizerState("sgd", 0.05),
+            seed=3 + s, penalty=lambda m: ewc_penalty(m, anchors[s], lams[s]))
+        assert np.array_equal(models[s].params, alone.params)
+        assert np.array_equal(log.epoch_losses[s], losses)
+    assert not np.array_equal(models[0].params, fresh_model(seed=1).params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +224,30 @@ def test_fisher_approaches_expected_fisher_on_large_samples():
     (fw, fb), = nn.layer_views(model, fisher)
     assert np.allclose(fw, want_w, rtol=0.15, atol=0.01)
     assert np.allclose(fb, want_b, rtol=0.15, atol=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dims=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+       d=st.integers(1, 5), n_classes=st.integers(2, 4), n=st.integers(1, 700),
+       subsample=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_fisher_matches_the_per_row_loop(data, dims, d, n_classes, n, subsample, seed):
+    dims = [d, *dims, n_classes]   # 1 to 3 layers
+    rng = np.random.default_rng(seed)
+    model = nn.init_classifier(dims, seed)
+    rows = LabeledSet(rng.normal(size=(n, d)) * 2.0, rng.integers(0, n_classes, n))
+    n_samples = data.draw(st.integers(1, n)) if subsample else None
+    fisher = estimate_fisher_diag(model, rows, seed=seed + 1, n_samples=n_samples)
+    want = oracles.fisher_one_row_at_a_time(model, rows, seed + 1, n_samples=n_samples)
+    assert np.array_equal(fisher, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fisher_rejects_predictions_that_are_not_a_distribution():
+    # row 1's logits overflow to +-inf, so its softmax is NaN
+    model = nn.Classifier([2, 2], [np.array([[1e308, -1e308], [0.0, 0.0]])], [np.zeros(2)])
+    rows = LabeledSet(np.array([[0.0, 1.0], [2.0, 0.0], [3.0, 0.0]]), np.zeros(3, dtype=int))
+    with pytest.raises(NumericError, match="row 1 "):
+        estimate_fisher_diag(model, rows, seed=0)
 
 
 def test_fisher_subsample_bounds():
