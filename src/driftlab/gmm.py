@@ -16,7 +16,7 @@ import numpy as np
 
 from .benchmarks import LabeledSet
 from .errors import NumericError, ShapeError, ValidationError
-from .kmeans import kmeans_pp_init
+from .kmeans import kmeans_pp_init, sum_axis0
 from .rng import make_rng
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -59,18 +59,24 @@ class Mixture:
         return self.means.shape[1]
 
 
-def _log_prob_matrix(mix: Mixture, X: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of log w_k + log N(x_i; mu_k, diag(v_k))."""
-    diff = X[:, None, :] - mix.means[None, :, :]          # (n, K, d)
-    quad = (diff ** 2 / mix.variances[None, :, :]).sum(axis=2)
+def _log_prob_matrix(mix: Mixture, XT: np.ndarray) -> np.ndarray:
+    """(K, n) matrix of log w_k + log N(x_i; mu_k, diag(v_k)) from (d, n) data.
+
+    Feature-major: the (d, K, n) terms run along the contiguous n axis and
+    sum_axis0 adds them over d in NumPy's pairwise order, so each entry has
+    the bits of the row-major (n, K, d) sum over its last axis.
+    """
+    quad = XT[:, None, :] - mix.means.T[:, :, None]       # (d, K, n)
+    np.square(quad, out=quad)
+    quad /= mix.variances.T[:, :, None]
     norm = (np.log(mix.variances) + LOG_2PI).sum(axis=1)  # (K,)
-    return np.log(mix.weights)[None, :] - 0.5 * (quad + norm[None, :])
+    return np.log(mix.weights)[:, None] - 0.5 * (sum_axis0(quad) + norm[:, None])
 
 
 def _log_norm(lp: np.ndarray) -> np.ndarray:
-    """Per-row log-sum-exp of a log-probability matrix: log p(x_i)."""
-    top = lp.max(axis=1)
-    return top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
+    """Per-column log-sum-exp of a (K, n) log-probability matrix: log p(x_i)."""
+    top = lp.max(axis=0)
+    return top + np.log(sum_axis0(np.exp(lp - top)))
 
 
 def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
@@ -81,6 +87,10 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
     start from k-means++ seeds; a component that loses all its responsibility
     mass is re-seeded on the point the model currently explains worst, which
     restarts the trace.
+
+    The log-probability pass runs on a feature-major copy of X; the
+    responsibilities go back to row-major (n, K) for the M-step, whose
+    sums over rows and products with X keep their row-major bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -99,13 +109,14 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
 
     # the E-step normaliser of one iteration is the log-likelihood pass of
     # the M-step before it, so each iteration builds lp once
+    XT = X.T.copy()
     X2 = X ** 2
-    lp = _log_prob_matrix(mix, X)
+    lp = _log_prob_matrix(mix, XT)
     log_norm = _log_norm(lp)
     trace = []
     prev = -np.inf
     for _ in range(config.max_iter):
-        resp = np.exp(lp - log_norm[:, None])             # (n, K)
+        resp = np.exp(lp - log_norm).T.copy()             # (n, K)
 
         mass = resp.sum(axis=0)                           # (K,)
         dead = mass < 1e-12
@@ -116,7 +127,7 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
                 mix.variances[j] = global_var
                 mix.weights[j] = 1.0 / n
             mix.weights /= mix.weights.sum()
-            lp = _log_prob_matrix(mix, X)
+            lp = _log_prob_matrix(mix, XT)
             log_norm = _log_norm(lp)
             trace = []                                    # ascent restarts after a rescue
             prev = -np.inf
@@ -127,7 +138,7 @@ def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
         ex2 = (resp.T @ X2) / mass[:, None]
         mix.variances = np.maximum(ex2 - mix.means ** 2, config.var_floor)
 
-        lp = _log_prob_matrix(mix, X)
+        lp = _log_prob_matrix(mix, XT)
         log_norm = _log_norm(lp)
         ll = float(log_norm.sum())
         if not np.isfinite(ll):

@@ -36,10 +36,45 @@ def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def sum_axis0(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 with the bits NumPy gives summing a contiguous last axis.
+
+    NumPy adds a contiguous run of n terms pairwise: left to right below 8
+    terms; up to 128 terms in eight running partials (term i into partial
+    i % 8), combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
+    left to right; above 128 terms as two halves split at a multiple of 8.
+    The total is then added to 0.0. Here each of those adds is one
+    vectorised add over the trailing axes, so a feature-major (d, ..., n)
+    array sums over a short d in a few calls, bit for bit as its row-major
+    (n, ..., d) copy sums over its last axis.
+    """
+    if a.shape[0] < 8:
+        # a leading-axis reduce is that same left-to-right run from 0.0
+        return np.add.reduce(a, axis=0)
+    return 0.0 + _pairwise_axis0(a)
+
+
+def _pairwise_axis0(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_axis0(a[:half]) + _pairwise_axis0(a[half:])
+    r = a[:8].copy()
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r += a[i:i + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(stop, n):
+        out += a[i]
+    return out
+
+
+def _assign(XT: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest center of each column of the (d, n) data XT."""
+    d2 = XT[:, None, :] - centers.T[:, :, None]           # (d, K, n)
+    np.square(d2, out=d2)
     # argmin returns the lowest index on exact distance ties
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(sum_axis0(d2), axis=0)
 
 
 def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
@@ -54,8 +89,9 @@ def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
         raise ShapeError(f"expected non-empty (n, d) data, got shape {X.shape}")
     if not 1 <= k <= X.shape[0]:
         raise ValidationError(f"k must be in [1, {X.shape[0]}], got {k}")
+    XT = X.T.copy()
     centers = kmeans_pp_init(X, k, rng)
-    labels = _assign(X, centers)
+    labels = _assign(XT, centers)
     trace = []
     for _ in range(MAX_ITER):
         old = centers.copy()
@@ -66,7 +102,7 @@ def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
             else:
                 far = np.argmax(((X - centers[labels]) ** 2).sum(axis=1))
                 centers[j] = X[far]
-        labels = _assign(X, centers)
+        labels = _assign(XT, centers)
         trace.append(float(((X - centers[labels]) ** 2).sum()))
         if np.sqrt(((centers - old) ** 2).sum(axis=1)).max() < MOVE_TOL:
             break
@@ -98,16 +134,16 @@ class CentroidRouter:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValidationError("each domain needs a non-empty (n, d) feature set")
+        if self.centroids is not None and X.shape[1] != self.centroids.shape[1]:
+            raise ShapeError(
+                f"expected features of dim {self.centroids.shape[1]}, got {X.shape[1]}"
+            )
         k = min(self.n_centroids, X.shape[0])
         centers, _, _ = fit_kmeans(X, k, rng)
         ids = np.full(k, self.n_domains)
         if self.centroids is None:
             self.centroids, self.domain_ids = centers, ids
         else:
-            if X.shape[1] != self.centroids.shape[1]:
-                raise ShapeError(
-                    f"expected features of dim {self.centroids.shape[1]}, got {X.shape[1]}"
-                )
             self.centroids = np.vstack([self.centroids, centers])
             self.domain_ids = np.concatenate([self.domain_ids, ids])
         return self

@@ -1,0 +1,31 @@
+"""Suite-wide fixtures."""
+
+import faulthandler
+import os
+import sys
+
+import pytest
+
+# No test runs near this long; one that does is hung (a pool worker that
+# forked with a lock held, say), so dump every thread's stack and exit.
+HANG_SECONDS = 120
+
+STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # output capture is suspended here, so this copies the terminal's
+    # stderr; a dump written inside a captured test would die with it
+    config.stash[STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def traceback_on_hang(request):
+    faulthandler.dump_traceback_later(
+        HANG_SECONDS, exit=True, file=request.config.stash[STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()

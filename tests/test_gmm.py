@@ -31,7 +31,7 @@ def test_log_likelihood_matches_naive_density_sum():
     )
     X = rng.normal(size=(40, 3))
     want = oracles.gmm_log_likelihood_naive(X, mix.weights, mix.means, mix.variances)
-    assert abs(gmm._log_norm(gmm._log_prob_matrix(mix, X)).sum() - want) < 1e-9
+    assert abs(gmm._log_norm(gmm._log_prob_matrix(mix, X.T)).sum() - want) < 1e-9
 
 
 def test_em_trace_is_monotone_non_decreasing():
@@ -111,7 +111,7 @@ def assert_fit_matches_two_pass_oracle(X, config, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n_extra=st.integers(0, 40), d=st.integers(1, 5), k=st.integers(1, 4),
+@given(n_extra=st.integers(0, 40), d=st.integers(1, 12), k=st.integers(1, 10),
        seed=st.integers(0, 2**31 - 1), decimals=st.sampled_from([None, 0, 1]))
 def test_fit_em_matches_the_two_pass_oracle(n_extra, d, k, seed, decimals):
     rng = np.random.default_rng(seed)

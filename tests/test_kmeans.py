@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import kmeans
 from driftlab.errors import ShapeError, ValidationError
-from driftlab.kmeans import CentroidRouter, fit_kmeans, kmeans_pp_init
+from driftlab.kmeans import CentroidRouter, fit_kmeans, kmeans_pp_init, sum_axis0
 from driftlab.rng import make_rng
 
 import oracles
@@ -111,6 +112,19 @@ def test_router_caps_centroids_by_domain_size():
     assert router.centroids.shape == (2, 2)
 
 
+def test_a_mismatched_domain_is_rejected_before_any_fit(monkeypatch):
+    router = CentroidRouter(n_centroids=2, n_neighbors=1)
+    router.add_domain(np.zeros((4, 2)), make_rng(0, "c"))
+
+    def no_fit(*args):
+        raise AssertionError("fit_kmeans ran on a domain of the wrong dim")
+
+    monkeypatch.setattr(kmeans, "fit_kmeans", no_fit)
+    with pytest.raises(ShapeError, match="dim 2, got 3"):
+        router.add_domain(np.zeros((4, 3)), make_rng(1, "c"))
+    assert router.centroids.shape == (2, 2)
+
+
 def test_router_validation():
     with pytest.raises(ValidationError):
         CentroidRouter(n_centroids=0, n_neighbors=1)
@@ -149,3 +163,47 @@ def test_vote_matches_the_per_row_loop(case):
     want = oracles.centroid_vote_loop(X, centroids, domain_ids, n_neighbors)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
+       trailing=st.sampled_from([(), (1,), (3,), (2, 5)]),
+       specials=st.sampled_from([(), (0.0, -0.0), (-0.0,), (np.inf, -np.inf, -0.0)]),
+       share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**31 - 1))
+def test_sum_axis0_adds_in_numpys_last_axis_order(n, trailing, specials, share, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n,) + trailing) * 10.0 ** rng.uniform(-8, 8, size=(n,) + trailing)
+    if specials:
+        hit = rng.random(a.shape) < share
+        a[hit] = rng.choice(specials, size=int(hit.sum()))
+    with np.errstate(invalid="ignore"):      # inf + -inf
+        want = np.ascontiguousarray(a.T).sum(axis=-1).T
+        got = sum_axis0(a)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def point_clouds(draw):
+    """Rows and centers up to d = 12; an integer grid makes exact ties."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, min(n, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0, size=d)
+    if draw(st.booleans()):
+        X = np.round(X)
+    return X, k, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_clouds())
+def test_assignments_match_the_brute_force_scan(case):
+    X, k, seed = case
+    rng = np.random.default_rng(seed)
+    centers = X[rng.integers(len(X), size=k)] + np.round(rng.normal(size=(k, X.shape[1])))
+    want = oracles.nearest_centroid_scan(X, centers)
+    got = kmeans._assign(X.T.copy(), centers)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    fitted, labels, _ = fit_kmeans(X, k, make_rng(seed))
+    assert np.array_equal(labels, oracles.nearest_centroid_scan(X, fitted))
