@@ -1,8 +1,10 @@
 """Per-class diagonal Gaussian mixtures and the synthetic buffers they emit.
 
 Each domain gets one generator: a class-conditional mixture of diagonal
-Gaussians fitted by EM on the domain's training split. Once the stream has
-moved on, the real data is gone; the generator's samples stand in for it.
+Gaussians fitted by EM on the domain's training split. The classes of a
+domain fit as one EM stack, and each class gets the bits it would get
+fitted alone. Once the stream has moved on, the real data is gone; the
+generator's samples stand in for it.
 A drawn buffer is a plain LabeledSet, deterministic in (generator, seed),
 so every consumer of replayed data (the replay classifier and the domain
 router alike) can be shown to use the exact same synthetic samples.
@@ -10,6 +12,7 @@ router alike) can be shown to use the exact same synthetic samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,95 +62,135 @@ class Mixture:
         return self.means.shape[1]
 
 
-def _log_prob_matrix(mix: Mixture, XT: np.ndarray) -> np.ndarray:
-    """(K, n) matrix of log w_k + log N(x_i; mu_k, diag(v_k)) from (d, n) data.
+def _log_prob_matrix(weights, means, variances, XT):
+    """(K, S, n) matrix of log w_k + log N(x_i; mu_k, diag(v_k)) for S
+    stacked mixtures, weights (S, K) and means and variances (S, K, d),
+    on feature-major (d, S, n) data.
 
-    Feature-major: the (d, K, n) terms run along the contiguous n axis and
-    sum_axis0 adds them over d in NumPy's pairwise order, so each entry has
-    the bits of the row-major (n, K, d) sum over its last axis.
+    The (d, K, S, n) terms run along the contiguous n axis and sum_axis0
+    adds them over d in NumPy's pairwise order, so each entry has the bits
+    of the row-major (n, K, d) sum over its last axis.
     """
-    quad = XT[:, None, :] - mix.means.T[:, :, None]       # (d, K, n)
+    quad = XT[:, None] - means.transpose(2, 1, 0)[..., None]     # (d, K, S, n)
     np.square(quad, out=quad)
-    quad /= mix.variances.T[:, :, None]
-    norm = (np.log(mix.variances) + LOG_2PI).sum(axis=1)  # (K,)
-    return np.log(mix.weights)[:, None] - 0.5 * (sum_axis0(quad) + norm[:, None])
+    quad /= variances.transpose(2, 1, 0)[..., None]
+    norm = (np.log(variances) + LOG_2PI).sum(axis=2)              # (S, K)
+    return np.log(weights).T[..., None] - 0.5 * (sum_axis0(quad) + norm.T[..., None])
 
 
 def _log_norm(lp: np.ndarray) -> np.ndarray:
-    """Per-column log-sum-exp of a (K, n) log-probability matrix: log p(x_i)."""
+    """Log-sum-exp over the K axis of a (K, ...) log-probability matrix: log p(x_i)."""
     top = lp.max(axis=0)
     return top + np.log(sum_axis0(np.exp(lp - top)))
 
 
+def _m_step(resp, X, X2, mass, var_floor):
+    """Weights, means and floored variances of S slices from (S, n, K)
+    responsibilities; each sum and product runs on one slice at a time."""
+    respT = resp.transpose(0, 2, 1)
+    means = (respT @ X) / mass[..., None]
+    ex2 = (respT @ X2) / mass[..., None]
+    return mass / resp.shape[1], means, np.maximum(ex2 - means ** 2, var_floor)
+
+
+def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
+    """EM on S equal-shaped data sets at once: X is (S, n, d), rngs holds
+    one generator per slice. Returns one (Mixture, ll_trace) per slice.
+
+    Each slice is the fit fit_em gives its data alone, bit for bit: it has
+    its own k-means++ seeds, floored global variance, trace and stopping
+    test. The log-probabilities of all slices form one feature-major
+    (K, S, n) pass; the responsibilities go back to a row-major (S, n, K)
+    array, so every sum over rows and every BLAS product is one slice's.
+    A slice with a dead component skips its M-step while the others take
+    theirs, and a slice that stops leaves the stack.
+    """
+    S, n, _ = X.shape
+    k = config.n_components
+    global_var = np.stack([np.maximum(x.var(axis=0), config.var_floor) for x in X])
+    weights = np.full((S, k), 1.0 / k)
+    means = np.stack([kmeans_pp_init(x, k, rng) for x, rng in zip(X, rngs)])
+    variances = np.repeat(global_var[:, None], k, axis=1)
+
+    # the E-step normaliser of one iteration is the log-likelihood pass of
+    # the M-step before it, so each iteration builds lp once
+    XT = X.transpose(2, 0, 1).copy()                      # (d, S, n)
+    X2 = X ** 2
+    lp = _log_prob_matrix(weights, means, variances, XT)
+    log_norm = _log_norm(lp)                              # (S, n)
+    slots = list(range(S))                                # input slice of each stack slice
+    traces = [[] for _ in range(S)]
+    prev = [-np.inf] * S
+    fits = [None] * S
+    for _ in range(config.max_iter):
+        resp = np.exp(lp - log_norm).transpose(1, 2, 0).copy()   # (S, n, K)
+        mass = resp.sum(axis=1)                                   # (S, K)
+        dead = mass < 1e-12
+        rescued = dead.any(axis=1)
+        if rescued.any():
+            live = ~rescued
+            weights[live], means[live], variances[live] = _m_step(
+                resp[live], X[live], X2[live], mass[live], config.var_floor)
+            for s in np.flatnonzero(rescued):
+                worst = np.argmin(log_norm[s])
+                means[s, dead[s]] = X[s, worst]
+                variances[s, dead[s]] = global_var[s]
+                weights[s, dead[s]] = 1.0 / n
+                weights[s] /= weights[s].sum()
+                traces[s] = []                            # ascent restarts after a rescue
+                prev[s] = -np.inf
+        else:
+            weights, means, variances = _m_step(resp, X, X2, mass, config.var_floor)
+
+        lp = _log_prob_matrix(weights, means, variances, XT)
+        log_norm = _log_norm(lp)
+        done = []
+        for s, ll in enumerate(log_norm.sum(axis=1).tolist()):
+            if rescued[s]:
+                continue
+            if not math.isfinite(ll):
+                raise NumericError("non-finite log-likelihood during EM")
+            traces[s].append(ll)
+            if ll - prev[s] <= config.tol and len(traces[s]) > 1:
+                done.append(s)
+            prev[s] = ll
+        if done:
+            for s in done:
+                fits[slots[s]] = _finish(weights[s], means[s], variances[s], traces[s])
+            keep = [s for s in range(len(slots)) if s not in done]
+            if not keep:
+                return fits
+            X, X2 = X[keep], X2[keep]
+            XT = X.transpose(2, 0, 1).copy()
+            weights, means, variances = weights[keep], means[keep], variances[keep]
+            lp, log_norm, global_var = lp[:, keep], log_norm[keep], global_var[keep]
+            slots, traces, prev = ([lst[s] for s in keep] for lst in (slots, traces, prev))
+    for s, slot in enumerate(slots):
+        fits[slot] = _finish(weights[s], means[s], variances[s], traces[s])
+    return fits
+
+
+def _finish(weights, means, variances, trace):
+    """One slice's fit, detached from the stack."""
+    return Mixture(weights.copy(), means.copy(), variances.copy()), np.asarray(trace)
+
+
 def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
-    """EM for a diagonal-covariance mixture.
+    """EM for a diagonal-covariance mixture: fit_em_stack on one slice.
 
     Returns (Mixture, ll_trace). The trace is the total log-likelihood after
     each M-step and is non-decreasing to within accumulation error. Means
     start from k-means++ seeds; a component that loses all its responsibility
     mass is re-seeded on the point the model currently explains worst, which
     restarts the trace.
-
-    The log-probability pass runs on a feature-major copy of X; the
-    responsibilities go back to row-major (n, K) for the M-step, whose
-    sums over rows and products with X keep their row-major bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected (n, d) data, got shape {X.shape}")
-    n, d = X.shape
-    k = config.n_components
+    n, k = X.shape[0], config.n_components
     if n < k:
         raise ValidationError(f"need at least {k} samples to fit {k} components, got {n}")
-
-    global_var = np.maximum(X.var(axis=0), config.var_floor)
-    mix = Mixture(
-        weights=np.full(k, 1.0 / k),
-        means=kmeans_pp_init(X, k, rng),
-        variances=np.tile(global_var, (k, 1)),
-    )
-
-    # the E-step normaliser of one iteration is the log-likelihood pass of
-    # the M-step before it, so each iteration builds lp once
-    XT = X.T.copy()
-    X2 = X ** 2
-    lp = _log_prob_matrix(mix, XT)
-    log_norm = _log_norm(lp)
-    trace = []
-    prev = -np.inf
-    for _ in range(config.max_iter):
-        resp = np.exp(lp - log_norm).T.copy()             # (n, K)
-
-        mass = resp.sum(axis=0)                           # (K,)
-        dead = mass < 1e-12
-        if dead.any():
-            worst = np.argmin(log_norm)
-            for j in np.flatnonzero(dead):
-                mix.means[j] = X[worst]
-                mix.variances[j] = global_var
-                mix.weights[j] = 1.0 / n
-            mix.weights /= mix.weights.sum()
-            lp = _log_prob_matrix(mix, XT)
-            log_norm = _log_norm(lp)
-            trace = []                                    # ascent restarts after a rescue
-            prev = -np.inf
-            continue
-
-        mix.weights = mass / n
-        mix.means = (resp.T @ X) / mass[:, None]
-        ex2 = (resp.T @ X2) / mass[:, None]
-        mix.variances = np.maximum(ex2 - mix.means ** 2, config.var_floor)
-
-        lp = _log_prob_matrix(mix, XT)
-        log_norm = _log_norm(lp)
-        ll = float(log_norm.sum())
-        if not np.isfinite(ll):
-            raise NumericError("non-finite log-likelihood during EM")
-        trace.append(ll)
-        if ll - prev <= config.tol and len(trace) > 1:
-            break
-        prev = ll
-    return mix, np.asarray(trace)
+    return fit_em_stack(X[None], config, [rng])[0]
 
 
 @dataclass
@@ -161,16 +204,30 @@ class GmmGenerator:
 
 def fit_generator(trainset: LabeledSet, domain_id: int, n_classes: int,
                   config: FitConfig, seed: int) -> GmmGenerator:
-    """Fit one diagonal GMM per class on a domain's training split."""
-    gen = GmmGenerator(domain_id)
-    for c in range(n_classes):
-        Xc = trainset.X[trainset.y == c]
+    """Fit one diagonal GMM per class on a domain's training split.
+
+    Every class size is checked before any fit. Classes with the same row
+    count then fit as one EM stack, each from its own make_rng(seed,
+    "class", c); balanced labels give at most two stacks.
+    """
+    splits = [trainset.X[trainset.y == c] for c in range(n_classes)]
+    for c, Xc in enumerate(splits):
         if Xc.shape[0] < config.n_components:
             raise ValidationError(
                 f"class {c} has {Xc.shape[0]} samples, fewer than "
                 f"{config.n_components} mixture components"
             )
-        mix, trace = fit_em(Xc, config, make_rng(seed, "class", c))
+    by_size = {}
+    for c, Xc in enumerate(splits):
+        by_size.setdefault(Xc.shape[0], []).append(c)
+    fits = [None] * n_classes
+    for classes in by_size.values():
+        stack = fit_em_stack(np.stack([splits[c] for c in classes]), config,
+                             [make_rng(seed, "class", c) for c in classes])
+        for c, fit in zip(classes, stack):
+            fits[c] = fit
+    gen = GmmGenerator(domain_id)
+    for mix, trace in fits:
         gen.mixtures.append(mix)
         gen.ll_traces.append(trace)
     return gen

@@ -25,6 +25,7 @@ write leaves the previous file whole.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import time
@@ -338,10 +339,15 @@ def _write_lines(out_dir, name, lines) -> str:
 
 def _write_text(out_dir, name, text: str) -> str:
     """Write through a temp file and a rename, so a reader never sees a
-    half-written file and a failed write keeps the previous one."""
+    half-written file and a failed write leaves only the previous one."""
     path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path

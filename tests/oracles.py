@@ -5,12 +5,14 @@ closed forms, or a different algorithm entirely (eigendecomposition instead
 of SVD, direct densities instead of log-sum-exp, central differences
 instead of backpropagation). Apart from finite_diff_check, which
 differences driftlab's own loss, fit_em_two_pass, which starts from
-driftlab's k-means++ seeds, train_one_at_a_time, which steps one model
-with driftlab's own loss and optimizer, fisher_one_row_at_a_time, which
-backprops one row at a time through driftlab's own backprop body, and
-select_one_candidate_at_a_time, which trains one grid candidate at a
-time through driftlab's strategies, nothing here imports from driftlab,
-so agreement between the two routes is meaningful. tree_mismatches and
+driftlab's k-means++ seeds, fit_generator_one_class_at_a_time, which
+fits one class at a time through fit_em_two_pass, train_one_at_a_time,
+which steps one model with driftlab's own loss and optimizer,
+fisher_one_row_at_a_time, which backprops one row at a time through
+driftlab's own backprop body, and select_one_candidate_at_a_time, which
+trains one grid candidate at a time through driftlab's strategies,
+nothing here imports from driftlab, so agreement between the two routes
+is meaningful. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
 """
 
@@ -156,6 +158,25 @@ def fit_em_two_pass(X, config, rng):
             break
         prev = ll
     return weights, means, variances, np.asarray(trace)
+
+
+def fit_generator_one_class_at_a_time(trainset, domain_id, n_classes, config, seed):
+    """gmm.fit_generator as it was before a domain's classes fitted as one
+    EM stack: each class is checked and then fitted alone, here by
+    fit_em_two_pass, before the next class starts."""
+    gen = gmm.GmmGenerator(domain_id)
+    for c in range(n_classes):
+        Xc = trainset.X[trainset.y == c]
+        if Xc.shape[0] < config.n_components:
+            raise ValidationError(
+                f"class {c} has {Xc.shape[0]} samples, fewer than "
+                f"{config.n_components} mixture components"
+            )
+        weights, means, variances, trace = fit_em_two_pass(
+            Xc, config, make_rng(seed, "class", c))
+        gen.mixtures.append(gmm.Mixture(weights, means, variances))
+        gen.ll_traces.append(trace)
+    return gen
 
 
 def pca_2d_reference(X):

@@ -31,7 +31,9 @@ def test_log_likelihood_matches_naive_density_sum():
     )
     X = rng.normal(size=(40, 3))
     want = oracles.gmm_log_likelihood_naive(X, mix.weights, mix.means, mix.variances)
-    assert abs(gmm._log_norm(gmm._log_prob_matrix(mix, X.T)).sum() - want) < 1e-9
+    lp = gmm._log_prob_matrix(mix.weights[None], mix.means[None], mix.variances[None],
+                              X.T[:, None])
+    assert abs(gmm._log_norm(lp).sum() - want) < 1e-9
 
 
 def test_em_trace_is_monotone_non_decreasing():
@@ -157,6 +159,125 @@ def test_fit_generator_rejects_classes_smaller_than_k():
     data = LabeledSet(np.zeros((5, 2)), np.array([0, 0, 0, 0, 1]))
     with pytest.raises(ValidationError, match="class 1"):
         fit_generator(data, 0, 2, FitConfig(n_components=2), 0)
+
+
+def test_fit_generator_checks_every_class_before_any_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("EM ran before every class size was checked")
+
+    monkeypatch.setattr(gmm, "fit_em_stack", no_fit)
+    data = LabeledSet(np.zeros((8, 2)), np.array([0, 0, 0, 0, 1, 2, 2, 2]))
+    with pytest.raises(ValidationError, match="class 1 has 1 samples"):
+        fit_generator(data, 0, 3, FitConfig(n_components=2), 0)
+
+
+def assert_generator_matches_one_class_at_a_time(data, n_classes, config, seed):
+    """fit_generator and the per-class oracle agree bit for bit, or both raise."""
+    try:
+        want = oracles.fit_generator_one_class_at_a_time(data, 3, n_classes, config, seed)
+    except NumericError:
+        with pytest.raises(NumericError):
+            fit_generator(data, 3, n_classes, config, seed)
+        return None
+    gen = fit_generator(data, 3, n_classes, config, seed)
+    assert gen.domain_id == 3 and len(gen.mixtures) == len(gen.ll_traces) == n_classes
+    for got_mix, want_mix, got_trace, want_trace in zip(
+            gen.mixtures, want.mixtures, gen.ll_traces, want.ll_traces):
+        for g, w in ((got_mix.weights, want_mix.weights), (got_mix.means, want_mix.means),
+                     (got_mix.variances, want_mix.variances), (got_trace, want_trace)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    return gen
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_classes=st.integers(1, 4), d=st.integers(1, 12), k=st.integers(1, 6),
+       n_extra=st.integers(0, 30), remainder=st.integers(0, 3),
+       max_iter=st.integers(1, 60), tol=st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 10.0]),
+       seed=st.integers(0, 2**31 - 1), decimals=st.sampled_from([None, 0, 1]))
+def test_fit_generator_matches_one_class_at_a_time(n_classes, d, k, n_extra, remainder,
+                                                   max_iter, tol, seed, decimals):
+    # balanced labels over n_train rows: when n_classes does not divide
+    # n_train, the first classes hold one row more and two stacks form
+    n_train = n_classes * (k + n_extra) + remainder % n_classes
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(n_train) % n_classes)
+    centers = rng.normal(0.0, 3.0, size=(n_classes, d))
+    X = centers[y] + rng.normal(size=(n_train, d)) * rng.uniform(0.1, 5.0, size=d)
+    if decimals is not None:
+        X = np.round(X, decimals)          # coarse grids repeat whole rows
+    config = FitConfig(n_components=k, max_iter=max_iter, tol=tol)
+    assert_generator_matches_one_class_at_a_time(LabeledSet(X, y), n_classes, config, seed)
+
+
+def three_classes():
+    """Three classes of 40 rows, one stack; only class 1 lies near x = 100."""
+    rng = np.random.default_rng(8)
+    y = np.repeat([0, 1, 2], 40)
+    return LabeledSet(rng.normal(size=(120, 2)) + np.array([0.0, 100.0, 5.0])[y, None], y)
+
+
+def test_a_rescued_class_matches_one_class_at_a_time(monkeypatch):
+    seed_normally = gmm.kmeans_pp_init
+
+    def seed_class_1_far(X, k, rng):
+        if X[:, 0].mean() < 50.0:
+            return seed_normally(X, k, rng)
+        means = np.tile(X[0], (k, 1))
+        means[-1] = 1e6                    # no row puts any mass on it
+        return means
+
+    monkeypatch.setattr(gmm, "kmeans_pp_init", seed_class_1_far)
+    data = three_classes()
+
+    # in the first iteration class 1 rescues while its stack siblings step
+    gen = assert_generator_matches_one_class_at_a_time(
+        data, 3, FitConfig(n_components=2, max_iter=1), 0)
+    assert [t.size for t in gen.ll_traces] == [1, 0, 1]
+
+    config = FitConfig(n_components=2, max_iter=40)
+    gen = assert_generator_matches_one_class_at_a_time(data, 3, config, 0)
+    assert len({t.size for t in gen.ll_traces}) > 1     # the classes stop apart
+    assert np.abs(gen.mixtures[1].means - 100.0).max() < 10.0   # the far seed was replaced
+
+
+def test_a_later_rescue_restarts_only_its_own_trace(monkeypatch):
+    m_step = gmm._m_step
+    calls = []
+
+    def starve_class_1_at_the_first_step(resp, X, X2, mass, var_floor):
+        weights, means, variances = m_step(resp, X, X2, mass, var_floor)
+        if not calls:
+            weights[X[:, 0, 0] > 50.0, 1] = 1e-300     # no row keeps any mass on it
+        calls.append(len(X))
+        return weights, means, variances
+
+    monkeypatch.setattr(gmm, "_m_step", starve_class_1_at_the_first_step)
+    data = three_classes()
+    config = FitConfig(n_components=2, max_iter=8, tol=0.0)
+    gen = fit_generator(data, 0, 3, config, 0)
+    # class 1 logs its first step, rescues in the second iteration and
+    # restarts its trace; its siblings step on and keep theirs
+    assert calls == [3, 2] + [3] * 6
+    assert [t.size for t in gen.ll_traces] == [8, 6, 8]
+
+    calls.clear()
+    mix, trace = fit_em(data.X[data.y == 1], config, make_rng(0, "class", 1))
+    assert calls == [1, 0] + [1] * 6
+    assert np.array_equal(trace, gen.ll_traces[1])
+    assert np.array_equal(mix.means, gen.mixtures[1].means)
+
+
+def test_one_non_finite_class_fails_the_whole_stack(monkeypatch):
+    m_step = gmm._m_step
+
+    def poison_class_1(resp, X, X2, mass, var_floor):
+        weights, means, variances = m_step(resp, X, X2, mass, var_floor)
+        variances[X[:, 0, 0] > 50.0] = np.inf
+        return weights, means, variances
+
+    monkeypatch.setattr(gmm, "_m_step", poison_class_1)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        fit_generator(three_classes(), 0, 3, FitConfig(n_components=2), 0)
 
 
 def test_sample_buffer_is_deterministic_and_balanced():

@@ -366,6 +366,22 @@ def test_a_failed_report_render_keeps_the_previous_report(tiny, tmp_path, monkey
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_a_failed_rename_leaves_no_temp_file(tiny, tmp_path, monkeypatch):
+    _, records, _, _ = tiny
+    paths = persist_results(records, str(tmp_path))
+    before = {name: Path(path).read_bytes() for name, path in paths.items()}
+
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(harness.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        persist_results(records, str(tmp_path))
+    monkeypatch.undo()
+    assert not list(tmp_path.glob("*.tmp"))
+    assert {name: Path(path).read_bytes() for name, path in paths.items()} == before
+
+
 def test_checkpoints_land_under_the_run_id(tiny):
     _, records, out, _ = tiny
     for rec in records:
