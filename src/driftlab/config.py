@@ -19,9 +19,10 @@ A config is one YAML document with three required sections::
     seeds: [1, 2, 3]
     out_dir: results
 
-Scalar hyperparameters may be given as lists; the harness then selects the
-best value per domain on the current domain's validation split. Validation
-reports every violation at once, and serialize(parse(text)) round-trips.
+The hyperparameters in GRID_FIELDS may be given as lists; the harness then
+selects the best value per domain on the current domain's validation split.
+Validation reports every violation at once, and serialize(parse(text))
+round-trips.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
 # scalar knobs that accept a list value for per-domain grid selection
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
                "n_per_class", "gmm_components", "router_epochs",
-               "router_learning_rate", "n_centroids", "n_neighbors")
+               "router_learning_rate")
 
 
 @dataclass
@@ -129,21 +130,23 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
     if sc.optimizer not in ("sgd", "adam"):
         problems.append(f"{where}.optimizer: expected 'sgd' or 'adam', got {sc.optimizer!r}")
     _check_positive_float(sc.lam, f"{where}.lam", problems, allow_zero=True)
-    if isinstance(sc.fisher_samples, list):
-        problems.append(f"{where}.fisher_samples: expected one integer, not a grid list")
-    elif sc.fisher_samples is not None:
-        _check_positive_int(sc.fisher_samples, f"{where}.fisher_samples", problems)
-        if (per_class is not None and isinstance(sc.fisher_samples, int)
-                and sc.fisher_samples > n_train):
-            problems.append(f"{where}.fisher_samples: {sc.fisher_samples} exceeds "
-                            f"n_train {n_train}")
+    # one value per run, not grid fields: the Fisher estimate follows the
+    # selection, and the centroid router is built once, at domain 0
+    for name in ("fisher_samples", "n_centroids", "n_neighbors"):
+        value = getattr(sc, name)
+        if isinstance(value, list):
+            problems.append(f"{where}.{name}: expected one integer, not a grid list")
+        elif value is not None or name != "fisher_samples":     # None: the whole split
+            _check_positive_int(value, f"{where}.{name}", problems)
+    if (per_class is not None and isinstance(sc.fisher_samples, int)
+            and sc.fisher_samples > n_train):
+        problems.append(f"{where}.fisher_samples: {sc.fisher_samples} exceeds "
+                        f"n_train {n_train}")
     _check_positive_int(sc.quota, f"{where}.quota", problems)
     _check_positive_int(sc.n_per_class, f"{where}.n_per_class", problems)
     _check_positive_int(sc.gmm_components, f"{where}.gmm_components", problems)
     _check_positive_int(sc.router_epochs, f"{where}.router_epochs", problems, minimum=0)
     _check_positive_float(sc.router_learning_rate, f"{where}.router_learning_rate", problems)
-    _check_positive_int(sc.n_centroids, f"{where}.n_centroids", problems)
-    _check_positive_int(sc.n_neighbors, f"{where}.n_neighbors", problems)
     if sc.name in ("gen_replay", "g2d") and per_class is not None:
         grid = sc.gmm_components if isinstance(sc.gmm_components, list) else [sc.gmm_components]
         for k in grid:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .benchmarks import LabeledSet
 from .errors import NumericError, ShapeError, ValidationError
-from .kmeans import kmeans_pp_init, sum_axis0
+from .kmeans import kmeans_pp_init
 from .rng import make_rng
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -67,21 +67,20 @@ def _log_prob_matrix(weights, means, variances, XT):
     stacked mixtures, weights (S, K) and means and variances (S, K, d),
     on feature-major (d, S, n) data.
 
-    The (d, K, S, n) terms run along the contiguous n axis and sum_axis0
-    adds them over d in NumPy's pairwise order, so each entry has the bits
-    of the row-major (n, K, d) sum over its last axis.
+    The (d, K, S, n) terms run along the contiguous n axis and add over d
+    left to right, one vectorised add per feature.
     """
     quad = XT[:, None] - means.transpose(2, 1, 0)[..., None]     # (d, K, S, n)
     np.square(quad, out=quad)
     quad /= variances.transpose(2, 1, 0)[..., None]
     norm = (np.log(variances) + LOG_2PI).sum(axis=2)              # (S, K)
-    return np.log(weights).T[..., None] - 0.5 * (sum_axis0(quad) + norm.T[..., None])
+    return np.log(weights).T[..., None] - 0.5 * (quad.sum(axis=0) + norm.T[..., None])
 
 
 def _log_norm(lp: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the K axis of a (K, ...) log-probability matrix: log p(x_i)."""
     top = lp.max(axis=0)
-    return top + np.log(sum_axis0(np.exp(lp - top)))
+    return top + np.log(np.exp(lp - top).sum(axis=0))
 
 
 def _m_step(resp, X, X2, mass, var_floor):

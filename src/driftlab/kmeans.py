@@ -36,45 +36,16 @@ def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def sum_axis0(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 with the bits NumPy gives summing a contiguous last axis.
-
-    NumPy adds a contiguous run of n terms pairwise: left to right below 8
-    terms; up to 128 terms in eight running partials (term i into partial
-    i % 8), combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
-    left to right; above 128 terms as two halves split at a multiple of 8.
-    The total is then added to 0.0. Here each of those adds is one
-    vectorised add over the trailing axes, so a feature-major (d, ..., n)
-    array sums over a short d in a few calls, bit for bit as its row-major
-    (n, ..., d) copy sums over its last axis.
-    """
-    if a.shape[0] < 8:
-        # a leading-axis reduce is that same left-to-right run from 0.0
-        return np.add.reduce(a, axis=0)
-    return 0.0 + _pairwise_axis0(a)
-
-
-def _pairwise_axis0(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_axis0(a[:half]) + _pairwise_axis0(a[half:])
-    r = a[:8].copy()
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r += a[i:i + 8]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(stop, n):
-        out += a[i]
-    return out
-
-
 def _assign(XT: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest center of each column of the (d, n) data XT."""
+    """Nearest center of each column of the (d, n) data XT.
+
+    The (d, K, n) squared differences add over d left to right, one
+    vectorised add per feature.
+    """
     d2 = XT[:, None, :] - centers.T[:, :, None]           # (d, K, n)
     np.square(d2, out=d2)
     # argmin returns the lowest index on exact distance ties
-    return np.argmin(sum_axis0(d2), axis=0)
+    return np.argmin(d2.sum(axis=0), axis=0)
 
 
 def fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):

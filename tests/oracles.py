@@ -61,13 +61,26 @@ def single_gaussian_mle(X, var_floor):
     return mean, var
 
 
+def _sum_left_to_right(a):
+    """Sum over the last axis one term at a time, left to right.
+
+    Neither shortcut gives that order: NumPy sums a contiguous last axis
+    pairwise from 8 terms on, and the builtin sum is compensated on Python
+    3.12 and later.
+    """
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j]
+    return out
+
+
 def nearest_centroid_scan(X, centers):
     """Brute-force nearest centroid; strict < keeps the lowest index on ties."""
     out = np.empty(len(X), dtype=int)
     for i, x in enumerate(X):
         best, best_d2 = 0, np.inf
         for j, c in enumerate(centers):
-            d2 = float(((x - c) ** 2).sum())
+            d2 = float(_sum_left_to_right((x - c) ** 2))
             if d2 < best_d2:
                 best, best_d2 = j, d2
         out[i] = best
@@ -98,7 +111,7 @@ def centroid_vote_loop(X, centroids, domain_ids, n_neighbors):
 
 def _gmm_log_prob_matrix(weights, means, variances, X):
     diff = X[:, None, :] - means[None, :, :]
-    quad = (diff ** 2 / variances[None, :, :]).sum(axis=2)
+    quad = _sum_left_to_right(diff ** 2 / variances[None, :, :])
     norm = (np.log(variances) + float(np.log(2.0 * np.pi))).sum(axis=1)
     return np.log(weights)[None, :] - 0.5 * (quad + norm[None, :])
 
@@ -106,7 +119,7 @@ def _gmm_log_prob_matrix(weights, means, variances, X):
 def _gmm_total_log_likelihood(weights, means, variances, X):
     lp = _gmm_log_prob_matrix(weights, means, variances, X)
     top = lp.max(axis=1)
-    return float((top + np.log(np.exp(lp - top[:, None]).sum(axis=1))).sum())
+    return float((top + np.log(_sum_left_to_right(np.exp(lp - top[:, None])))).sum())
 
 
 def fit_em_two_pass(X, config, rng):
@@ -129,7 +142,7 @@ def fit_em_two_pass(X, config, rng):
     for _ in range(config.max_iter):
         lp = _gmm_log_prob_matrix(weights, means, variances, X)
         top = lp.max(axis=1)
-        log_norm = top + np.log(np.exp(lp - top[:, None]).sum(axis=1))
+        log_norm = top + np.log(_sum_left_to_right(np.exp(lp - top[:, None])))
         resp = np.exp(lp - log_norm[:, None])
 
         mass = resp.sum(axis=0)

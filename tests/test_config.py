@@ -245,6 +245,17 @@ def test_configs_that_can_never_run_are_rejected():
                                "epochs: 10\n    gmm_components: 7\n  - name: g2d"))
 
 
+def test_centroid_router_knobs_are_not_grid_fields():
+    # the router is built once, at domain 0, so a grid over either knob
+    # would silently keep its first value
+    for knob, value in (("n_centroids", "[1, 10]"), ("n_neighbors", "[1, 3]")):
+        doc = VALID_DOC.replace("name: g2d", f"name: centroid_router\n    {knob}: {value}")
+        assert any(f"strategies[1].{knob}: expected one integer, not a grid list" in p
+                   for p in violations(doc))
+        assert violations(doc.replace(value, "0"))
+        parse_config(doc.replace(value, "3"))
+
+
 def test_seed_list_validation():
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[]")))
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[1, two]")))
@@ -447,8 +458,8 @@ STRATEGY_KNOBS = {
     "router_hidden": st.lists(st.integers(1, 64), max_size=3),
     "router_epochs": grid_knob(st.integers(0, 100)),
     "router_learning_rate": grid_knob(RATES),
-    "n_centroids": grid_knob(st.integers(1, 10)),
-    "n_neighbors": grid_knob(st.integers(1, 10)),
+    "n_centroids": st.integers(1, 10),
+    "n_neighbors": st.integers(1, 10),
     "expert_init": st.sampled_from(EXPERT_INIT_MODES),
 }
 

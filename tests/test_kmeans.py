@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from driftlab import kmeans
 from driftlab.errors import ShapeError, ValidationError
-from driftlab.kmeans import CentroidRouter, fit_kmeans, kmeans_pp_init, sum_axis0
+from driftlab.kmeans import CentroidRouter, fit_kmeans, kmeans_pp_init
 from driftlab.rng import make_rng
 
 import oracles
@@ -163,24 +163,6 @@ def test_vote_matches_the_per_row_loop(case):
     want = oracles.centroid_vote_loop(X, centroids, domain_ids, n_neighbors)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
-       trailing=st.sampled_from([(), (1,), (3,), (2, 5)]),
-       specials=st.sampled_from([(), (0.0, -0.0), (-0.0,), (np.inf, -np.inf, -0.0)]),
-       share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**31 - 1))
-def test_sum_axis0_adds_in_numpys_last_axis_order(n, trailing, specials, share, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n,) + trailing) * 10.0 ** rng.uniform(-8, 8, size=(n,) + trailing)
-    if specials:
-        hit = rng.random(a.shape) < share
-        a[hit] = rng.choice(specials, size=int(hit.sum()))
-    with np.errstate(invalid="ignore"):      # inf + -inf
-        want = np.ascontiguousarray(a.T).sum(axis=-1).T
-        got = sum_axis0(a)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @st.composite
