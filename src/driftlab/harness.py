@@ -41,7 +41,7 @@ from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import lockstep, run_lockstep, save_checkpoint, strategy_dispatch
+from .strategies import lockstep, run_lockstep, save_checkpoint, shared_draws, strategy_dispatch
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -81,10 +81,7 @@ class RunRecord:
 def run_id_for(cfg: ExperimentConfig, strategy_name: str, seed: int) -> str:
     """Deterministic run identifier: hash of the canonical config text plus
     the (strategy, seed) coordinates of the run within it."""
-    digest = hashlib.sha256()
-    digest.update(serialize_config(cfg).encode())
-    digest.update(f"|{strategy_name}|{seed}".encode())
-    return digest.hexdigest()[:12]
+    return _new_records(cfg, strategy_name, [seed])[0].run_id
 
 
 def benchmark_label(cfg: ExperimentConfig) -> str:
@@ -122,14 +119,16 @@ def _select_and_train(strategy, grid, t, guard):
     return candidates[best]
 
 
-def _new_record(cfg: ExperimentConfig, strategy_name: str, seed: int) -> RunRecord:
-    return RunRecord(
-        run_id=run_id_for(cfg, strategy_name, seed),
-        strategy=strategy_name,
-        seed=seed,
-        benchmark_label=benchmark_label(cfg),
-        n_domains=cfg.benchmark.n_domains,
-    )
+def _new_records(cfg: ExperimentConfig, strategy_name: str, seeds) -> list:
+    """An empty record per seed; the config text is serialized once for all."""
+    config_hash = hashlib.sha256(serialize_config(cfg).encode())
+    records = []
+    for seed in seeds:
+        digest = config_hash.copy()
+        digest.update(f"|{strategy_name}|{seed}".encode())
+        records.append(RunRecord(digest.hexdigest()[:12], strategy_name, seed,
+                                 benchmark_label(cfg), cfg.benchmark.n_domains))
+    return records
 
 
 def _fail(record: RunRecord, exc: Exception):
@@ -150,7 +149,7 @@ def execute_run(cfg: ExperimentConfig, strategy_cfg, seeds):
     sibling tasks continue. Each record's duration is an equal share of
     the wall time spent."""
     start = time.perf_counter()
-    records = [_new_record(cfg, strategy_cfg.name, seed) for seed in seeds]
+    records = _new_records(cfg, strategy_cfg.name, seeds)
     try:
         runs = [_run_steps(rec, cfg, strategy_cfg, seed) for rec, seed in zip(records, seeds)]
         pairs = list(zip(records, run_lockstep(runs)))
@@ -211,27 +210,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     the runs of a task whose worker dies (BrokenProcessPool) become failed
     records too, while the tasks that finished keep theirs. A
     KeyboardInterrupt comes out as RunInterrupted with the records of the
-    tasks finished so far. Persisting the aggregate CSVs is a separate
-    step (persist_results).
+    tasks finished so far. Within the call (strategies.shared_draws), each
+    process fits each distinct synthetic draw once and lends the read-only
+    buffer to every run and grid candidate that asks for it. Persisting
+    the aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     tasks = [(cfg, sc, out) for sc in cfg.strategies]
     done = []
     try:
-        if jobs <= 1:
-            for task in tasks:
-                done.append(_run_task(task))
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                futures = [pool.submit(_run_task, task) for task in tasks]
-                try:
-                    done = [_pool_result(future, task) for future, task in zip(futures, tasks)]
-                except KeyboardInterrupt:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    done = [future.result() for future in futures
-                            if future.done() and not future.cancelled()
-                            and future.exception() is None]
-                    raise
+        with shared_draws():
+            if jobs <= 1:
+                for task in tasks:
+                    done.append(_run_task(task))
+            else:
+                with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                    futures = [pool.submit(_run_task, task) for task in tasks]
+                    try:
+                        done = [_pool_result(future, task) for future, task in zip(futures, tasks)]
+                    except KeyboardInterrupt:
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        done = [future.result() for future in futures
+                                if future.done() and not future.cancelled()
+                                and future.exception() is None]
+                        raise
     except KeyboardInterrupt:
         raise RunInterrupted([rec for records in done for rec in records]) from None
     return [rec for records in done for rec in records]
@@ -242,7 +244,7 @@ def _pool_result(future, task) -> list:
         return future.result()
     except Exception as exc:   # the worker died before it could report
         cfg, sc, out = task
-        records = [_new_record(cfg, sc.name, seed) for seed in cfg.seeds]
+        records = _new_records(cfg, sc.name, cfg.seeds)
         for record in records:
             _fail(record, exc)
             _write_failure(record, out)

@@ -33,7 +33,9 @@ seqft's model after domain t.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
 import os
 
 import numpy as np
@@ -212,15 +214,40 @@ class Er(Strategy):
                              derive(self.seed, "domain", t, "reservoir"))
 
 
+_draws = None    # {draw inputs: buffer} while shared_draws is open
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Within the block, _draw_buffer computes each distinct draw once."""
+    global _draws
+    _draws = {}
+    try:
+        yield
+    finally:
+        _draws = None
+
+
 def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
     """Fit domain t's generator and freeze one synthetic buffer draw.
 
     The seeds depend only on (run seed, domain), so gen_replay and g2d draw
-    byte-identical buffers under the same run seed.
+    byte-identical buffers under the same run seed. Within shared_draws, a
+    draw whose every input was seen before returns the stored buffer, whose
+    arrays are read-only; outside it, every call fits.
     """
-    gen = fit_generator(data, t, n_classes, FitConfig(n_components=hp.gmm_components),
-                        derive(seed, "domain", t, "generator"))
-    return sample_buffer(gen, hp.n_per_class, derive(seed, "domain", t, "buffer"))
+    config = FitConfig(n_components=hp.gmm_components)
+    key = (seed, t, n_classes, repr(config), hp.n_per_class,
+           *[(a.shape, a.dtype.str, hashlib.sha256(a.tobytes()).digest())
+             for a in (data.X, data.y)])
+    if _draws is not None and key in _draws:
+        return _draws[key]
+    gen = fit_generator(data, t, n_classes, config, derive(seed, "domain", t, "generator"))
+    buf = sample_buffer(gen, hp.n_per_class, derive(seed, "domain", t, "buffer"))
+    if _draws is not None:
+        buf.X.flags.writeable = buf.y.flags.writeable = False
+        _draws[key] = buf
+    return buf
 
 
 class GenReplay(Strategy):

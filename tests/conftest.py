@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from driftlab import strategies
+
 # No test runs near this long; one that does is hung (a pool worker that
 # forked with a lock held, say), so dump every thread's stack and exit.
 HANG_SECONDS = 120
@@ -29,3 +31,13 @@ def traceback_on_hang(request):
         HANG_SECONDS, exit=True, file=request.config.stash[STDERR_FD])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def shared_draws_closed():
+    """Fail a test that leaves strategies.shared_draws open: a later test
+    would silently reuse its buffers instead of fitting."""
+    yield
+    if strategies._draws is not None:
+        strategies._draws = None
+        pytest.fail("strategies.shared_draws was left open")

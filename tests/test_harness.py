@@ -2,6 +2,7 @@
 schemas, report rendering, failure isolation, and the CLI."""
 
 import csv
+import dataclasses
 import multiprocessing
 import os
 import re
@@ -23,7 +24,7 @@ from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
 from driftlab.harness_report import _mean_std, render_report
 from driftlab.metrics import evaluate_accuracy
 from driftlab.rng import derive
-from driftlab.strategies import save_checkpoint
+from driftlab.strategies import read_arrays, save_checkpoint
 
 import oracles
 
@@ -601,6 +602,144 @@ def test_ctrl_c_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
     for run_id in seqft_ids:
         assert (out / "runs" / run_id / "checkpoint.txt").exists()
     assert (out / "report.txt").exists()
+
+
+SHARED_DOC = """
+benchmark:
+  kind: covariate_shift
+  n_domains: 3
+  class_means: [[0.0, -1.5], [0.0, 1.5]]
+  variance: 1.0
+  domain_shift: [6.0, 0.0]
+  n_train: 60
+  n_val: 20
+  n_test: 30
+strategies:
+  - name: g2d
+    epochs: 2
+    batch_size: 16
+    hidden: [8]
+    router_hidden: [8]
+    router_epochs: 4
+    gmm_components: 2
+    n_per_class: 12
+  - name: gen_replay
+    epochs: 2
+    batch_size: 16
+    hidden: [8]
+    gmm_components: 2
+    n_per_class: 12
+seeds: [31, 32]
+out_dir: unused
+"""
+
+
+def fitted_draws(fits):
+    """(domain_id, seed) of each fit_generator(trainset, domain_id,
+    n_classes, config, seed) call."""
+    return [(args[1], args[4]) for args in fits]
+
+
+def every_draw_once(cfg):
+    """fitted_draws of one fit per (run seed, domain)."""
+    return sorted((t, derive(seed, "domain", t, "generator"))
+                  for seed in cfg.seeds for t in range(cfg.benchmark.n_domains))
+
+
+def buffer_blocks(cfg, out, name):
+    """{seed: {buffer<t>.X/.y: array}} from each run's checkpoint."""
+    return {seed: {key: arr for key, arr in read_arrays(
+                Path(out) / "runs" / run_id_for(cfg, name, seed) / "checkpoint.txt").items()
+                   if key.startswith("buffer")}
+            for seed in cfg.seeds}
+
+
+@pytest.mark.parametrize("gen_replay_change", [{}, {"gmm_components": 1}, {"n_per_class": 8}])
+def test_an_experiment_fits_each_draw_once_for_g2d_and_gen_replay(tmp_path, monkeypatch,
+                                                                  gen_replay_change):
+    cfg = parse_config(SHARED_DOC)
+    gen_replay = dataclasses.replace(cfg.strategies[1], **gen_replay_change)
+    cfg = dataclasses.replace(cfg, strategies=[cfg.strategies[0], gen_replay])
+    fits = count_calls(monkeypatch, strategies, "fit_generator")
+    assert all(r.ok for r in run_experiment(cfg, out_dir=str(tmp_path / "both")))
+    # a draw is shared only when every input matches
+    copies = 2 if gen_replay_change else 1
+    assert sorted(fitted_draws(fits)) == sorted(every_draw_once(cfg) * copies)
+
+    for sc in cfg.strategies:
+        alone = dataclasses.replace(cfg, strategies=[sc])
+        assert all(r.ok for r in run_experiment(alone, out_dir=str(tmp_path / sc.name)))
+        shared = buffer_blocks(cfg, tmp_path / "both", sc.name)
+        solo = buffer_blocks(alone, tmp_path / sc.name, sc.name)
+        for seed in cfg.seeds:
+            assert sorted(shared[seed]) == sorted(solo[seed]) == sorted(
+                f"buffer{t}.{a}" for t in range(cfg.benchmark.n_domains) for a in "Xy")
+            for key, arr in solo[seed].items():
+                assert shared[seed][key].dtype == arr.dtype
+                assert np.array_equal(shared[seed][key], arr), (sc.name, seed, key)
+
+
+def test_grid_candidates_share_one_draw_per_seed_and_domain(tmp_path, monkeypatch):
+    cfg = parse_config(SHARED_DOC)
+    g2d = dataclasses.replace(cfg.strategies[0], learning_rate=[0.01, 0.05])
+    cfg = dataclasses.replace(cfg, strategies=[g2d])
+    fits = count_calls(monkeypatch, strategies, "fit_generator")
+    assert all(r.ok for r in run_experiment(cfg, out_dir=str(tmp_path)))
+    assert sorted(fitted_draws(fits)) == every_draw_once(cfg)
+
+
+def test_shared_draws_close_when_run_experiment_returns(tmp_path, monkeypatch):
+    cfg = parse_config(SHARED_DOC)
+    seen = []
+    fit_generator = strategies.fit_generator
+
+    def fit_and_look(*args):
+        seen.append(strategies._draws is not None)
+        return fit_generator(*args)
+
+    monkeypatch.setattr(strategies, "fit_generator", fit_and_look)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    assert seen and all(seen)
+    assert strategies._draws is None
+
+
+def test_shared_draws_close_when_run_experiment_raises(tmp_path, monkeypatch):
+    def broken_checkpoint(strategy, out_dir):
+        assert strategies._draws is not None
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_checkpoint", broken_checkpoint)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
+    assert strategies._draws is None
+
+
+def test_shared_draws_close_when_a_run_is_interrupted(tmp_path, monkeypatch):
+    execute_run = harness.execute_run
+
+    def interrupted_at_gen_replay(cfg, sc, seeds):
+        if sc.name == "gen_replay":
+            raise KeyboardInterrupt
+        return execute_run(cfg, sc, seeds)
+
+    monkeypatch.setattr(harness, "execute_run", interrupted_at_gen_replay)
+    with pytest.raises(harness.RunInterrupted) as stopped:
+        run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
+    assert [rec.strategy for rec in stopped.value.records] == ["g2d", "g2d"]
+    assert strategies._draws is None
+
+
+def test_a_shared_buffer_is_read_only():
+    cfg = parse_config(SHARED_DOC)
+    with strategies.shared_draws():
+        [(_, g2d)] = execute_run(cfg, cfg.strategies[0], [31])
+        [(_, again)] = execute_run(cfg, cfg.strategies[0], [31])
+    buf = g2d.synthetic[0]
+    assert again.synthetic[0] is buf
+    with pytest.raises(ValueError, match="read-only"):
+        buf.X[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        buf.y[0] = 1
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import nn
-from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
+from driftlab import nn, strategies
+from driftlab.benchmarks import BenchmarkConfig, LabeledSet, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
@@ -207,14 +207,44 @@ def test_er_with_unlimited_quota_composes_the_mtl_trainset():
     assert np.array_equal(er_trainset.y[order_a], mtl_trainset.y[order_b])
 
 
-def test_g2d_and_gen_replay_draw_bit_identical_buffers():
+def test_g2d_and_gen_replay_draw_bit_identical_buffers(monkeypatch):
+    # outside harness.run_experiment nothing is shared: each strategy fits
+    # its own generators, so this stays an independent check that the two
+    # draws match, which is what lets an experiment fit each draw once
+    fits = []
+    fit_generator = strategies.fit_generator
+
+    def counted(*args):
+        fits.append(args)
+        return fit_generator(*args)
+
+    monkeypatch.setattr(strategies, "fit_generator", counted)
     stream = small_stream()
     g2d = run_stream("g2d", stream, seed=7)
     gen = run_stream("gen_replay", stream, seed=7)
+    assert len(fits) == 2 * stream.n_domains
     assert [oracles.buffer_fingerprint(b) for b in g2d.synthetic] == \
         [oracles.buffer_fingerprint(b) for b in gen.synthetic]
     for a, b in zip(g2d.synthetic, gen.synthetic):
+        assert a is not b and not np.shares_memory(a.X, b.X)
         assert np.array_equal(a.X, b.X)
+
+
+def test_a_draw_is_shared_only_when_every_input_matches():
+    data = small_stream().domains[0].train
+    hp = small_hp(gmm_components=1)
+    with strategies.shared_draws():
+        first = strategies._draw_buffer(7, 2, data, 0, hp)
+        same = LabeledSet(data.X.copy(), data.y.copy())
+        assert strategies._draw_buffer(7, 2, same, 0, hp) is first
+        changed = [(8, data, 0, hp),
+                   (7, LabeledSet(data.X + 1.0, data.y), 0, hp),
+                   (7, LabeledSet(data.X, data.y[::-1]), 0, hp),
+                   (7, data, 1, hp),
+                   (7, data, 0, small_hp(gmm_components=2)),
+                   (7, data, 0, small_hp(gmm_components=1, n_per_class=11))]
+        for seed, split, t, other in changed:
+            assert strategies._draw_buffer(seed, 2, split, t, other) is not first
 
 
 def arrays_held(obj, seen=None):
