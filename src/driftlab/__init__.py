@@ -31,7 +31,7 @@ from .optim import OptimizerState, apply_step
 from .pca import pca_project_2d
 from .rng import derive, make_rng
 from .strategies import ROUTER_KINDS, STRATEGY_NAMES, Strategy, strategy_dispatch
-from .training import (TrainLog, estimate_fisher_diag, ewc_penalty,
+from .training import (TrainLog, TrainRequest, estimate_fisher_diag, ewc_penalty,
                        train_classifier)
 
 __version__ = "0.1.0"

@@ -101,13 +101,13 @@ def _select_and_train(strategy, grid, t, guard):
     """Per-domain model selection on the current domain's validation split,
     as a generator that yields the training requests (Strategy.learn_steps).
 
-    With a single grid point the strategy trains in place. Otherwise each
-    combination learns a cloned candidate, all of them in lockstep; the
-    best current-domain validation accuracy wins, ties resolving to the
-    earliest combination, and only the winner consolidates (consolidation
-    never changes a prediction, so it cannot change the choice).
+    The strategy itself is the first point's candidate, and each further
+    point learns a clone of it, all of them in lockstep; the best
+    current-domain validation accuracy wins, ties resolving to the
+    earliest point, and only the winner consolidates (consolidation never
+    changes a prediction, so it cannot change the choice).
     """
-    candidates = [strategy] if len(grid) == 1 else [strategy.clone() for _ in grid]
+    candidates = [strategy] + [strategy.clone() for _ in grid[1:]]
     yield from lockstep([candidate.learn_steps(t, guard, hp)
                          for candidate, hp in zip(candidates, grid)])
     best = 0
@@ -254,8 +254,7 @@ def _pool_result(future, task) -> list:
 def _write_failure(record: RunRecord, out):
     run_dir = os.path.join(out, "runs", record.run_id)
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "failure.txt"), "w") as fh:
-        fh.write(record.traceback)
+    _write_text(run_dir, "failure.txt", record.traceback)
 
 
 def _run_task(task) -> list:

@@ -47,9 +47,8 @@ from .gmm import FitConfig, fit_generator, sample_buffer
 from .kmeans import CentroidRouter
 from .memory import (build_router_trainset, compose_replay_trainset,
                      concat_sets, update_replay_buffer)
-from .optim import OptimizerState
 from .rng import derive, make_rng
-from .training import TrainRequest, estimate_fisher_diag, ewc_hook, train_classifier
+from .training import TrainRequest, estimate_fisher_diag, stack_key, train_classifier
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
@@ -77,9 +76,10 @@ class Strategy:
     (one point of config.expand_grid). The base keeps one classifier,
     ``model``; every model a strategy trains, expert and router included,
     is built by _new_model and trained by _train. _train yields the
-    training as a list of one TrainRequest, so learn_steps lets a caller
-    train the requests of several runs in lockstep (lockstep); learn
-    trains its own one at a time.
+    training as a list of one TrainRequest, what train_classifier takes,
+    so learn_steps lets a caller gather the requests of several runs
+    (lockstep) and train those that share a stack_key as one stack
+    (train_lockstep); learn trains its own alone.
     """
 
     name = "base"
@@ -402,21 +402,12 @@ _REGISTRY = {cls.name: cls for cls in
 
 def train_lockstep(requests):
     """Train every request, stacking into one train_classifier call those
-    whose layer dims, row count, epochs, batch size, optimizer, learning
-    rate and anchor count match; each keeps its own anchors and lam."""
+    that share a stack_key; each keeps its own anchors and lam."""
     groups = {}
     for req in requests:
-        key = (tuple(req.model.layer_dims), len(req.data), req.epochs, req.batch_size,
-               req.optimizer, req.learning_rate, len(req.anchors))
-        groups.setdefault(key, []).append(req)
+        groups.setdefault(stack_key(req), []).append(req)
     for group in groups.values():
-        first = group[0]
-        train_classifier([req.model for req in group], [req.data for req in group],
-                         epochs=first.epochs, batch_size=first.batch_size,
-                         opt=OptimizerState(first.optimizer, first.learning_rate),
-                         seeds=[req.seed for req in group],
-                         penalty=ewc_hook([req.anchors for req in group],
-                                          [req.lam for req in group]))
+        train_classifier(group)
 
 
 def lockstep(runs):

@@ -1,12 +1,13 @@
 """Mini-batch training loop and the quadratic-anchor (EWC) machinery.
 
-One loop serves every strategy: shuffle, batch, backprop, optimizer step,
-with an optional penalty hook that contributes extra loss and gradients.
-The loop trains S same-shaped models in lockstep, one stacked step for all
-of them, and S = 1 is the ordinary path. Elastic weight consolidation
-plugs in through the hook (ewc_hook stacks each model's anchors); its
-Fisher information is a Monte-Carlo estimate with labels sampled from the
-model's own predictive distribution, not the true labels.
+One loop serves every strategy: shuffle, batch, backprop, optimizer step.
+A TrainRequest describes one training, and train_classifier trains a list
+of them in lockstep, one stacked step for all; one model is a stack of
+one. stack_key says which requests may share a stack. Elastic weight
+consolidation is data on the request (anchors and lam) that the loop adds
+through ewc_penalty; its Fisher information is a Monte-Carlo estimate with
+labels sampled from the model's own predictive distribution, not the true
+labels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .benchmarks import LabeledSet
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 from .optim import OptimizerState, apply_step
 from .rng import make_rng
 
@@ -48,47 +49,53 @@ class TrainLog:
     n_steps: int = 0           # lockstep steps; each one steps all S models
 
 
-def train_classifier(models, datas, *, epochs: int, batch_size: int,
-                     opt: OptimizerState, seeds, penalty=None) -> TrainLog:
-    """Stochastic training of S models in lockstep, each on a fixed
+def stack_key(req: TrainRequest) -> tuple:
+    """What requests must share to train in one stack: layer dims, row
+    count, epochs, batch size, optimizer, learning rate and anchor count."""
+    return (tuple(req.model.layer_dims), len(req.data), req.epochs, req.batch_size,
+            req.optimizer, req.learning_rate, len(req.anchors))
+
+
+def train_classifier(requests) -> TrainLog:
+    """Stochastic training of S requests in lockstep, each model on a fixed
     shuffle stream.
 
-    Model s trains on datas[s], shuffled by make_rng(seeds[s], "shuffle").
-    The models share one layer_dims and the sets one row count, so every
-    step is one batch per model: one stacked loss_and_grad and one stacked
-    apply_step on the models' shared (S, P) parameter matrix (nn.stack).
-    Each model ends with the bits it would get if trained alone, and S = 1
-    steps the model itself. opt is one fresh OptimizerState for all S.
-
-    penalty, if given, is called once per step as penalty(stack), with the
-    model itself at S = 1, and must return (extra_loss, grad) shaped like
-    the step's loss and ``stack.params``; both are added before the
-    optimizer step (ewc_hook builds one).
-    The log records each model's mean total loss (data + penalty) per
-    epoch. epochs=0 is a no-op that leaves the models untouched.
+    The requests must share one stack_key; a layer-dims mismatch raises
+    ShapeError and any other one ValidationError, before a model is
+    touched. Request s trains its model on its data, shuffled by
+    make_rng(seed, "shuffle"). Every step is one batch per model: one
+    stacked loss_and_grad and one stacked apply_step on the models' shared
+    (S, P) parameter matrix (nn.stack), with one fresh OptimizerState for
+    all S. With anchors, each step adds ewc_penalty of every model's own
+    anchors and lam to its loss and gradient. Each model ends with the bits
+    it would get if trained alone. The log records each model's mean total
+    loss (data + penalty) per epoch. epochs=0 is a no-op that leaves the
+    models untouched.
     """
-    S = len(models)
-    if S == 0 or len(datas) != S or len(seeds) != S:
-        raise ValidationError(f"need one set and one seed per model, got {S} models, "
-                              f"{len(datas)} sets and {len(seeds)} seeds")
+    keys = {stack_key(req) for req in requests}
+    if len(keys) != 1:
+        error = ShapeError if len({key[0] for key in keys}) > 1 else ValidationError
+        raise error(f"cannot train in one stack requests keyed {sorted(keys)} (layer dims, "
+                    f"rows, epochs, batch size, optimizer, learning rate, anchor count)")
+    S, first = len(requests), requests[0]
+    epochs, batch_size, n = first.epochs, first.batch_size, len(first.data)
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(datas[0])
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    if any(len(data) != n for data in datas):
-        raise ValidationError(f"lockstep training needs sets of one size, got "
-                              f"{[len(data) for data in datas]}")
-    # S = 1 trains the model itself, on batches without the seed axis
-    stacked, seed_axis = (models[0], 0) if S == 1 else (nn.stack(models), slice(None))
-    X = np.stack([data.X for data in datas])
-    Y = np.stack([data.y for data in datas])
+    opt = OptimizerState(first.optimizer, first.learning_rate)
+    stacked = nn.stack([req.model for req in requests])
+    X = np.stack([req.data.X for req in requests])
+    Y = np.stack([req.data.y for req in requests])
     # checked once here, so that every step skips loss_and_grad's checks
-    nn._check_labels(stacked, nn._check_batch(stacked, X[seed_axis]), Y[seed_axis])
+    nn._check_labels(stacked, nn._check_batch(stacked, X), Y)
+    anchors = [tuple(np.stack(arrays) for arrays in zip(*domain))
+               for domain in zip(*(req.anchors for req in requests))]
+    lam = np.array([req.lam for req in requests], dtype=float)
 
-    rngs = [make_rng(seed, "shuffle") for seed in seeds]
+    rngs = [make_rng(req.seed, "shuffle") for req in requests]
     slices = np.arange(S)[:, None]
     epoch_losses = np.empty((S, epochs))
     steps = 0
@@ -100,11 +107,11 @@ def train_classifier(models, datas, *, epochs: int, batch_size: int,
             X_epoch, Y_epoch = X[slices, order], Y[slices, order]
             total, batches = np.zeros(S), 0
             for b, start in enumerate(range(0, n, batch_size)):
-                batch = seed_axis, slice(start, start + batch_size)
-                loss, grad = nn.loss_and_grad(stacked, X_epoch[batch], Y_epoch[batch],
+                rows = slice(start, start + batch_size)
+                loss, grad = nn.loss_and_grad(stacked, X_epoch[:, rows], Y_epoch[:, rows],
                                               checked=True)
-                if penalty is not None:
-                    ploss, pgrad = penalty(stacked)
+                if anchors:
+                    ploss, pgrad = ewc_penalty(stacked, anchors, lam)
                     loss += ploss
                     grad += pgrad
                 if not np.isfinite(loss).all():
@@ -198,23 +205,3 @@ def ewc_penalty(model: nn.Classifier, anchors, lam):
         grad += lam[..., None] * fisher * d
     return loss, grad
 
-
-def ewc_hook(anchors, lams):
-    """The EWC penalties of S models as one train_classifier penalty.
-
-    anchors[s] is model s's list of (params, fisher) pairs and lams[s] its
-    strength; every model needs the same anchor count. Returns None if
-    there are no anchors, else a hook that calls ewc_penalty on the stacked
-    anchors (the model's own vectors at S = 1, as train_classifier steps a
-    lone model itself).
-    """
-    if len({len(pairs) for pairs in anchors}) != 1:
-        raise ValidationError(f"stacked EWC penalties need one anchor count, got "
-                              f"{[len(pairs) for pairs in anchors]}")
-    if not anchors[0]:
-        return None
-    pick = 0 if len(anchors) == 1 else slice(None)
-    stacked = [tuple(np.stack(arrays)[pick] for arrays in zip(*domain))
-               for domain in zip(*anchors)]
-    lam = np.asarray(lams, dtype=float)[pick]
-    return lambda model: ewc_penalty(model, stacked, lam)

@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from driftlab import cli, harness, strategies
-from driftlab.config import load_config, parse_config
+from driftlab.benchmarks import StreamGuard, build_stream
+from driftlab.config import expand_grid, load_config, parse_config
 from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               SUMMARY_HEADER, benchmark_label, execute_run,
                               persist_results, run_experiment, run_id_for)
 from driftlab.harness_report import _mean_std, render_report
 from driftlab.metrics import evaluate_accuracy
 from driftlab.rng import derive
-from driftlab.strategies import read_arrays, save_checkpoint
+from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
 
 import oracles
 
@@ -163,6 +164,23 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.parametrize("lams", [[0.5], [0.5, 5.0, 500.0]])
+def test_the_strategy_is_its_first_candidate_and_only_later_points_clone(monkeypatch, lams):
+    cfg = parse_config(GRID_DOC)
+    grid = expand_grid(dataclasses.replace(cfg.strategies[0], lam=lams))
+    stream = build_stream(cfg.benchmark, derive(23, "stream"))
+    strategy = strategy_dispatch("ewc", 23, stream.dim, stream.n_classes, grid[0])
+    guard = StreamGuard(stream)
+    guard.advance(0)
+    clones = count_calls(monkeypatch, strategies.Strategy, "clone")
+    # every candidate ties, so the first one wins
+    monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: 0.5)
+    [winner] = strategies.run_lockstep([harness._select_and_train(strategy, grid, 0, guard)])
+    assert winner is strategy
+    assert len(clones) == len(grid) - 1
+    assert all(args[0] is strategy for args in clones)
+
+
 def test_only_the_winning_candidate_consolidates(monkeypatch):
     cfg = parse_config(GRID_DOC)
     fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
@@ -252,10 +270,10 @@ def test_train_classifier_runs_once_per_domain_and_stack(monkeypatch):
     execute_run(cfg, cfg.strategies[0], cfg.seeds)
     # domain 0 has no anchors, so every candidate of both seeds is one stack;
     # later the lam = 0 candidates (no anchors) and lam = 5 candidates split
-    assert [len(models) for models, _ in trained] == [4] + [2, 2] * (T - 1)
+    assert [len(requests) for (requests,) in trained] == [4] + [2, 2] * (T - 1)
     trained.clear()
     execute_run(cfg, cfg.strategies[1], cfg.seeds)   # er, 3 quota candidates
-    assert [len(models) for models, _ in trained] == [6] * T
+    assert [len(requests) for (requests,) in trained] == [6] * T
 
 
 def test_stacked_candidates_match_the_sequential_candidate_loop(tmp_path, monkeypatch):
@@ -266,7 +284,7 @@ def test_stacked_candidates_match_the_sequential_candidate_loop(tmp_path, monkey
     trained = count_calls(monkeypatch, strategies, "train_classifier")
     sequential = run_experiment(cfg, out_dir=str(tmp_path / "sequential"))
     persist_results(sequential, str(tmp_path / "sequential"))
-    assert max(len(models) for models, _ in trained) == len(cfg.seeds)
+    assert max(len(requests) for (requests,) in trained) == len(cfg.seeds)
     assert all(rec.ok for rec in stacked + sequential)
     assert oracles.tree_mismatches(tmp_path / "stacked", tmp_path / "sequential") == []
 
@@ -381,6 +399,23 @@ def test_a_failed_rename_leaves_no_temp_file(tiny, tmp_path, monkeypatch):
     monkeypatch.undo()
     assert not list(tmp_path.glob("*.tmp"))
     assert {name: Path(path).read_bytes() for name, path in paths.items()} == before
+
+
+def test_a_failure_traceback_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    record = harness.RunRecord("0123456789ab", "seqft", 1, "covariate_shift/T2", 2,
+                               failure="RuntimeError: boom", traceback="Traceback ...\n")
+    run_dir = tmp_path / "runs" / record.run_id
+
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(harness.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        harness._write_failure(record, str(tmp_path))
+    monkeypatch.undo()
+    assert list(run_dir.iterdir()) == []
+    harness._write_failure(record, str(tmp_path))
+    assert (run_dir / "failure.txt").read_text() == record.traceback
 
 
 def test_checkpoints_land_under_the_run_id(tiny):
@@ -529,7 +564,7 @@ def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, 
     monkeypatch.setattr(harness, "build_stream", poisoned)
     trained = count_calls(monkeypatch, strategies, "train_classifier")
     lockstep = run_experiment(cfg, out_dir=str(tmp_path / "lockstep"))
-    assert max(len(models) for models, _ in trained) == 3
+    assert max(len(requests) for (requests,) in trained) == 3
 
     healthy = [rec for rec in lockstep if rec.seed != 22]
     alone = []

@@ -12,7 +12,7 @@ from driftlab.optim import OptimizerState
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.strategies import strategy_dispatch
-from driftlab.training import (estimate_fisher_diag, ewc_hook, ewc_penalty,
+from driftlab.training import (TrainRequest, estimate_fisher_diag, ewc_penalty,
                                train_classifier)
 
 import oracles
@@ -30,11 +30,16 @@ def fresh_model(seed=1, dims=(2, 8, 2)):
     return nn.init_classifier(list(dims), seed)
 
 
+def request(model, data, *, epochs=1, batch_size=16, optimizer="adam", learning_rate=0.01,
+            seed=0, anchors=(), lam=0.0):
+    return TrainRequest(model, data, epochs, batch_size, optimizer, learning_rate, seed,
+                        anchors, lam)
+
+
 def test_zero_epochs_is_a_no_op():
     model = fresh_model()
     before = model.params.copy()
-    log = train_classifier([model], [separable_data()], epochs=0, batch_size=16,
-                           opt=OptimizerState("adam", 0.01), seeds=[0])
+    log = train_classifier([request(model, separable_data(), epochs=0)])
     assert log.n_steps == 0
     assert log.epoch_losses.shape == (1, 0)
     assert np.array_equal(before, model.params)
@@ -44,16 +49,14 @@ def test_training_is_deterministic_in_seed():
     data = separable_data()
     m1, m2, m3 = fresh_model(), fresh_model(), fresh_model()
     for m, seed in ((m1, 5), (m2, 5), (m3, 6)):
-        train_classifier([m], [data], epochs=3, batch_size=16,
-                         opt=OptimizerState("adam", 0.01), seeds=[seed])
+        train_classifier([request(m, data, epochs=3, seed=seed)])
     assert np.array_equal(m1.params, m2.params)
     assert not np.array_equal(m1.weights[0], m3.weights[0])
 
 
 def test_loss_falls_on_separable_data():
     model = fresh_model()
-    log = train_classifier([model], [separable_data()], epochs=10, batch_size=16,
-                           opt=OptimizerState("adam", 0.01), seeds=[1])
+    log = train_classifier([request(model, separable_data(), epochs=10, seed=1)])
     losses, = log.epoch_losses
     assert losses[-1] < losses[0]
     assert losses[-1] < 0.1
@@ -64,38 +67,33 @@ def test_labels_outside_model_range_are_rejected():
     model = fresh_model()
     data = LabeledSet(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
     with pytest.raises(ValidationError):
-        train_classifier([model], [data], epochs=1, batch_size=2,
-                         opt=OptimizerState("adam", 0.01), seeds=[0])
+        train_classifier([request(model, data, batch_size=2)])
 
 
-def test_zero_penalty_hook_changes_nothing():
+def test_anchors_at_zero_lam_change_nothing():
     data = separable_data()
-    plain, hooked = fresh_model(), fresh_model()
-    zero = lambda m: (0.0, np.zeros_like(m.params))
-    train_classifier([plain], [data], epochs=3, batch_size=16,
-                     opt=OptimizerState("adam", 0.01), seeds=[2])
-    train_classifier([hooked], [data], epochs=3, batch_size=16,
-                     opt=OptimizerState("adam", 0.01), seeds=[2], penalty=zero)
-    assert np.array_equal(plain.params, hooked.params)
+    plain, anchored = fresh_model(), fresh_model()
+    anchors = [(fresh_model(seed=7).params, unit_fisher(plain))]
+    train_classifier([request(plain, data, epochs=3, seed=2)])
+    train_classifier([request(anchored, data, epochs=3, seed=2, anchors=anchors, lam=0.0)])
+    assert np.array_equal(plain.params, anchored.params)
 
 
 def test_penalty_gradients_are_applied():
     data = separable_data()
-    plain, hooked = fresh_model(), fresh_model()
-    pull = lambda m: (0.0, np.full_like(m.params, 0.1))
-    train_classifier([plain], [data], epochs=1, batch_size=80,
-                     opt=OptimizerState("sgd", 0.5), seeds=[2])
-    train_classifier([hooked], [data], epochs=1, batch_size=80,
-                     opt=OptimizerState("sgd", 0.5), seeds=[2], penalty=pull)
-    assert not np.array_equal(plain.weights[0], hooked.weights[0])
+    plain, anchored = fresh_model(), fresh_model()
+    anchors = [(fresh_model(seed=7).params, unit_fisher(plain))]
+    sgd = dict(epochs=1, batch_size=80, optimizer="sgd", learning_rate=0.5, seed=2)
+    train_classifier([request(plain, data, **sgd)])
+    train_classifier([request(anchored, data, **sgd, anchors=anchors, lam=1.0)])
+    assert not np.array_equal(plain.weights[0], anchored.weights[0])
 
 
 def test_non_finite_loss_is_reported_with_location():
     model = fresh_model()
-    bad = lambda m: (np.inf, np.zeros_like(m.params))
+    anchors = [(model.params + 1.0, np.full_like(model.params, np.inf))]
     with pytest.raises(NumericError, match="epoch 0, batch 0"):
-        train_classifier([model], [separable_data()], epochs=1, batch_size=16,
-                         opt=OptimizerState("adam", 0.01), seeds=[0], penalty=bad)
+        train_classifier([request(model, separable_data(), anchors=anchors, lam=1.0)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -122,9 +120,10 @@ def test_lockstep_matches_the_per_model_loop(data, S, dims, n_classes, batch_siz
     rate = 0.05 if kind == "sgd" else 0.01
 
     lockstep = [nn.init_classifier(dims, s) for s in seeds]
-    log = train_classifier(lockstep, sets, epochs=epochs, batch_size=batch_size,
-                           opt=OptimizerState(kind, rate), seeds=seeds,
-                           penalty=ewc_hook(anchors, lams))
+    log = train_classifier([
+        request(model, train, epochs=epochs, batch_size=batch_size, optimizer=kind,
+                learning_rate=rate, seed=seeds[s], anchors=anchors[s], lam=lams[s])
+        for s, (model, train) in enumerate(zip(lockstep, sets))])
     assert log.epoch_losses.shape == (S, epochs)
     assert log.n_steps == epochs * -(-n // batch_size)
     for s, (model, train) in enumerate(zip(lockstep, sets)):
@@ -141,20 +140,25 @@ def test_lockstep_matches_the_per_model_loop(data, S, dims, n_classes, batch_siz
 
 
 def test_lockstep_rejects_what_cannot_stack():
-    data = separable_data()
-    opt = lambda: OptimizerState("adam", 0.01)
-    with pytest.raises(ValidationError, match="one size"):
-        train_classifier([fresh_model(), fresh_model()], [data, separable_data(n=40)],
-                         epochs=1, batch_size=16, opt=opt(), seeds=[0, 1])
-    with pytest.raises(ShapeError):
-        train_classifier([fresh_model(), fresh_model(dims=(2, 4, 2))], [data, data],
-                         epochs=1, batch_size=16, opt=opt(), seeds=[0, 1])
-    with pytest.raises(ValidationError, match="one seed per model"):
-        train_classifier([fresh_model()], [data], epochs=1, batch_size=16, opt=opt(),
-                         seeds=[0, 1])
-    anchor = (fresh_model().params, unit_fisher(fresh_model()))
-    with pytest.raises(ValidationError, match="one anchor count"):
-        ewc_hook([[anchor], [anchor, anchor]], [1.0, 1.0])
+    model = fresh_model()
+    anchor = (fresh_model(seed=7).params, unit_fisher(model))
+    # one request differs from the other in one stack_key field
+    for field, other, error in [
+        ("epochs", 2, ValidationError), ("batch_size", 8, ValidationError),
+        ("optimizer", "sgd", ValidationError), ("learning_rate", 0.02, ValidationError),
+        ("data", separable_data(n=40), ValidationError),
+        ("anchors", [anchor], ValidationError),
+        ("model", fresh_model(dims=(2, 4, 2)), ShapeError),
+    ]:
+        requests = [request(fresh_model(), separable_data(), seed=s) for s in range(2)]
+        setattr(requests[1], field, other)
+        params = [req.model.params for req in requests]
+        with pytest.raises(error, match="cannot train in one stack"):
+            train_classifier(requests)
+        # rejected before any model is touched: not even rebound into a stack
+        assert all(req.model.params is p for req, p in zip(requests, params)), field
+    with pytest.raises(ValidationError):
+        train_classifier([])
 
 
 def test_a_penalised_stack_trains_each_model_as_alone():
@@ -165,9 +169,10 @@ def test_a_penalised_stack_trains_each_model_as_alone():
     anchors = [[(fresh_model(seed=10 + 2 * s + a).params, np.full(size, a + 0.5))
                 for a in range(2)] for s in range(2)]
     lams = [0.5, 5.0]
-    log = train_classifier(models, [data, other], epochs=2, batch_size=16,
-                           opt=OptimizerState("sgd", 0.05), seeds=[3, 4],
-                           penalty=ewc_hook(anchors, lams))
+    sgd = dict(epochs=2, optimizer="sgd", learning_rate=0.05)
+    log = train_classifier([request(model, train, **sgd, seed=3 + s, anchors=anchors[s],
+                                    lam=lams[s])
+                            for s, (model, train) in enumerate(zip(models, [data, other]))])
     for s, train in enumerate([data, other]):
         alone = fresh_model(seed=1 + s)
         losses = oracles.train_one_at_a_time(
