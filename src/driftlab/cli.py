@@ -15,7 +15,6 @@ results of the strategies finished so far written.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -96,19 +95,17 @@ def _cmd_project(args) -> int:
     path = os.path.join(args.dir, "projection.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no projection.csv under {args.dir!r}")
-    rows = []
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            if row["run_id"] == args.run_id and row["router_kind"] == args.router:
-                rows.append(row)
+        lines = fh.read().splitlines()
+    if lines[:1] != [PROJECTION_HEADER]:
+        raise ValidationError(f"{path}: the first line is not {PROJECTION_HEADER!r}")
+    rows = [line for line in lines[1:]
+            if line.split(",", 2)[:2] == [args.run_id, args.router]]
     if not rows:
         raise ValidationError(
             f"no projection rows for run {args.run_id!r} with router {args.router!r}"
         )
-    print(PROJECTION_HEADER)
-    fields = PROJECTION_HEADER.split(",")
-    for row in rows:
-        print(",".join(row[f] for f in fields))
+    print("\n".join([PROJECTION_HEADER, *rows]))
     return EXIT_OK
 
 

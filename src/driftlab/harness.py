@@ -102,20 +102,22 @@ def _select_and_train(strategy, grid, t, guard):
     as a generator that yields the training requests (Strategy.learn_steps).
 
     The strategy itself is the first point's candidate, and each further
-    point learns a clone of it, all of them in lockstep; the best
-    current-domain validation accuracy wins, ties resolving to the
-    earliest point, and only the winner consolidates (consolidation never
-    changes a prediction, so it cannot change the choice).
+    point learns a clone of it; each candidate takes its point as its hp,
+    and all of them learn in lockstep. The best current-domain validation
+    accuracy wins, ties resolving to the earliest point, and only the
+    winner consolidates, with its own hp (consolidation never changes a
+    prediction, so it cannot change the choice).
     """
     candidates = [strategy] + [strategy.clone() for _ in grid[1:]]
-    yield from lockstep([candidate.learn_steps(t, guard, hp)
-                         for candidate, hp in zip(candidates, grid)])
+    for candidate, point in zip(candidates, grid):
+        candidate.hp = point
+    yield from lockstep([candidate.learn_steps(t, guard) for candidate in candidates])
     best = 0
     if len(grid) > 1:
         val = guard.val(t)
         scores = [evaluate_accuracy(candidate.predict, val) for candidate in candidates]
         best = scores.index(max(scores))
-    candidates[best].consolidate(t, guard, grid[best])
+    candidates[best].consolidate(t, guard)
     return candidates[best]
 
 
@@ -274,68 +276,40 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _tables(records):
+    """(file name, header, rows) for each result CSV. Failed runs are
+    skipped; each row is a tuple of its fields as written, in record order
+    (config order), then domain indices ascending."""
+    done = [rec for rec in records if rec.ok]
+    yield "matrix.csv", MATRIX_HEADER, (
+        (rec.run_id, rec.strategy, str(rec.seed), str(s), str(t), _fmt(rec.matrix.entry(s, t)))
+        for rec in done for t in range(rec.n_domains) for s in range(t + 1))
+    yield "summary.csv", SUMMARY_HEADER, (
+        (rec.run_id, rec.strategy, str(rec.seed), str(t), _fmt(a_t),
+         "" if rec.bwt_final is None else _fmt(rec.bwt_final))
+        for rec in done for t, a_t in enumerate(rec.avg_accuracy))
+    yield "routing.csv", ROUTING_HEADER, (
+        (rec.run_id, rec.router_kind, str(domain), _fmt(accuracy))
+        for rec in done if rec.routing is not None
+        for domain, accuracy in [*enumerate(rec.routing.per_domain),
+                                 ("overall", rec.routing.accuracy)])
+    yield "projection.csv", PROJECTION_HEADER, (
+        (rec.run_id, rec.router_kind, str(domain), str(idx), _fmt(pc1), _fmt(pc2), str(routed))
+        for rec in done for domain, idx, pc1, pc2, routed in rec.projection)
+
+
 def persist_results(records, out_dir) -> dict:
     """Write the five result files; returns {name: path}.
 
-    Rows follow record order (config order), then domain indices ascending;
-    identical records always produce byte-identical files.
+    Identical records always produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    lines = [MATRIX_HEADER]
-    for rec in records:
-        if not rec.ok:
-            continue
-        for t in range(rec.n_domains):
-            for s in range(t + 1):
-                lines.append(",".join([
-                    rec.run_id, rec.strategy, str(rec.seed), str(s), str(t),
-                    _fmt(rec.matrix.entry(s, t)),
-                ]))
-    paths["matrix.csv"] = _write_lines(out_dir, "matrix.csv", lines)
-
-    lines = [SUMMARY_HEADER]
-    for rec in records:
-        if not rec.ok:
-            continue
-        bwt_text = _fmt(rec.bwt_final) if rec.bwt_final is not None else ""
-        for t, a_t in enumerate(rec.avg_accuracy):
-            lines.append(",".join([
-                rec.run_id, rec.strategy, str(rec.seed), str(t), _fmt(a_t), bwt_text,
-            ]))
-    paths["summary.csv"] = _write_lines(out_dir, "summary.csv", lines)
-
-    lines = [ROUTING_HEADER]
-    for rec in records:
-        if not rec.ok or rec.routing is None:
-            continue
-        for d in range(rec.n_domains):
-            lines.append(",".join([
-                rec.run_id, rec.router_kind, str(d), _fmt(rec.routing.per_domain[d]),
-            ]))
-        lines.append(",".join([
-            rec.run_id, rec.router_kind, "overall", _fmt(rec.routing.accuracy),
-        ]))
-    paths["routing.csv"] = _write_lines(out_dir, "routing.csv", lines)
-
-    lines = [PROJECTION_HEADER]
-    for rec in records:
-        if not rec.ok or not rec.projection:
-            continue
-        for domain, idx, pc1, pc2, routed in rec.projection:
-            lines.append(",".join([
-                rec.run_id, rec.router_kind, str(domain), str(idx),
-                _fmt(pc1), _fmt(pc2), str(routed),
-            ]))
-    paths["projection.csv"] = _write_lines(out_dir, "projection.csv", lines)
-
+    for name, header, rows in _tables(records):
+        text = "\n".join([header, *map(",".join, rows)]) + "\n"
+        paths[name] = _write_text(out_dir, name, text)
     paths["report.txt"] = _write_text(out_dir, "report.txt", render_report(records))
     return paths
-
-
-def _write_lines(out_dir, name, lines) -> str:
-    return _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
 def _write_text(out_dir, name, text: str) -> str:

@@ -64,22 +64,22 @@ class Strategy:
     """Base contract: train_on_domain(t, guard) in stream order, then
     predict(x) without domain identity.
 
-    train_on_domain is learn followed by consolidate. learn(t) does
-    everything that can change predict; consolidate(t) keeps what the
-    finished domain leaves behind for later domains (an EWC anchor, a
+    train_on_domain is learn_steps followed by consolidate. learn_steps(t)
+    does everything that can change predict; consolidate(t) keeps what
+    the finished domain leaves behind for later domains (an EWC anchor, a
     replay admission, a generator's buffer) and changes no prediction.
     Per-domain model selection learns every grid candidate and
     consolidates only the winner. What domains leave behind is kept in
     plain lists whose position is the domain id.
 
-    hp is a config.StrategyConfig whose grid fields hold one scalar each
-    (one point of config.expand_grid). The base keeps one classifier,
-    ``model``; every model a strategy trains, expert and router included,
-    is built by _new_model and trained by _train. _train yields the
-    training as a list of one TrainRequest, what train_classifier takes,
-    so learn_steps lets a caller gather the requests of several runs
-    (lockstep) and train those that share a stack_key as one stack
-    (train_lockstep); learn trains its own alone.
+    hp, the one source of the hyperparameters, is a config.StrategyConfig
+    whose grid fields hold one scalar each (one point of
+    config.expand_grid). The base keeps one classifier, ``model``; every
+    model a strategy trains, expert and router included, is built by
+    _new_model and trained by _train. _train yields the training as a
+    list of one TrainRequest, what train_classifier takes, so learn_steps
+    lets a caller gather the requests of several runs (lockstep) and
+    train those that share a stack_key as one stack (run_lockstep).
     """
 
     name = "base"
@@ -95,35 +95,31 @@ class Strategy:
         self.last_consolidated = -1
         self.model = None
 
-    def train_on_domain(self, t: int, guard: StreamGuard, hp=None):
-        self.learn(t, guard, hp)
-        self.consolidate(t, guard, hp)
+    def train_on_domain(self, t: int, guard: StreamGuard):
+        run_lockstep([self.learn_steps(t, guard)])
+        self.consolidate(t, guard)
 
-    def learn(self, t: int, guard: StreamGuard, hp=None):
-        """Train on domain t; the previous domain must be consolidated."""
-        run_lockstep([self.learn_steps(t, guard, hp)])
-
-    def learn_steps(self, t: int, guard: StreamGuard, hp=None):
-        """learn as a generator that yields each training as a list of
-        TrainRequests and expects their models trained before it is
-        resumed."""
+    def learn_steps(self, t: int, guard: StreamGuard):
+        """Train on domain t, as a generator that yields each training as a
+        list of TrainRequests and expects their models trained before it
+        is resumed; the previous domain must be consolidated."""
         if self.last_trained != self.last_consolidated:
-            raise ContractError(f"learn({t}) before domain {self.last_trained} "
+            raise ContractError(f"learn_steps({t}) before domain {self.last_trained} "
                                 f"is consolidated")
         if t != self.last_trained + 1:
             raise ContractError(
                 f"domains must arrive in order: expected {self.last_trained + 1}, got {t}"
             )
-        yield from self._learn(t, guard, hp or self.hp)
+        yield from self._learn(t, guard, self.hp)
         self.last_trained = t
 
-    def consolidate(self, t: int, guard: StreamGuard, hp=None):
+    def consolidate(self, t: int, guard: StreamGuard):
         """Keep what domain t leaves behind; t must be the domain just learned."""
         if t != self.last_trained or t == self.last_consolidated:
             raise ContractError(f"consolidate({t}) needs domain {t} learned and not yet "
                                 f"consolidated (learned up to {self.last_trained}, "
                                 f"consolidated up to {self.last_consolidated})")
-        self._consolidate(t, guard, hp or self.hp)
+        self._consolidate(t, guard, self.hp)
         self.last_consolidated = t
 
     def _learn(self, t: int, guard: StreamGuard, hp):
@@ -400,16 +396,6 @@ _REGISTRY = {cls.name: cls for cls in
              (SeqFT, Ewc, Er, GenReplay, G2d, OracleRouter, CentroidRouted, Mtl)}
 
 
-def train_lockstep(requests):
-    """Train every request, stacking into one train_classifier call those
-    that share a stack_key; each keeps its own anchors and lam."""
-    groups = {}
-    for req in requests:
-        groups.setdefault(stack_key(req), []).append(req)
-    for group in groups.values():
-        train_classifier(group)
-
-
 def lockstep(runs):
     """Step generators that yield lists of TrainRequests (learn_steps, or
     anything built on it) together, until each returns; return their
@@ -439,15 +425,20 @@ def lockstep(runs):
 
 
 def run_lockstep(runs) -> list:
-    """Drive lockstep(runs) to the end, training each round in one
-    train_lockstep call; return the runs' return values in order."""
+    """Drive lockstep(runs) to the end; return the runs' return values in
+    order. Each round, the requests that share a stack_key train as one
+    stack in one train_classifier call, each with its own anchors and lam."""
     rounds = lockstep(runs)
     while True:
         try:
             requests = next(rounds)
         except StopIteration as done:
             return done.value
-        train_lockstep(requests)
+        groups = {}
+        for req in requests:
+            groups.setdefault(stack_key(req), []).append(req)
+        for group in groups.values():
+            train_classifier(group)
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:

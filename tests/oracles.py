@@ -453,16 +453,17 @@ def select_one_candidate_at_a_time(strategy, grid, t, guard):
     in lockstep: each candidate is cloned, learns and is scored before the
     next one starts, and only the winner consolidates."""
     if len(grid) == 1:
-        yield from strategy.learn_steps(t, guard, grid[0])
-        strategy.consolidate(t, guard, grid[0])
+        yield from strategy.learn_steps(t, guard)
+        strategy.consolidate(t, guard)
         return strategy
     val = guard.val(t)
-    best, best_hp, best_score = None, None, -1.0
+    best, best_score = None, -1.0
     for hp in grid:
         candidate = strategy.clone()
-        yield from candidate.learn_steps(t, guard, hp)
+        candidate.hp = hp
+        yield from candidate.learn_steps(t, guard)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
-            best, best_hp, best_score = candidate, hp, score
-    best.consolidate(t, guard, best_hp)
+            best, best_score = candidate, score
+    best.consolidate(t, guard)
     return best

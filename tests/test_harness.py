@@ -181,6 +181,22 @@ def test_the_strategy_is_its_first_candidate_and_only_later_points_clone(monkeyp
     assert all(args[0] is strategy for args in clones)
 
 
+def test_the_winner_consolidates_with_its_own_point(monkeypatch):
+    cfg = parse_config(GRID_DOC)
+    grid = expand_grid(cfg.strategies[1])   # er, quota: [2, 8, 30]
+    stream = build_stream(cfg.benchmark, derive(23, "stream"))
+    strategy = strategy_dispatch("er", 23, stream.dim, stream.n_classes, grid[0])
+    guard = StreamGuard(stream)
+    guard.advance(0)
+    admitted = count_calls(monkeypatch, strategies, "update_replay_buffer")
+    scores = iter([0.1, 0.2, 0.3])   # the last point wins
+    monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: next(scores))
+    [winner] = strategies.run_lockstep([harness._select_and_train(strategy, grid, 0, guard)])
+    assert winner.hp is grid[-1]
+    # update_replay_buffer(buffer, trainset, domain_id, quota, seed)
+    assert [args[3] for args in admitted] == [30]
+
+
 def test_only_the_winning_candidate_consolidates(monkeypatch):
     cfg = parse_config(GRID_DOC)
     fisher = count_calls(monkeypatch, strategies, "estimate_fisher_diag")
@@ -197,15 +213,16 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
 
 def consolidate_every_candidate(strategy, grid, t, guard):
     """Selection as it was before winner-only consolidation: every
-    candidate runs the whole of train_on_domain, learn then consolidate.
+    candidate runs the whole of train_on_domain, learn_steps then consolidate.
     A generator like harness._select_and_train, so its runs still step in
     lockstep."""
     val = guard.val(t)
     best, best_score = None, -1.0
     for hp in grid:
         candidate = strategy.clone()
-        yield from candidate.learn_steps(t, guard, hp)
-        candidate.consolidate(t, guard, hp)
+        candidate.hp = hp
+        yield from candidate.learn_steps(t, guard)
+        candidate.consolidate(t, guard)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
             best, best_score = candidate, score
@@ -356,6 +373,30 @@ def test_projection_rows_walk_the_union_test_set(tiny):
     for row in first[:5]:
         assert FLOAT6.match(row["pc1"]) and FLOAT6.match(row["pc2"])
         assert row["routed_domain"] in {"0", "1"}
+
+
+def test_a_one_domain_experiment_has_no_bwt_and_constant_routing(tmp_path):
+    cfg = parse_config(TINY_DOC.replace("n_domains: 2", "n_domains: 1")
+                       .replace("seeds: [21, 22]", "seeds: [21]"))
+    records = run_experiment(cfg, out_dir=str(tmp_path))
+    assert [rec.ok for rec in records] == [True, True]
+    paths = persist_results(records, str(tmp_path))
+
+    summary = Path(paths["summary.csv"]).read_text().splitlines()[1:]
+    assert len(summary) == 2 and all(line.endswith(",") for line in summary)
+    report = Path(paths["report.txt"]).read_text().splitlines()
+    for name in ("seqft", "g2d"):
+        [line] = [line for line in report if line.startswith(f"{name} ")]
+        assert line.split()[-1] == "-"
+
+    g2d = records[1]
+    assert [(row["run_id"], row["router_kind"], row["domain"], row["accuracy"])
+            for row in read_rows(paths["routing.csv"])] == [
+        (g2d.run_id, "synthetic", "0", "1.000000"),
+        (g2d.run_id, "synthetic", "overall", "1.000000")]
+    projection = read_rows(paths["projection.csv"])
+    assert len(projection) == 30   # one 30-point test split
+    assert {row["routed_domain"] for row in projection} == {"0"}
 
 
 def test_persisting_twice_writes_byte_identical_files(tiny, tmp_path):
@@ -818,13 +859,27 @@ def test_cli_run_report_project_round_trip(tmp_path, capsys):
     g2d_id = next(row["run_id"] for row in read_rows(out / "routing.csv"))
     assert cli.main(["project", g2d_id, "--router", "synthetic",
                      "--dir", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == PROJECTION_HEADER
-    assert len(lines) == 61
+    printed = capsys.readouterr().out
+    stored = [line for line in (out / "projection.csv").read_text().splitlines()
+              if line.startswith(f"{g2d_id},synthetic,")]
+    assert len(stored) == 60
+    assert printed == "\n".join([PROJECTION_HEADER, *stored]) + "\n"
 
     assert cli.main(["project", "feedfeedfeed", "--router", "synthetic",
                      "--dir", str(out)]) == 1
     assert "no projection rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n",
+                                  "run_id,router_kind,domain\nfeedfeedfeed,synthetic,0\n",
+                                  ""], ids=["foreign", "short", "empty"])
+def test_cli_project_rejects_a_foreign_projection_file(tmp_path, capsys, text):
+    (tmp_path / "projection.csv").write_text(text)
+    assert cli.main(["project", "feedfeedfeed", "--router", "synthetic",
+                     "--dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "projection.csv" in captured.err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -12,7 +12,8 @@ from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.strategies import (EXPERT_INIT_MODES, ROUTER_KINDS, STRATEGY_NAMES,
-                                 read_arrays, save_checkpoint, strategy_dispatch)
+                                 read_arrays, run_lockstep, save_checkpoint,
+                                 strategy_dispatch)
 
 import oracles
 
@@ -76,9 +77,9 @@ def test_consolidate_needs_the_domain_just_learned():
         guard.advance(0)
         with pytest.raises(ContractError, match="consolidate"):
             strategy.consolidate(0, guard)
-        strategy.learn(0, guard)
+        run_lockstep([strategy.learn_steps(0, guard)])
         with pytest.raises(ContractError, match="before domain 0 is consolidated"):
-            strategy.learn(1, guard)
+            run_lockstep([strategy.learn_steps(1, guard)])
         strategy.consolidate(0, guard)
         with pytest.raises(ContractError, match="consolidate"):
             strategy.consolidate(0, guard)
