@@ -16,8 +16,7 @@ from .config import (BenchmarkConfig, ExperimentConfig, StrategyConfig,
                      expand_grid, load_config, parse_config, serialize_config)
 from .errors import (ConfigError, ContractError, DataAccessError,
                      DriftLabError, NumericError, ShapeError, ValidationError)
-from .gmm import (FitConfig, GmmGenerator, Mixture, fit_em, fit_generator,
-                  sample_buffer)
+from .gmm import FitConfig, GmmGenerator, Mixture, fit_generator, sample_buffer
 from .harness import (RunRecord, execute_run, persist_results, run_experiment,
                       run_id_for)
 from .kmeans import CentroidRouter, fit_kmeans

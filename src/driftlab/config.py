@@ -34,7 +34,7 @@ import yaml
 
 from .benchmarks import BenchmarkConfig, _is_count, _is_number, validate_benchmark
 from .errors import ConfigError
-from .strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
+from .strategies import STRATEGY_NAMES
 
 # scalar knobs that accept a list value for per-domain grid selection
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
@@ -60,7 +60,6 @@ class StrategyConfig:
     router_learning_rate: object = 0.01
     n_centroids: object = 5
     n_neighbors: object = 1
-    expert_init: str = "sequential"
 
 
 @dataclass
@@ -71,15 +70,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
 
-def _field_names(cls):
-    return [f.name for f in fields(cls)]
-
-
 def _build_section(cls, raw, where, problems):
     if not isinstance(raw, dict):
         problems.append(f"{where}: expected a mapping, got {type(raw).__name__}")
         return cls()
-    allowed = _field_names(cls)
+    allowed = [f.name for f in fields(cls)]
     kwargs = {}
     for key, value in raw.items():
         if key not in allowed:
@@ -131,7 +126,7 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
         problems.append(f"{where}.optimizer: expected 'sgd' or 'adam', got {sc.optimizer!r}")
     _check_positive_float(sc.lam, f"{where}.lam", problems, allow_zero=True)
     # one value per run, not grid fields: the Fisher estimate follows the
-    # selection, and the centroid router is built once, at domain 0
+    # selection, and the centroid router keeps what it is built with at domain 0
     for name in ("fisher_samples", "n_centroids", "n_neighbors"):
         value = getattr(sc, name)
         if isinstance(value, list):
@@ -153,11 +148,6 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
             if isinstance(k, int) and k > per_class:
                 problems.append(f"{where}.gmm_components: {k} exceeds the {per_class} "
                                 f"training samples of the smallest class")
-    if sc.expert_init not in EXPERT_INIT_MODES:
-        problems.append(
-            f"{where}.expert_init: expected one of {', '.join(EXPERT_INIT_MODES)}, "
-            f"got {sc.expert_init!r}"
-        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -220,11 +210,12 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(bench, strategies, list(seeds), out_dir)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to YAML; parse(serialize(cfg)) == cfg."""
+def serialize_config(cfg: ExperimentConfig, **extra) -> str:
+    """Render a config back to YAML; parse(serialize(cfg)) == cfg. Each
+    keyword in extra is appended as a field to every strategy section."""
     doc = {
         "benchmark": asdict(cfg.benchmark),
-        "strategies": [asdict(sc) for sc in cfg.strategies],
+        "strategies": [{**asdict(sc), **extra} for sc in cfg.strategies],
         "seeds": list(cfg.seeds),
         "out_dir": cfg.out_dir,
     }

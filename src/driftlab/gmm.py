@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import LabeledSet
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ValidationError
 from .kmeans import kmeans_pp_init
 from .rng import make_rng
 
@@ -94,9 +94,12 @@ def _m_step(resp, X, X2, mass, var_floor):
 
 def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
     """EM on S equal-shaped data sets at once: X is (S, n, d), rngs holds
-    one generator per slice. Returns one (Mixture, ll_trace) per slice.
+    one generator per slice. Returns one (Mixture, ll_trace) per slice; a
+    trace is the log-likelihood after each M-step, non-decreasing to within
+    accumulation error, and restarts when a dead component is re-seeded on
+    the point the model explains worst.
 
-    Each slice is the fit fit_em gives its data alone, bit for bit: it has
+    Each slice is the fit its data would get alone, bit for bit: it has
     its own k-means++ seeds, floored global variance, trace and stopping
     test. The log-probabilities of all slices form one feature-major
     (K, S, n) pass; the responsibilities go back to a row-major (S, n, K)
@@ -172,24 +175,6 @@ def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
 def _finish(weights, means, variances, trace):
     """One slice's fit, detached from the stack."""
     return Mixture(weights.copy(), means.copy(), variances.copy()), np.asarray(trace)
-
-
-def fit_em(X: np.ndarray, config: FitConfig, rng: np.random.Generator):
-    """EM for a diagonal-covariance mixture: fit_em_stack on one slice.
-
-    Returns (Mixture, ll_trace). The trace is the total log-likelihood after
-    each M-step and is non-decreasing to within accumulation error. Means
-    start from k-means++ seeds; a component that loses all its responsibility
-    mass is re-seeded on the point the model currently explains worst, which
-    restarts the trace.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"expected (n, d) data, got shape {X.shape}")
-    n, k = X.shape[0], config.n_components
-    if n < k:
-        raise ValidationError(f"need at least {k} samples to fit {k} components, got {n}")
-    return fit_em_stack(X[None], config, [rng])[0]
 
 
 @dataclass

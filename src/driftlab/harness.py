@@ -122,8 +122,9 @@ def _select_and_train(strategy, grid, t, guard):
 
 
 def _new_records(cfg: ExperimentConfig, strategy_name: str, seeds) -> list:
-    """An empty record per seed; the config text is serialized once for all."""
-    config_hash = hashlib.sha256(serialize_config(cfg).encode())
+    """An empty record per seed; the config text is serialized once for all,
+    with the dropped field every run had, so that earlier run ids hold."""
+    config_hash = hashlib.sha256(serialize_config(cfg, expert_init="sequential").encode())
     records = []
     for seed in seeds:
         digest = config_hash.copy()

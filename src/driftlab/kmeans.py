@@ -85,8 +85,8 @@ class CentroidRouter:
 
     add_domain() summarizes one domain's training features by k-means
     centroids, in arrival order; predict() votes over the n_neighbors
-    nearest centroids. Vote ties and exact distance ties both resolve
-    toward the lowest domain id.
+    nearest centroids, and arrays() gives the checkpoint blocks. Vote ties
+    and exact distance ties both resolve toward the lowest domain id.
     """
 
     def __init__(self, n_centroids: int, n_neighbors: int):
@@ -136,3 +136,12 @@ class CentroidRouter:
         for r in range(m):
             votes[rows, near[:, r]] += 1
         return np.argmax(votes, axis=1)
+
+    def arrays(self, tag: str):
+        """Checkpoint blocks: none over one domain, where every point goes."""
+        if self.n_domains < 2:
+            return
+        yield f"{tag}.k", np.array(self.n_centroids)
+        yield f"{tag}.knn", np.array(self.n_neighbors)
+        yield f"{tag}.centroids", self.centroids
+        yield f"{tag}.domain_ids", self.domain_ids

@@ -63,6 +63,16 @@ class Classifier:
     def copy(self) -> "Classifier":
         return Classifier(self.layer_dims, self.weights, self.biases)
 
+    def predict(self, batch: np.ndarray) -> np.ndarray:
+        return predict(self, batch)
+
+    def arrays(self, tag: str):
+        """(name, array) per layer, ``<tag>.W<i>`` then ``<tag>.b<i>``: the
+        checkpoint blocks of this model."""
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            yield f"{tag}.W{i}", w
+            yield f"{tag}.b{i}", b
+
 
 def layer_views(model: Classifier, vec: np.ndarray):
     """[(W, b), ...] per layer: reshaped views into a vector in the layout

@@ -27,8 +27,7 @@ strategies differ only in what the samples are used for.
 Seeds derive from (run seed, domain index, role) and never from the strategy
 name, which makes the documented degenerate equalities exact: ewc with
 lam=0 walks seqft's trajectory bit for bit, mtl on a one-domain stream is
-seqft, and under sequential expert init expert t of every expert bank is
-seqft's model after domain t.
+seqft, and expert t of every expert bank is seqft's model after domain t.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from .training import TrainRequest, estimate_fisher_diag, stack_key, train_class
 
 STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
                   "oracle_router", "centroid_router", "mtl")
-
-EXPERT_INIT_MODES = ("sequential", "fresh")
 
 # the router_kind of every self-routing strategy, in report column order:
 # non-parametric baseline, synthetic-trained discriminator, real-data bound
@@ -270,29 +267,36 @@ class GenReplay(Strategy):
                              derive(self.seed, "domain", t, "reservoir"))
 
 
+class _OneDomain:
+    """The router of a bank that has seen one domain: every point goes to
+    expert 0, and there is no state to keep."""
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return np.zeros(X.shape[0], dtype=int)
+
+    def arrays(self, tag: str):
+        return ()
+
+
 class _ExpertBank(Strategy):
     """Router strategies: a frozen expert per domain and a router that
     sends each point to one of them.
 
-    Expert t starts from expert t-1's checkpoint by default (a config flag
-    switches to fresh initialization) and is never touched again after its
-    domain finishes. The router is None while a single domain has been seen
-    (routing is constant), a Classifier over domain ids retrained from
-    scratch after each later domain, or a CentroidRouter.
+    Expert t starts from expert t-1's checkpoint and is never touched again
+    after its domain finishes. Every router answers predict(X) with domain
+    ids and arrays(tag) with its checkpoint blocks: _OneDomain until the
+    strategy's own router replaces it, which is a Classifier over domain
+    ids retrained from scratch after each later domain or a CentroidRouter.
     """
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
         self.experts = []
-        self.router = None
+        self.router = _OneDomain()
 
     def _train_expert(self, data: LabeledSet, t: int, hp):
-        if t == 0:
-            model = self._new_model(hp.hidden, self.n_classes, "init")
-        elif hp.expert_init == "sequential":
-            model = self.experts[-1].copy()
-        else:
-            model = self._new_model(hp.hidden, self.n_classes, "domain", t, "init")
+        model = (self.experts[-1].copy() if self.experts
+                 else self._new_model(hp.hidden, self.n_classes, "init"))
         self.experts.append((yield from self._train(model, data, t, "train",
                                                      hp.epochs, hp.learning_rate, hp)))
 
@@ -304,12 +308,7 @@ class _ExpertBank(Strategy):
     def route(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
             raise ContractError("route before any training")
-        X = np.asarray(X, dtype=float)
-        if self.router is None:
-            return np.zeros(X.shape[0], dtype=int)
-        if isinstance(self.router, CentroidRouter):
-            return self.router.predict(X)
-        return nn.predict(self.router, X)
+        return self.router.predict(np.asarray(X, dtype=float))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
@@ -371,7 +370,7 @@ class CentroidRouted(_ExpertBank):
     def _learn(self, t, guard, hp):
         data = guard.train(t)
         yield from self._train_expert(data, t, hp)
-        if self.router is None:
+        if t == 0:
             self.router = CentroidRouter(hp.n_centroids, hp.n_neighbors)
         self.router.add_domain(data.X, make_rng(self.seed, "domain", t, "centroids"))
 
@@ -456,30 +455,16 @@ def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Str
 # ---------------------------------------------------------------------------
 
 
-def _classifier_arrays(tag: str, model: nn.Classifier):
-    for i, (w, b) in enumerate(nn.layer_views(model, model.params)):
-        yield f"{tag}.W{i}", w
-        yield f"{tag}.b{i}", b
-
-
 def _checkpoint_arrays(strategy: Strategy):
     """(name, array) for every piece of learned state a checkpoint keeps:
-    the model or the experts, the router, the synthetic buffers and the
-    anchors. A constant router has no state; real replay data is not
-    model state and never leaves the run."""
+    the model or the experts, the router's own blocks, the synthetic
+    buffers and the anchors; real replay data never leaves the run."""
     if isinstance(strategy, _ExpertBank):
         for t, expert in enumerate(strategy.experts):
-            yield from _classifier_arrays(f"expert{t}", expert)
-        router = strategy.router
-        if isinstance(router, CentroidRouter):
-            yield "router.k", np.array(router.n_centroids)
-            yield "router.knn", np.array(router.n_neighbors)
-            yield "router.centroids", router.centroids
-            yield "router.domain_ids", router.domain_ids
-        elif router is not None:
-            yield from _classifier_arrays("router", router)
+            yield from expert.arrays(f"expert{t}")
+        yield from strategy.router.arrays("router")
     elif strategy.model is not None:
-        yield from _classifier_arrays("model", strategy.model)
+        yield from strategy.model.arrays("model")
     for t, buf in enumerate(getattr(strategy, "synthetic", ())):
         yield f"buffer{t}.X", buf.X
         yield f"buffer{t}.y", buf.y

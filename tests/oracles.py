@@ -105,7 +105,7 @@ def centroid_vote_loop(X, centroids, domain_ids, n_neighbors):
 # EM with two log-probability passes per iteration: the log-likelihood after
 # each M-step and the E-step before the next one each build the (n, K)
 # matrix from scratch. Seeding, rescue and stopping rule are driftlab's, so
-# a fit through gmm.fit_em must match this one bit for bit.
+# a fit through gmm.fit_em_stack must match this one bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -123,7 +123,8 @@ def _gmm_total_log_likelihood(weights, means, variances, X):
 
 
 def fit_em_two_pass(X, config, rng):
-    """Returns (weights, means, variances, ll_trace) like gmm.fit_em.
+    """Returns (weights, means, variances, ll_trace) like one slice of
+    gmm.fit_em_stack.
 
     Seeds through gmm.kmeans_pp_init looked up at call time, so a test that
     patches the seeding reaches both fits.

@@ -15,7 +15,7 @@ import pytest
 from driftlab import nn
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig, load_config, parse_config
-from driftlab.gmm import FitConfig, fit_em
+from driftlab.gmm import FitConfig, fit_em_stack
 from driftlab.harness import execute_run, persist_results, run_experiment
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.metrics import AccuracyMatrix, average_accuracy
@@ -131,11 +131,13 @@ def test_c02_em_is_monotone_and_k1_matches_the_closed_form():
         X = np.vstack([centers[j] + rng.normal(size=(n, dim))
                        for j in range(k)])
 
-        mix, trace = fit_em(X, FitConfig(n_components=k), make_rng(4000 + i, "em"))
+        mix, trace = fit_em_stack(X[None], FitConfig(n_components=k),
+                                  [make_rng(4000 + i, "em")])[0]
         assert len(trace) >= 1
         assert (np.diff(trace) >= -1e-9).all()
 
-        single, _ = fit_em(X, FitConfig(n_components=1), make_rng(4000 + i, "em1"))
+        single, _ = fit_em_stack(X[None], FitConfig(n_components=1),
+                                 [make_rng(4000 + i, "em1")])[0]
         mean, var = oracles.single_gaussian_mle(X, 1e-6)
         assert single.weights[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(single.means[0] - mean).max() < 1e-9

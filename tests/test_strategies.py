@@ -11,9 +11,8 @@ from driftlab.benchmarks import BenchmarkConfig, LabeledSet, StreamGuard, build_
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
-from driftlab.strategies import (EXPERT_INIT_MODES, ROUTER_KINDS, STRATEGY_NAMES,
-                                 read_arrays, run_lockstep, save_checkpoint,
-                                 strategy_dispatch)
+from driftlab.strategies import (ROUTER_KINDS, STRATEGY_NAMES, read_arrays, run_lockstep,
+                                 save_checkpoint, strategy_dispatch)
 
 import oracles
 
@@ -136,20 +135,27 @@ def test_experts_are_frozen_once_their_domain_ends():
         assert params_equal(strategy.experts[t], snap)
 
 
-def test_single_domain_router_is_the_constant_zero():
+def router_blocks(path):
+    return [(key, arr) for key, arr in read_arrays(path / "checkpoint.txt").items()
+            if key.startswith("router.")]
+
+
+@pytest.mark.parametrize("name", ["g2d", "oracle_router", "centroid_router"])
+def test_router_checkpoint_blocks_are_its_arrays(name, tmp_path):
+    """After one domain routing is constant and no router block is
+    written; after two, the router.* blocks are router.arrays("router")."""
     stream = small_stream(n_domains=1)
-    g2d = run_stream("g2d", stream)
-    assert g2d.router is None
-    assert (g2d.route(stream.domains[0].test.X) == 0).all()
+    one = run_stream(name, stream)
+    assert (one.route(stream.domains[0].test.X) == 0).all()
+    save_checkpoint(one, tmp_path / "one")
+    assert router_blocks(tmp_path / "one") == []
 
-
-def test_fresh_expert_init_differs_from_sequential():
-    stream = small_stream()
-    seq = run_stream("g2d", stream, hp=small_hp(expert_init="sequential"))
-    fresh = run_stream("g2d", stream, hp=small_hp(expert_init="fresh"))
-    assert params_equal(seq.experts[0], fresh.experts[0])  # first expert shares the seed
-    assert not params_equal(seq.experts[1], fresh.experts[1])
-    assert tuple(EXPERT_INIT_MODES) == ("sequential", "fresh")
+    two = run_stream(name, small_stream(n_domains=2))
+    save_checkpoint(two, tmp_path / "two")
+    blocks, held = router_blocks(tmp_path / "two"), list(two.router.arrays("router"))
+    assert held and [key for key, _ in blocks] == [key for key, _ in held]
+    for (_, got), (_, want) in zip(blocks, held):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_sequential_experts_are_seqft_snapshots():
@@ -162,7 +168,7 @@ def test_sequential_experts_are_seqft_snapshots():
         seqft.train_on_domain(t, guard)
         snapshots.append(seqft.model.copy())
     for name in ("g2d", "centroid_router"):
-        bank = run_stream(name, stream, seed=3, hp=small_hp(expert_init="sequential"))
+        bank = run_stream(name, stream, seed=3)
         assert len(bank.experts) == len(snapshots)
         for t, snap in enumerate(snapshots):
             assert np.array_equal(bank.experts[t].params, snap.params), (name, t)
@@ -292,11 +298,10 @@ def test_router_kinds_are_the_roster_router_kinds():
 @given(kind=st.sampled_from(["covariate_shift", "conditional_flip"]),
        n_domains=st.integers(1, 3), n_classes=st.integers(2, 3), dim=st.integers(1, 3),
        seed=st.integers(0, 2 ** 16), n_per_class=st.integers(1, 4),
-       n_centroids=st.integers(1, 3), n_neighbors=st.integers(1, 3),
-       expert_init=st.sampled_from(EXPERT_INIT_MODES))
+       n_centroids=st.integers(1, 3), n_neighbors=st.integers(1, 3))
 def test_roster_outputs_stay_in_range_on_random_streams(name, kind, n_domains, n_classes,
                                                        dim, seed, n_per_class, n_centroids,
-                                                       n_neighbors, expert_init):
+                                                       n_neighbors):
     means = (3.0 * np.eye(n_classes, dim)).tolist()
     bench = BenchmarkConfig(kind=kind, n_domains=n_domains, class_means=means,
                             domain_shift=[4.0] * dim, n_train=6 * n_classes, n_val=4,
@@ -306,7 +311,7 @@ def test_roster_outputs_stay_in_range_on_random_streams(name, kind, n_domains, n
     stream = build_stream(bench, seed)
     hp = small_hp(hidden=[4], epochs=1, router_hidden=[4], router_epochs=1,
                   n_per_class=n_per_class, n_centroids=n_centroids,
-                  n_neighbors=n_neighbors, expert_init=expert_init)
+                  n_neighbors=n_neighbors)
     strategy = strategy_dispatch(name, seed, stream.dim, stream.n_classes, hp)
     # a plain guard raises DataAccessError on any read of a past domain
     guard = StreamGuard(stream, privileged=strategy.privileged)
