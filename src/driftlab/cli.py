@@ -126,18 +126,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "report": _cmd_report,
-        "project": _cmd_project,
-        "validate": _cmd_validate,
-    }[args.command]
+    handler = {"run": _cmd_run, "report": _cmd_report, "project": _cmd_project,
+               "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DriftLabError, OSError) as exc:

@@ -112,10 +112,8 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
     n_train is a valid integer."""
     where = f"strategies[{idx}]"
     if sc.name not in STRATEGY_NAMES:
-        problems.append(
-            f"{where}.name: {sc.name!r} is not a strategy; valid names: "
-            f"{', '.join(STRATEGY_NAMES)}"
-        )
+        problems.append(f"{where}.name: {sc.name!r} is not a strategy; "
+                        f"valid names: {', '.join(STRATEGY_NAMES)}")
     for field_name, value in (("hidden", sc.hidden), ("router_hidden", sc.router_hidden)):
         if not isinstance(value, list) or not all(_is_count(h) for h in value):
             problems.append(f"{where}.{field_name}: expected a list of integers >= 1")

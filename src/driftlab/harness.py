@@ -25,18 +25,19 @@ write leaves the previous file whole.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .benchmarks import StreamGuard, build_stream
 from .config import ExperimentConfig, expand_grid, serialize_config
+from .files import write_text
 from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
@@ -208,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
 
     Returns the records in config order (strategies outer, seeds inner)
     and writes each run's <out>/runs/<run_id>/checkpoint.txt, or the
-    traceback of a failed run to <out>/runs/<run_id>/failure.txt. Under
+    traceback of a failed run to <out>/runs/<run_id>/failure.txt (a run
+    whose checkpoint cannot be written fails too, in either mode). Under
     jobs > 1, tasks run in at most min(jobs, tasks) worker processes, and
     the runs of a task whose worker dies (BrokenProcessPool) become failed
     records too, while the tasks that finished keep theirs. A
@@ -245,7 +247,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
 def _pool_result(future, task) -> list:
     try:
         return future.result()
-    except Exception as exc:   # the worker died before it could report
+    except BrokenProcessPool as exc:   # the worker died before it could report
         cfg, sc, out = task
         records = _new_records(cfg, sc.name, cfg.seeds)
         for record in records:
@@ -255,9 +257,8 @@ def _pool_result(future, task) -> list:
 
 
 def _write_failure(record: RunRecord, out):
-    run_dir = os.path.join(out, "runs", record.run_id)
-    os.makedirs(run_dir, exist_ok=True)
-    _write_text(run_dir, "failure.txt", record.traceback)
+    write_text(os.path.join(out, "runs", record.run_id), "failure.txt", record.traceback,
+               replaces="checkpoint.txt")
 
 
 def _run_task(task) -> list:
@@ -265,10 +266,13 @@ def _run_task(task) -> list:
     records = []
     for record, strategy in execute_run(cfg, sc, cfg.seeds):
         # checkpoint in the worker: strategies do not cross process boundaries
-        if strategy is None:
+        if strategy is not None:
+            try:
+                save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
+            except Exception as exc:   # a run whose checkpoint cannot be written failed
+                _fail(record, exc)
+        if not record.ok:
             _write_failure(record, out)
-        else:
-            save_checkpoint(strategy, os.path.join(out, "runs", record.run_id))
         records.append(record)
     return records
 
@@ -304,26 +308,9 @@ def persist_results(records, out_dir) -> dict:
 
     Identical records always produce byte-identical files.
     """
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for name, header, rows in _tables(records):
         text = "\n".join([header, *map(",".join, rows)]) + "\n"
-        paths[name] = _write_text(out_dir, name, text)
-    paths["report.txt"] = _write_text(out_dir, "report.txt", render_report(records))
+        paths[name] = write_text(out_dir, name, text)
+    paths["report.txt"] = write_text(out_dir, "report.txt", render_report(records))
     return paths
-
-
-def _write_text(out_dir, name, text: str) -> str:
-    """Write through a temp file and a rename, so a reader never sees a
-    half-written file and a failed write leaves only the previous one."""
-    path = os.path.join(out_dir, name)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-    return path

@@ -35,22 +35,19 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
-import os
 
 import numpy as np
 
 from . import nn
 from .benchmarks import LabeledSet, StreamGuard
 from .errors import ConfigError, ContractError, ValidationError
+from .files import write_text
 from .gmm import FitConfig, fit_generator, sample_buffer
 from .kmeans import CentroidRouter
 from .memory import (build_router_trainset, compose_replay_trainset,
                      concat_sets, update_replay_buffer)
 from .rng import derive, make_rng
 from .training import TrainRequest, estimate_fisher_diag, stack_key, train_classifier
-
-STRATEGY_NAMES = ("seqft", "ewc", "er", "gen_replay", "g2d",
-                  "oracle_router", "centroid_router", "mtl")
 
 # the router_kind of every self-routing strategy, in report column order:
 # non-parametric baseline, synthetic-trained discriminator, real-data bound
@@ -71,12 +68,14 @@ class Strategy:
 
     hp, the one source of the hyperparameters, is a config.StrategyConfig
     whose grid fields hold one scalar each (one point of
-    config.expand_grid). The base keeps one classifier, ``model``; every
-    model a strategy trains, expert and router included, is built by
-    _new_model and trained by _train. _train yields the training as a
-    list of one TrainRequest, what train_classifier takes, so learn_steps
-    lets a caller gather the requests of several runs (lockstep) and
-    train those that share a stack_key as one stack (run_lockstep).
+    config.expand_grid). The base keeps one classifier, ``model``, and
+    its _learn, every single-model strategy's, trains it on two hooks:
+    _trainset (replay composes, mtl takes the union afresh) and _penalty
+    (ewc's anchors and lam). Every model, expert and router included, is
+    built by _new_model and trained by _train, which yields a list of one
+    TrainRequest, so a caller can gather the requests of several runs
+    (lockstep) and train those sharing a stack_key as one stack
+    (run_lockstep). arrays() names the strategy's checkpoint blocks.
     """
 
     name = "base"
@@ -104,9 +103,8 @@ class Strategy:
             raise ContractError(f"learn_steps({t}) before domain {self.last_trained} "
                                 f"is consolidated")
         if t != self.last_trained + 1:
-            raise ContractError(
-                f"domains must arrive in order: expected {self.last_trained + 1}, got {t}"
-            )
+            raise ContractError(f"domains must arrive in order: "
+                                f"expected {self.last_trained + 1}, got {t}")
         yield from self._learn(t, guard, self.hp)
         self.last_trained = t
 
@@ -120,7 +118,17 @@ class Strategy:
         self.last_consolidated = t
 
     def _learn(self, t: int, guard: StreamGuard, hp):
-        raise NotImplementedError
+        data = self._trainset(t, guard)
+        if self.model is None:
+            self.model = self._new_model(hp.hidden, self.n_classes, "init")
+        yield from self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate,
+                               hp, *self._penalty(hp))
+
+    def _trainset(self, t: int, guard: StreamGuard) -> LabeledSet:
+        return guard.train(t)
+
+    def _penalty(self, hp):
+        return (), 0.0
 
     def _consolidate(self, t: int, guard: StreamGuard, hp):
         pass
@@ -148,17 +156,21 @@ class Strategy:
         """Deep copy used by per-domain hyperparameter selection."""
         return copy.deepcopy(self)
 
+    def arrays(self):
+        """(name, array) per checkpoint block; real replay data stays in the run."""
+        if self.model is not None:
+            yield from self.model.arrays("model")
+
+
+def _buffer_blocks(synthetic):
+    return ((f"buffer{t}.{a}", arr) for t, buf in enumerate(synthetic)
+            for a, arr in (("X", buf.X), ("y", buf.y)))
+
 
 class SeqFT(Strategy):
     """Sequential finetuning: nothing protects past domains."""
 
     name = "seqft"
-
-    def _learn(self, t, guard, hp):
-        if self.model is None:
-            self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        yield from self._train(self.model, guard.train(t), t, "train",
-                               hp.epochs, hp.learning_rate, hp)
 
 
 class Ewc(Strategy):
@@ -170,13 +182,9 @@ class Ewc(Strategy):
         super().__init__(seed, dim, n_classes, hp)
         self.anchors = []     # (params, fisher) per finished domain
 
-    def _learn(self, t, guard, hp):
-        if self.model is None:
-            self.model = self._new_model(hp.hidden, self.n_classes, "init")
+    def _penalty(self, hp):
         # lam = 0 is no penalty at all: the model trains as seqft's does
-        anchors = self.anchors if hp.lam > 0 else []
-        yield from self._train(self.model, guard.train(t), t, "train",
-                               hp.epochs, hp.learning_rate, hp, anchors, hp.lam)
+        return (self.anchors, hp.lam) if hp.lam > 0 else ((), 0.0)
 
     def _consolidate(self, t, guard, hp):
         fisher = estimate_fisher_diag(
@@ -184,6 +192,14 @@ class Ewc(Strategy):
             n_samples=hp.fisher_samples,
         )
         self.anchors.append((self.model.params.copy(), fisher))
+
+    def arrays(self):
+        yield from super().arrays()
+        for a, (params, fisher) in enumerate(self.anchors):
+            for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(self.model, params),
+                                                       nn.layer_views(self.model, fisher))):
+                for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):
+                    yield f"anchor{a}.{label}{i}", arr
 
 
 class Er(Strategy):
@@ -195,12 +211,8 @@ class Er(Strategy):
         super().__init__(seed, dim, n_classes, hp)
         self.buffer = []      # reservoir admission per finished domain
 
-    def _learn(self, t, guard, hp):
-        if self.model is None:
-            self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        data = guard.train(t)
-        yield from self._train(self.model, compose_replay_trainset(data, self.buffer), t,
-                               "train", hp.epochs, hp.learning_rate, hp)
+    def _trainset(self, t, guard):
+        return compose_replay_trainset(guard.train(t), self.buffer)
 
     def _consolidate(self, t, guard, hp):
         update_replay_buffer(self.buffer, guard.train(t), t, hp.quota,
@@ -253,18 +265,18 @@ class GenReplay(Strategy):
         super().__init__(seed, dim, n_classes, hp)
         self.synthetic = []   # one synthetic draw per finished domain
 
-    def _learn(self, t, guard, hp):
-        if self.model is None:
-            self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        data = guard.train(t)
-        yield from self._train(self.model, compose_replay_trainset(data, self.synthetic), t,
-                               "train", hp.epochs, hp.learning_rate, hp)
+    def _trainset(self, t, guard):
+        return compose_replay_trainset(guard.train(t), self.synthetic)
 
     def _consolidate(self, t, guard, hp):
         draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
         # quota equals the per-class draw, so the whole draw is admitted
         update_replay_buffer(self.synthetic, draw, t, hp.n_per_class,
                              derive(self.seed, "domain", t, "reservoir"))
+
+    def arrays(self):
+        yield from super().arrays()
+        yield from _buffer_blocks(self.synthetic)
 
 
 class _OneDomain:
@@ -321,6 +333,11 @@ class _ExpertBank(Strategy):
             out[mask] = nn.predict(self.experts[t], X[mask])
         return out
 
+    def arrays(self):
+        for t, expert in enumerate(self.experts):
+            yield from expert.arrays(f"expert{t}")
+        yield from self.router.arrays("router")
+
 
 class G2d(_ExpertBank):
     """Frozen experts routed by a discriminator trained only on synthetic
@@ -342,6 +359,10 @@ class G2d(_ExpertBank):
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
         if t > 0:
             yield from self._train_router(build_router_trainset(self.synthetic), t, hp)
+
+    def arrays(self):
+        yield from super().arrays()
+        yield from _buffer_blocks(self.synthetic)
 
 
 class OracleRouter(_ExpertBank):
@@ -384,15 +405,14 @@ class Mtl(Strategy):
     name = "mtl"
     privileged = True
 
-    def _learn(self, t, guard, hp):
-        self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        union = concat_sets([guard.train(i) for i in range(t + 1)])
-        yield from self._train(self.model, union, t, "train",
-                               hp.epochs, hp.learning_rate, hp)
+    def _trainset(self, t, guard):
+        self.model = None    # a fresh init at every domain
+        return concat_sets([guard.train(i) for i in range(t + 1)])
 
 
 _REGISTRY = {cls.name: cls for cls in
              (SeqFT, Ewc, Er, GenReplay, G2d, OracleRouter, CentroidRouted, Mtl)}
+STRATEGY_NAMES = tuple(_REGISTRY)
 
 
 def lockstep(runs):
@@ -444,9 +464,8 @@ def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Str
     """Instantiate a strategy by its registered name; hp is a
     config.StrategyConfig with scalar grid fields."""
     if name not in _REGISTRY:
-        raise ConfigError(
-            f"unknown strategy {name!r}; valid names: {', '.join(STRATEGY_NAMES)}"
-        )
+        raise ConfigError(f"unknown strategy {name!r}; "
+                          f"valid names: {', '.join(STRATEGY_NAMES)}")
     return _REGISTRY[name](seed, dim, n_classes, hp)
 
 
@@ -455,41 +474,17 @@ def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Str
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_arrays(strategy: Strategy):
-    """(name, array) for every piece of learned state a checkpoint keeps:
-    the model or the experts, the router's own blocks, the synthetic
-    buffers and the anchors; real replay data never leaves the run."""
-    if isinstance(strategy, _ExpertBank):
-        for t, expert in enumerate(strategy.experts):
-            yield from expert.arrays(f"expert{t}")
-        yield from strategy.router.arrays("router")
-    elif strategy.model is not None:
-        yield from strategy.model.arrays("model")
-    for t, buf in enumerate(getattr(strategy, "synthetic", ())):
-        yield f"buffer{t}.X", buf.X
-        yield f"buffer{t}.y", buf.y
-    if isinstance(strategy, Ewc):
-        model = strategy.model
-        for a, (params, fisher) in enumerate(strategy.anchors):
-            for i, ((w, b), (fw, fb)) in enumerate(zip(nn.layer_views(model, params),
-                                                       nn.layer_views(model, fisher))):
-                for label, arr in (("W", w), ("b", b), ("FW", fw), ("Fb", fb)):
-                    yield f"anchor{a}.{label}{i}", arr
-
-
 def save_checkpoint(strategy: Strategy, out_dir):
-    """Write the strategy's learned state to <out_dir>/checkpoint.txt.
+    """Write strategy.arrays() to <out_dir>/checkpoint.txt, replacing a failure.txt.
 
     Each array is one block: a header line ``<name> <dtype> shape=<d0>x<d1>``
     (an empty shape for a scalar), then one line of its values in row-major
     order, each written with repr so that read_arrays restores it exactly.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "checkpoint.txt"), "w") as fh:
-        for name, arr in _checkpoint_arrays(strategy):
-            shape = "x".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.dtype.name} shape={shape}\n")
-            fh.write(" ".join(repr(v) for v in arr.ravel().tolist()) + "\n")
+    text = "".join(f"{name} {arr.dtype.name} shape={'x'.join(map(str, arr.shape))}\n"
+                   + " ".join(map(repr, arr.ravel().tolist())) + "\n"
+                   for name, arr in strategy.arrays())
+    write_text(out_dir, "checkpoint.txt", text, replaces="failure.txt")
 
 
 def read_arrays(path) -> dict:

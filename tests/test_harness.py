@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftlab import cli, harness, strategies
+from driftlab import cli, harness, nn, strategies
 from driftlab.benchmarks import StreamGuard, build_stream
 from driftlab.config import expand_grid, load_config, parse_config
 from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
@@ -590,6 +590,80 @@ def test_a_dead_worker_keeps_the_finished_runs(tmp_path, monkeypatch, capsys):
         assert "BrokenProcessPool" in (out / "runs" / run_id / "failure.txt").read_text()
 
 
+@pytest.mark.parametrize("first_fails", [True, False])
+def test_a_run_directory_holds_only_what_its_last_run_left(tmp_path, monkeypatch, first_fails):
+    cfg = parse_config(TINY_DOC)
+    real_build_stream = harness.build_stream
+
+    def poisoned(bench, seed):
+        stream = real_build_stream(bench, seed)
+        stream.domains[0].train.X[0, 0] = np.nan
+        return stream
+
+    for fails in (first_fails, not first_fails):
+        with monkeypatch.context() as patch:
+            if fails:
+                patch.setattr(harness, "build_stream", poisoned)
+            records = run_experiment(cfg, out_dir=str(tmp_path))
+        left = "failure.txt" if fails else "checkpoint.txt"
+        assert len(records) == 4 and all(rec.ok != fails for rec in records)
+        for rec in records:
+            assert [p.name for p in (tmp_path / "runs" / rec.run_id).iterdir()] == [left]
+
+
+def run_on_a_full_disk(out, monkeypatch, capsys, jobs):
+    """driftlab run on TINY_DOC while no router's checkpoint blocks can be
+    written: (exit code, stdout, matrix.csv, {run_id: (files, failure text)})."""
+    out.parent.mkdir()
+    config_path = out.parent / "exp.yaml"
+    config_path.write_text(TINY_DOC)
+    arrays = nn.Classifier.arrays
+
+    def disk_full(model, tag):
+        if tag == "router":
+            raise OSError("disk full")
+        return arrays(model, tag)
+
+    monkeypatch.setattr(nn.Classifier, "arrays", disk_full)
+    code = cli.main(["run", str(config_path), "--out", str(out), "--jobs", str(jobs)])
+    monkeypatch.undo()
+    runs = {}
+    for run_dir in (out / "runs").iterdir():
+        failure = run_dir / "failure.txt"
+        runs[run_dir.name] = (sorted(p.name for p in run_dir.iterdir()),
+                              failure.read_text() if failure.exists() else None)
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    return code, stdout, (out / "matrix.csv").read_text(), runs
+
+
+FORKED = multiprocessing.get_start_method() == "fork"
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    not FORKED, reason="pool workers inherit the patched arrays only when forked"))])
+def test_a_failed_checkpoint_fails_its_run_serially_and_pooled(tmp_path, monkeypatch, capsys,
+                                                               jobs):
+    cfg = parse_config(TINY_DOC)
+    seqft_ids = [run_id_for(cfg, "seqft", seed) for seed in cfg.seeds]
+    g2d_ids = [run_id_for(cfg, "g2d", seed) for seed in cfg.seeds]
+    got = run_on_a_full_disk(tmp_path / f"jobs{jobs}" / "out", monkeypatch, capsys, jobs)
+    code, stdout, matrix, runs = got
+    assert code == 2
+    assert stdout.count("FAILED (OSError: disk full)") == 2
+    assert {row.split(",")[0] for row in matrix.splitlines()[1:]} == set(seqft_ids)
+    for run_id in seqft_ids:
+        assert runs[run_id] == (["checkpoint.txt"], None)
+    for run_id in g2d_ids:
+        files, text = runs[run_id]
+        assert files == ["failure.txt"]
+        assert text.startswith("Traceback (most recent call last):")
+        assert "in save_checkpoint" in text
+        assert text.endswith("OSError: disk full\n")
+    if jobs > 1:
+        serial = run_on_a_full_disk(tmp_path / "jobs1" / "out", monkeypatch, capsys, 1)
+        assert got == serial
+
+
 def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, monkeypatch):
     # seed 22's first training row is NaN, so its slice of the stacked step
     # turns non-finite; 21 and 23 must end as if each had run alone
@@ -780,11 +854,14 @@ def test_shared_draws_close_when_run_experiment_returns(tmp_path, monkeypatch):
 
 
 def test_shared_draws_close_when_run_experiment_raises(tmp_path, monkeypatch):
-    def broken_checkpoint(strategy, out_dir):
+    def disk_full(*args):
         assert strategies._draws is not None
         raise OSError("disk full")
 
-    monkeypatch.setattr(harness, "save_checkpoint", broken_checkpoint)
+    # a failed checkpoint fails its run; only a failure that cannot be
+    # written either comes out of run_experiment
+    monkeypatch.setattr(harness, "save_checkpoint", disk_full)
+    monkeypatch.setattr(harness, "_write_failure", disk_full)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
     assert strategies._draws is None

@@ -480,6 +480,26 @@ def test_checkpoint_round_trips_every_held_array(tmp_path):
         ["buffer0.X", "buffer0.y", "expert0.W0", "expert0.W1", "expert0.b0", "expert0.b1"]
 
 
+def test_a_failed_checkpoint_rewrite_leaves_the_previous_file_whole(tmp_path, monkeypatch):
+    strategy = run_stream("g2d", small_stream(n_domains=2))
+    save_checkpoint(strategy, tmp_path)
+    before = (tmp_path / "checkpoint.txt").read_bytes()
+    arrays = nn.Classifier.arrays
+
+    def disk_full(model, tag):
+        if tag == "router":
+            raise OSError("disk full")
+        return arrays(model, tag)
+
+    # the expert blocks come before the router's, so a streamed write
+    # would already have cut the file
+    monkeypatch.setattr(nn.Classifier, "arrays", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(strategy, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]
+    assert (tmp_path / "checkpoint.txt").read_bytes() == before
+
+
 def test_read_arrays_rejects_malformed_blocks(tmp_path):
     path = tmp_path / "checkpoint.txt"
     path.write_text("model.W0 float64 shape=2x2\n1.0 2.0 3.0\n")
