@@ -221,8 +221,12 @@ def serialize_config(cfg: ExperimentConfig, **extra) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def expand_grid(sc: StrategyConfig):

@@ -25,6 +25,7 @@ write leaves the previous file whole.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import time
@@ -42,7 +43,7 @@ from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
                       evaluate_accuracy, routing_accuracy)
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import lockstep, run_lockstep, save_checkpoint, shared_draws, strategy_dispatch
+from .strategies import lockstep, run_lockstep, save_checkpoint, shared_fits, strategy_dispatch
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -210,21 +211,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     Returns the records in config order (strategies outer, seeds inner)
     and writes each run's <out>/runs/<run_id>/checkpoint.txt, or the
     traceback of a failed run to <out>/runs/<run_id>/failure.txt (a run
-    whose checkpoint cannot be written fails too, in either mode). Under
+    whose checkpoint cannot be written fails too, in either mode; one whose
+    failure.txt cannot be written keeps its failure in the record). Under
     jobs > 1, tasks run in at most min(jobs, tasks) worker processes, and
     the runs of a task whose worker dies (BrokenProcessPool) become failed
     records too, while the tasks that finished keep theirs. A
     KeyboardInterrupt comes out as RunInterrupted with the records of the
-    tasks finished so far. Within the call (strategies.shared_draws), each
-    process fits each distinct synthetic draw once and lends the read-only
-    buffer to every run and grid candidate that asks for it. Persisting
-    the aggregate CSVs is a separate step (persist_results).
+    tasks finished so far. Within the call (strategies.shared_fits), each
+    process fits each distinct generator once, and every run and grid
+    candidate that asks for a draw samples its own buffer from it.
+    Persisting the aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     tasks = [(cfg, sc, out) for sc in cfg.strategies]
     done = []
     try:
-        with shared_draws():
+        with shared_fits():
             if jobs <= 1:
                 for task in tasks:
                     done.append(_run_task(task))
@@ -252,7 +254,8 @@ def _pool_result(future, task) -> list:
         records = _new_records(cfg, sc.name, cfg.seeds)
         for record in records:
             _fail(record, exc)
-            _write_failure(record, out)
+            with contextlib.suppress(OSError):   # the record keeps the failure
+                _write_failure(record, out)
         return records
 
 
@@ -272,7 +275,8 @@ def _run_task(task) -> list:
             except Exception as exc:   # a run whose checkpoint cannot be written failed
                 _fail(record, exc)
         if not record.ok:
-            _write_failure(record, out)
+            with contextlib.suppress(OSError):   # the record keeps the failure
+                _write_failure(record, out)
         records.append(record)
     return records
 

@@ -20,10 +20,10 @@ class Classifier:
 
     Hidden activations are ReLU; the final layer emits raw logits. All
     parameters live in one float64 vector ``params`` laid out W0, b0, W1,
-    b1, ...; ``weights[i]`` and ``biases[i]`` are views into it. A stack
-    (see ``stack``) holds S models of the same dims in one (S, P) matrix,
-    and its weights and biases carry the same leading seed axis.
-    Instances are mutated only by optimizer steps.
+    b1, ...; ``weights[i]`` and ``biases[i]`` are views into it, and it
+    owns its memory. ``stack`` copies S models of the same dims into one
+    (S, P) matrix, whose weights and biases carry a leading seed axis;
+    training writes each trained row back into its model's ``params``.
     """
 
     def __init__(self, layer_dims, weights, biases):
@@ -95,20 +95,17 @@ def layer_views(model: Classifier, vec: np.ndarray):
 def stack(models) -> Classifier:
     """One Classifier over S models of the same layer_dims.
 
-    Its ``params`` is an (S, P) matrix whose row s becomes ``models[s].params``
-    (each model is rebound to a view of its row), so a step on the stack
-    steps every model. Batches for it carry the same leading seed axis.
+    Its ``params`` is an (S, P) matrix holding a copy of models[s].params
+    in row s; the models are left alone. Batches for it carry the same
+    leading seed axis.
     """
     dims = models[0].layer_dims
     if any(m.layer_dims != dims for m in models):
         raise ShapeError(f"cannot stack models of layer_dims "
                          f"{sorted({tuple(m.layer_dims) for m in models})}")
-    shared = np.stack([m.params for m in models])
-    for model, row in zip(models, shared):
-        model._bind(row)
     stacked = Classifier.__new__(Classifier)
     stacked.layer_dims = list(dims)
-    stacked._bind(shared)
+    stacked._bind(np.stack([m.params for m in models]))
     return stacked
 
 

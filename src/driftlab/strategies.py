@@ -26,9 +26,9 @@ strategies differ only in what the samples are used for.
 
 Seeds derive from (run seed, domain index, role) and never from the strategy
 name, which makes the documented degenerate equalities exact: ewc with
-lam=0 walks seqft's trajectory bit for bit, mtl on a one-domain stream is
-seqft, and expert t of every expert bank is seqft's model after domain t.
-"""
+lam=0 walks seqft's trajectory bit for bit and mtl on a one-domain stream
+is seqft. Expert t of every expert bank is seqft's model after domain t by
+construction."""
 
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ class Strategy:
 
     hp, the one source of the hyperparameters, is a config.StrategyConfig
     whose grid fields hold one scalar each (one point of
-    config.expand_grid). The base keeps one classifier, ``model``, and
-    its _learn, every single-model strategy's, trains it on two hooks:
+    config.expand_grid); every hook reads it as self.hp. The base keeps
+    one classifier, ``model``, and its _learn trains it on two hooks:
     _trainset (replay composes, mtl takes the union afresh) and _penalty
     (ewc's anchors and lam). Every model, expert and router included, is
     built by _new_model and trained by _train, which yields a list of one
@@ -105,7 +105,7 @@ class Strategy:
         if t != self.last_trained + 1:
             raise ContractError(f"domains must arrive in order: "
                                 f"expected {self.last_trained + 1}, got {t}")
-        yield from self._learn(t, guard, self.hp)
+        yield from self._learn(t, guard)
         self.last_trained = t
 
     def consolidate(self, t: int, guard: StreamGuard):
@@ -114,23 +114,23 @@ class Strategy:
             raise ContractError(f"consolidate({t}) needs domain {t} learned and not yet "
                                 f"consolidated (learned up to {self.last_trained}, "
                                 f"consolidated up to {self.last_consolidated})")
-        self._consolidate(t, guard, self.hp)
+        self._consolidate(t, guard)
         self.last_consolidated = t
 
-    def _learn(self, t: int, guard: StreamGuard, hp):
+    def _learn(self, t: int, guard: StreamGuard):
         data = self._trainset(t, guard)
         if self.model is None:
-            self.model = self._new_model(hp.hidden, self.n_classes, "init")
-        yield from self._train(self.model, data, t, "train", hp.epochs, hp.learning_rate,
-                               hp, *self._penalty(hp))
+            self.model = self._new_model(self.hp.hidden, self.n_classes, "init")
+        yield from self._train(self.model, data, t, "train", self.hp.epochs,
+                               self.hp.learning_rate, *self._penalty())
 
     def _trainset(self, t: int, guard: StreamGuard) -> LabeledSet:
         return guard.train(t)
 
-    def _penalty(self, hp):
+    def _penalty(self):
         return (), 0.0
 
-    def _consolidate(self, t: int, guard: StreamGuard, hp):
+    def _consolidate(self, t: int, guard: StreamGuard):
         pass
 
     def _new_model(self, hidden, n_outputs: int, *seed_labels) -> nn.Classifier:
@@ -138,10 +138,10 @@ class Strategy:
         return nn.init_classifier(dims, derive(self.seed, *seed_labels))
 
     def _train(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
-               epochs: int, learning_rate: float, hp, anchors=(), lam=0.0):
+               epochs: int, learning_rate: float, anchors=(), lam=0.0):
         """Yield the request that trains model on data; return the model."""
-        yield [TrainRequest(model, data, epochs, hp.batch_size, hp.optimizer, learning_rate,
-                            derive(self.seed, "domain", t, role), anchors, lam)]
+        yield [TrainRequest(model, data, epochs, self.hp.batch_size, self.hp.optimizer,
+                            learning_rate, derive(self.seed, "domain", t, role), anchors, lam)]
         return model
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -182,14 +182,14 @@ class Ewc(Strategy):
         super().__init__(seed, dim, n_classes, hp)
         self.anchors = []     # (params, fisher) per finished domain
 
-    def _penalty(self, hp):
+    def _penalty(self):
         # lam = 0 is no penalty at all: the model trains as seqft's does
-        return (self.anchors, hp.lam) if hp.lam > 0 else ((), 0.0)
+        return (self.anchors, self.hp.lam) if self.hp.lam > 0 else ((), 0.0)
 
-    def _consolidate(self, t, guard, hp):
+    def _consolidate(self, t, guard):
         fisher = estimate_fisher_diag(
             self.model, guard.train(t), derive(self.seed, "domain", t, "fisher"),
-            n_samples=hp.fisher_samples,
+            n_samples=self.hp.fisher_samples,
         )
         self.anchors.append((self.model.params.copy(), fisher))
 
@@ -214,45 +214,42 @@ class Er(Strategy):
     def _trainset(self, t, guard):
         return compose_replay_trainset(guard.train(t), self.buffer)
 
-    def _consolidate(self, t, guard, hp):
-        update_replay_buffer(self.buffer, guard.train(t), t, hp.quota,
+    def _consolidate(self, t, guard):
+        update_replay_buffer(self.buffer, guard.train(t), t, self.hp.quota,
                              derive(self.seed, "domain", t, "reservoir"))
 
 
-_draws = None    # {draw inputs: buffer} while shared_draws is open
+_fits = None    # {fit inputs: GmmGenerator} while shared_fits is open
 
 
 @contextlib.contextmanager
-def shared_draws():
-    """Within the block, _draw_buffer computes each distinct draw once."""
-    global _draws
-    _draws = {}
+def shared_fits():
+    """Within the block, _draw_buffer fits each distinct generator once."""
+    global _fits
+    _fits = {}
     try:
         yield
     finally:
-        _draws = None
+        _fits = None
 
 
 def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
-    """Fit domain t's generator and freeze one synthetic buffer draw.
+    """Fit domain t's generator and draw one synthetic buffer from it.
 
     The seeds depend only on (run seed, domain), so gen_replay and g2d draw
-    byte-identical buffers under the same run seed. Within shared_draws, a
-    draw whose every input was seen before returns the stored buffer, whose
-    arrays are read-only; outside it, every call fits.
+    byte-identical buffers under the same run seed. Within shared_fits, a
+    fit whose every input was seen before reuses the stored generator;
+    outside it, every call fits. Each call samples a buffer of its own.
     """
     config = FitConfig(n_components=hp.gmm_components)
-    key = (seed, t, n_classes, repr(config), hp.n_per_class,
+    key = (seed, t, n_classes, repr(config),
            *[(a.shape, a.dtype.str, hashlib.sha256(a.tobytes()).digest())
              for a in (data.X, data.y)])
-    if _draws is not None and key in _draws:
-        return _draws[key]
-    gen = fit_generator(data, t, n_classes, config, derive(seed, "domain", t, "generator"))
-    buf = sample_buffer(gen, hp.n_per_class, derive(seed, "domain", t, "buffer"))
-    if _draws is not None:
-        buf.X.flags.writeable = buf.y.flags.writeable = False
-        _draws[key] = buf
-    return buf
+    fits = {} if _fits is None else _fits
+    if key not in fits:
+        fits[key] = fit_generator(data, t, n_classes, config,
+                                  derive(seed, "domain", t, "generator"))
+    return sample_buffer(fits[key], hp.n_per_class, derive(seed, "domain", t, "buffer"))
 
 
 class GenReplay(Strategy):
@@ -268,10 +265,10 @@ class GenReplay(Strategy):
     def _trainset(self, t, guard):
         return compose_replay_trainset(guard.train(t), self.synthetic)
 
-    def _consolidate(self, t, guard, hp):
-        draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, hp)
+    def _consolidate(self, t, guard):
+        draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, self.hp)
         # quota equals the per-class draw, so the whole draw is admitted
-        update_replay_buffer(self.synthetic, draw, t, hp.n_per_class,
+        update_replay_buffer(self.synthetic, draw, t, self.hp.n_per_class,
                              derive(self.seed, "domain", t, "reservoir"))
 
     def arrays(self):
@@ -294,8 +291,8 @@ class _ExpertBank(Strategy):
     """Router strategies: a frozen expert per domain and a router that
     sends each point to one of them.
 
-    Expert t starts from expert t-1's checkpoint and is never touched again
-    after its domain finishes. Every router answers predict(X) with domain
+    Expert t is a frozen copy of seqft's model after domain t: the base
+    _learn trains ``model``. Every router answers predict(X) with domain
     ids and arrays(tag) with its checkpoint blocks: _OneDomain until the
     strategy's own router replaces it, which is a Classifier over domain
     ids retrained from scratch after each later domain or a CentroidRouter.
@@ -306,16 +303,14 @@ class _ExpertBank(Strategy):
         self.experts = []
         self.router = _OneDomain()
 
-    def _train_expert(self, data: LabeledSet, t: int, hp):
-        model = (self.experts[-1].copy() if self.experts
-                 else self._new_model(hp.hidden, self.n_classes, "init"))
-        self.experts.append((yield from self._train(model, data, t, "train",
-                                                     hp.epochs, hp.learning_rate, hp)))
+    def _learn(self, t, guard):
+        yield from super()._learn(t, guard)
+        self.experts.append(self.model.copy())
 
-    def _train_router(self, trainset: LabeledSet, t: int, hp):
-        router = self._new_model(hp.router_hidden, t + 1, "domain", t, "router_init")
+    def _train_router(self, trainset: LabeledSet, t: int):
+        router = self._new_model(self.hp.router_hidden, t + 1, "domain", t, "router_init")
         self.router = yield from self._train(router, trainset, t, "router",
-                                             hp.router_epochs, hp.router_learning_rate, hp)
+                                             self.hp.router_epochs, self.hp.router_learning_rate)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
@@ -352,13 +347,12 @@ class G2d(_ExpertBank):
         super().__init__(seed, dim, n_classes, hp)
         self.synthetic = []
 
-    def _learn(self, t, guard, hp):
+    def _learn(self, t, guard):
+        yield from super()._learn(t, guard)
         # the buffer is drawn here, not in consolidate: the router trains on it
-        data = guard.train(t)
-        yield from self._train_expert(data, t, hp)
-        self.synthetic.append(_draw_buffer(self.seed, self.n_classes, data, t, hp))
+        self.synthetic.append(_draw_buffer(self.seed, self.n_classes, guard.train(t), t, self.hp))
         if t > 0:
-            yield from self._train_router(build_router_trainset(self.synthetic), t, hp)
+            yield from self._train_router(build_router_trainset(self.synthetic), t)
 
     def arrays(self):
         yield from super().arrays()
@@ -375,11 +369,11 @@ class OracleRouter(_ExpertBank):
     router_kind = "oracle"
     privileged = True
 
-    def _learn(self, t, guard, hp):
-        yield from self._train_expert(guard.train(t), t, hp)
+    def _learn(self, t, guard):
+        yield from super()._learn(t, guard)
         if t > 0:
             trainset = build_router_trainset([guard.train(i) for i in range(t + 1)])
-            yield from self._train_router(trainset, t, hp)
+            yield from self._train_router(trainset, t)
 
 
 class CentroidRouted(_ExpertBank):
@@ -388,12 +382,11 @@ class CentroidRouted(_ExpertBank):
     name = "centroid_router"
     router_kind = "centroid"
 
-    def _learn(self, t, guard, hp):
-        data = guard.train(t)
-        yield from self._train_expert(data, t, hp)
+    def _learn(self, t, guard):
+        yield from super()._learn(t, guard)
         if t == 0:
-            self.router = CentroidRouter(hp.n_centroids, hp.n_neighbors)
-        self.router.add_domain(data.X, make_rng(self.seed, "domain", t, "centroids"))
+            self.router = CentroidRouter(self.hp.n_centroids, self.hp.n_neighbors)
+        self.router.add_domain(guard.train(t).X, make_rng(self.seed, "domain", t, "centroids"))
 
 
 class Mtl(Strategy):

@@ -2,12 +2,12 @@
 
 One loop serves every strategy: shuffle, batch, backprop, optimizer step.
 A TrainRequest describes one training, and train_classifier trains a list
-of them in lockstep, one stacked step for all; one model is a stack of
-one. stack_key says which requests may share a stack. Elastic weight
-consolidation is data on the request (anchors and lam) that the loop adds
-through ewc_penalty; its Fisher information is a Monte-Carlo estimate with
-labels sampled from the model's own predictive distribution, not the true
-labels.
+of them in lockstep, one stacked step on a scratch copy for all; one model
+is a stack of one. stack_key says which requests may share a stack.
+Elastic weight consolidation is data on the request (anchors and lam)
+that the loop adds through ewc_penalty; its Fisher information is a
+Monte-Carlo estimate with labels sampled from the model's own predictive
+distribution, not the true labels.
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ def train_classifier(requests) -> TrainLog:
     ShapeError and any other one ValidationError, before a model is
     touched. Request s trains its model on its data, shuffled by
     make_rng(seed, "shuffle"). Every step is one batch per model: one
-    stacked loss_and_grad and one stacked apply_step on the models' shared
-    (S, P) parameter matrix (nn.stack), with one fresh OptimizerState for
-    all S. With anchors, each step adds ewc_penalty of every model's own
-    anchors and lam to its loss and gradient. Each model ends with the bits
-    it would get if trained alone. The log records each model's mean total
-    loss (data + penalty) per epoch. epochs=0 is a no-op that leaves the
-    models untouched.
+    stacked loss_and_grad and one stacked apply_step on a scratch (S, P)
+    copy of the models' parameters (nn.stack), with one fresh
+    OptimizerState for all S. With anchors, each step adds ewc_penalty of
+    every model's own anchors and lam to its loss and gradient. At the end,
+    each model's own params takes the bits it would get if trained alone;
+    a raise leaves the models as they were. The log records each model's
+    mean total loss (data + penalty) per epoch.
     """
     keys = {stack_key(req) for req in requests}
     if len(keys) != 1:
@@ -121,6 +121,8 @@ def train_classifier(requests) -> TrainLog:
                 batches += 1
                 steps += 1
             epoch_losses[:, epoch] = total / batches
+    for req, row in zip(requests, stacked.params):
+        req.model.params[...] = row
     return TrainLog(epoch_losses, steps)
 
 

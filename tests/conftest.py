@@ -34,10 +34,10 @@ def traceback_on_hang(request):
 
 
 @pytest.fixture(autouse=True)
-def shared_draws_closed():
-    """Fail a test that leaves strategies.shared_draws open: a later test
-    would silently reuse its buffers instead of fitting."""
+def shared_fits_closed():
+    """Fail a test that leaves strategies.shared_fits open: a later test
+    would silently reuse its generators instead of fitting."""
     yield
-    if strategies._draws is not None:
-        strategies._draws = None
-        pytest.fail("strategies.shared_draws was left open")
+    if strategies._fits is not None:
+        strategies._fits = None
+        pytest.fail("strategies.shared_fits was left open")

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import cli
 from driftlab.benchmarks import (BENCHMARK_KINDS, BenchmarkConfig, _domains,
                                  build_stream)
 from driftlab.config import (GRID_FIELDS, expand_grid, load_config, parse_config,
@@ -66,6 +67,24 @@ def test_unset_fields_take_documented_defaults():
 def test_serialize_then_parse_round_trips():
     cfg = parse_config(VALID_DOC)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def unreadable_is_a_config_error(path, reason):
+    with pytest.raises(ConfigError, match=reason) as raised:
+        load_config(path)
+    assert str(path) in str(raised.value)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 1
+
+
+def test_a_directory_is_a_config_error(tmp_path):
+    unreadable_is_a_config_error(tmp_path, "Is a directory")
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(VALID_DOC.replace("results/demo", "r\xe9sultats").encode("latin-1"))
+    unreadable_is_a_config_error(path, "can't decode byte 0xe9")
 
 
 def test_load_config_reads_a_file(tmp_path):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -664,6 +665,53 @@ def test_a_failed_checkpoint_fails_its_run_serially_and_pooled(tmp_path, monkeyp
         assert got == serial
 
 
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    not FORKED, reason="pool workers inherit the patched writers only when forked"))])
+def test_a_failure_that_cannot_be_written_keeps_every_record(tmp_path, monkeypatch, capsys,
+                                                             jobs):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(TINY_DOC)
+    cfg = parse_config(TINY_DOC)
+    out = tmp_path / "out"
+    seqft_ids = {run_id_for(cfg, "seqft", seed) for seed in cfg.seeds}
+    g2d_ids = {run_id_for(cfg, "g2d", seed) for seed in cfg.seeds}
+    save = harness.save_checkpoint
+
+    def g2d_disk_full(strategy, out_dir):
+        if strategy.name == "g2d":
+            raise OSError("disk full")
+        return save(strategy, out_dir)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_checkpoint", g2d_disk_full)
+    monkeypatch.setattr(harness, "_write_failure", disk_full)
+    assert cli.main(["run", str(config_path), "--out", str(out), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().out.count("FAILED (OSError: disk full)") == 2
+    assert {row["run_id"] for row in read_rows(out / "matrix.csv")} == seqft_ids
+    report = (out / "report.txt").read_text()
+    assert all(run_id in report for run_id in g2d_ids)
+    assert {p.name for p in (out / "runs").iterdir()} == seqft_ids
+    for run_id in seqft_ids:
+        assert (out / "runs" / run_id / "checkpoint.txt").exists()
+
+
+def test_a_dead_worker_whose_failure_cannot_be_written_keeps_its_records(tmp_path,
+                                                                          monkeypatch):
+    cfg = parse_config(TINY_DOC)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "_write_failure", disk_full)
+    died = Future()
+    died.set_exception(BrokenProcessPool("worker died"))
+    records = harness._pool_result(died, (cfg, cfg.strategies[1], str(tmp_path)))
+    assert [rec.run_id for rec in records] == [run_id_for(cfg, "g2d", s) for s in cfg.seeds]
+    assert all(rec.failure == "BrokenProcessPool: worker died" for rec in records)
+
+
 def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, monkeypatch):
     # seed 22's first training row is NaN, so its slice of the stacked step
     # turns non-finite; 21 and 23 must end as if each had run alone
@@ -812,8 +860,9 @@ def test_an_experiment_fits_each_draw_once_for_g2d_and_gen_replay(tmp_path, monk
     cfg = dataclasses.replace(cfg, strategies=[cfg.strategies[0], gen_replay])
     fits = count_calls(monkeypatch, strategies, "fit_generator")
     assert all(r.ok for r in run_experiment(cfg, out_dir=str(tmp_path / "both")))
-    # a draw is shared only when every input matches
-    copies = 2 if gen_replay_change else 1
+    # a fit is shared when every fit input matches; n_per_class only sizes
+    # the buffer that each strategy samples from it
+    copies = 2 if "gmm_components" in gen_replay_change else 1
     assert sorted(fitted_draws(fits)) == sorted(every_draw_once(cfg) * copies)
 
     for sc in cfg.strategies:
@@ -844,27 +893,26 @@ def test_shared_draws_close_when_run_experiment_returns(tmp_path, monkeypatch):
     fit_generator = strategies.fit_generator
 
     def fit_and_look(*args):
-        seen.append(strategies._draws is not None)
+        seen.append(strategies._fits is not None)
         return fit_generator(*args)
 
     monkeypatch.setattr(strategies, "fit_generator", fit_and_look)
     run_experiment(cfg, out_dir=str(tmp_path))
     assert seen and all(seen)
-    assert strategies._draws is None
+    assert strategies._fits is None
 
 
 def test_shared_draws_close_when_run_experiment_raises(tmp_path, monkeypatch):
-    def disk_full(*args):
-        assert strategies._draws is not None
-        raise OSError("disk full")
+    def broken(*args):
+        assert strategies._fits is not None
+        raise RuntimeError("broken harness")
 
-    # a failed checkpoint fails its run; only a failure that cannot be
-    # written either comes out of run_experiment
-    monkeypatch.setattr(harness, "save_checkpoint", disk_full)
-    monkeypatch.setattr(harness, "_write_failure", disk_full)
-    with pytest.raises(OSError, match="disk full"):
+    # execute_run contains every failure of a run, so only a fault of the
+    # harness itself comes out of run_experiment
+    monkeypatch.setattr(harness, "execute_run", broken)
+    with pytest.raises(RuntimeError, match="broken harness"):
         run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
-    assert strategies._draws is None
+    assert strategies._fits is None
 
 
 def test_shared_draws_close_when_a_run_is_interrupted(tmp_path, monkeypatch):
@@ -879,20 +927,21 @@ def test_shared_draws_close_when_a_run_is_interrupted(tmp_path, monkeypatch):
     with pytest.raises(harness.RunInterrupted) as stopped:
         run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
     assert [rec.strategy for rec in stopped.value.records] == ["g2d", "g2d"]
-    assert strategies._draws is None
+    assert strategies._fits is None
 
 
-def test_a_shared_buffer_is_read_only():
+def test_consumers_of_one_fit_own_their_buffers(monkeypatch):
     cfg = parse_config(SHARED_DOC)
-    with strategies.shared_draws():
+    fits = count_calls(monkeypatch, strategies, "fit_generator")
+    with strategies.shared_fits():
         [(_, g2d)] = execute_run(cfg, cfg.strategies[0], [31])
         [(_, again)] = execute_run(cfg, cfg.strategies[0], [31])
-    buf = g2d.synthetic[0]
-    assert again.synthetic[0] is buf
-    with pytest.raises(ValueError, match="read-only"):
-        buf.X[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        buf.y[0] = 1
+    assert len(fits) == cfg.benchmark.n_domains
+    for buf, other in zip(g2d.synthetic, again.synthetic):
+        for a, b in ((buf.X, other.X), (buf.y, other.y)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b)
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

@@ -237,21 +237,34 @@ def test_g2d_and_gen_replay_draw_bit_identical_buffers(monkeypatch):
         assert np.array_equal(a.X, b.X)
 
 
-def test_a_draw_is_shared_only_when_every_input_matches():
+def test_a_fit_is_shared_only_when_every_fit_input_matches(monkeypatch):
+    fits = []
+    fit_generator = strategies.fit_generator
+
+    def counted(*args):
+        fits.append(args)
+        return fit_generator(*args)
+
+    monkeypatch.setattr(strategies, "fit_generator", counted)
     data = small_stream().domains[0].train
     hp = small_hp(gmm_components=1)
-    with strategies.shared_draws():
+    with strategies.shared_fits():
         first = strategies._draw_buffer(7, 2, data, 0, hp)
-        same = LabeledSet(data.X.copy(), data.y.copy())
-        assert strategies._draw_buffer(7, 2, same, 0, hp) is first
-        changed = [(8, data, 0, hp),
-                   (7, LabeledSet(data.X + 1.0, data.y), 0, hp),
-                   (7, LabeledSet(data.X, data.y[::-1]), 0, hp),
-                   (7, data, 1, hp),
-                   (7, data, 0, small_hp(gmm_components=2)),
-                   (7, data, 0, small_hp(gmm_components=1, n_per_class=11))]
-        for seed, split, t, other in changed:
-            assert strategies._draw_buffer(seed, 2, split, t, other) is not first
+        same = strategies._draw_buffer(7, 2, LabeledSet(data.X.copy(), data.y.copy()), 0, hp)
+        assert len(fits) == 1
+        assert np.array_equal(same.X, first.X) and np.array_equal(same.y, first.y)
+        # n_per_class sizes the buffer and does not enter the fit
+        bigger = strategies._draw_buffer(7, 2, data, 0, small_hp(gmm_components=1,
+                                                                  n_per_class=11))
+        assert len(fits) == 1 and len(bigger) == 22 != len(first)
+        refits = [(8, data, 0, hp),
+                  (7, LabeledSet(data.X + 1.0, data.y), 0, hp),
+                  (7, LabeledSet(data.X, data.y[::-1]), 0, hp),
+                  (7, data, 1, hp),
+                  (7, data, 0, small_hp(gmm_components=2))]
+        for n, (seed, split, t, other) in enumerate(refits, start=2):
+            strategies._draw_buffer(seed, 2, split, t, other)
+            assert len(fits) == n, (seed, t, other.gmm_components)
 
 
 def arrays_held(obj, seen=None):

@@ -161,6 +161,25 @@ def test_lockstep_rejects_what_cannot_stack():
         train_classifier([])
 
 
+def test_each_model_owns_its_parameters_through_a_stacked_training():
+    models = [fresh_model(seed=1), fresh_model(seed=2)]
+    params = [model.params for model in models]
+    before = [p.copy() for p in params]
+    stacked = nn.stack(models)
+    stacked.params += 1.0
+    assert all(model.params is p for model, p in zip(models, params))
+    assert all(np.array_equal(p, b) for p, b in zip(params, before))
+    assert not any(np.shares_memory(stacked.params, p) for p in params)
+
+    train_classifier([request(model, separable_data(), seed=s)
+                      for s, model in enumerate(models)])
+    for model, p, b in zip(models, params, before):
+        assert model.params is p and p.base is None
+        assert not np.array_equal(p, b)
+        assert all(np.shares_memory(w, p) for w in model.weights)
+    assert not np.shares_memory(params[0], params[1])
+
+
 def test_a_penalised_stack_trains_each_model_as_alone():
     # two models, two anchors each, and a lam per model, through one stack
     data, other = separable_data(), separable_data(seed=4)
