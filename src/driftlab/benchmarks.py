@@ -193,7 +193,6 @@ def _domains(bench: BenchmarkConfig):
 
 @dataclass
 class DomainDataset:
-    domain_id: int
     train: LabeledSet
     val: LabeledSet
     test: LabeledSet
@@ -242,7 +241,7 @@ def build_stream(bench: BenchmarkConfig, seed: int) -> DomainStream:
             _sample_split(means, labels, sigma, n, make_rng(dseed, name))
             for name, n in zip(SPLIT_NAMES, sizes)
         ]
-        domains.append(DomainDataset(t, *splits))
+        domains.append(DomainDataset(*splits))
     return DomainStream(domains, dim, n_classes)
 
 

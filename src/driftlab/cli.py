@@ -4,12 +4,12 @@ Subcommands:
 
 * run <config> [--out DIR] [--jobs N]   execute the experiment, persist results
 * report <DIR>                          print the saved comparison tables
-* project <run_id> --router KIND [--dir DIR]   print one run's PCA rows
+* project <run_id> [--dir DIR]          print one run's PCA rows
 * validate <config>                     check a config, list every violation
 
 Exit codes: 0 success, 1 validation failure (bad config, unknown run id,
-missing files), 2 runtime failure, 130 interrupted (Ctrl-C) with the
-results of the strategies finished so far written.
+missing or non-UTF-8 result files), 2 runtime failure, 130 interrupted
+(Ctrl-C) with the results of the strategies finished so far written.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from .config import load_config
 from .errors import ConfigError, DriftLabError, ValidationError
 from .harness import PROJECTION_HEADER, RunInterrupted, persist_results, run_experiment
-from .strategies import ROUTER_KINDS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_project = sub.add_parser("project", help="print PCA projection rows of one run")
     p_project.add_argument("run_id", help="run identifier from the result CSVs")
-    p_project.add_argument("--router", required=True,
-                           choices=ROUTER_KINDS,
-                           help="router kind the projection belongs to")
     p_project.add_argument("--dir", default="results", help="results directory")
 
     p_validate = sub.add_parser("validate", help="validate a config file")
@@ -82,29 +78,31 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _read(out_dir, name) -> str:
+    """The text of a result file; a missing or non-UTF-8 one is a ValidationError."""
+    path = os.path.join(out_dir, name)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ValidationError(f"no {name} under {out_dir!r}; run an experiment first") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _cmd_report(args) -> int:
-    path = os.path.join(args.dir, "report.txt")
-    if not os.path.exists(path):
-        raise ValidationError(f"no report.txt under {args.dir!r}; run an experiment first")
-    with open(path) as fh:
-        print(fh.read(), end="")
+    print(_read(args.dir, "report.txt"), end="")
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
-    path = os.path.join(args.dir, "projection.csv")
-    if not os.path.exists(path):
-        raise ValidationError(f"no projection.csv under {args.dir!r}")
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read(args.dir, "projection.csv").splitlines()
     if lines[:1] != [PROJECTION_HEADER]:
-        raise ValidationError(f"{path}: the first line is not {PROJECTION_HEADER!r}")
-    rows = [line for line in lines[1:]
-            if line.split(",", 2)[:2] == [args.run_id, args.router]]
+        raise ValidationError(f"the first line of projection.csv under {args.dir!r} "
+                              f"is not {PROJECTION_HEADER!r}")
+    rows = [line for line in lines[1:] if line.split(",", 1)[0] == args.run_id]
     if not rows:
-        raise ValidationError(
-            f"no projection rows for run {args.run_id!r} with router {args.router!r}"
-        )
+        raise ValidationError(f"no projection rows for run {args.run_id!r}")
     print("\n".join([PROJECTION_HEADER, *rows]))
     return EXIT_OK
 

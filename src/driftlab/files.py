@@ -12,7 +12,7 @@ def write_text(out_dir, name, text: str, replaces=None) -> str:
     path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -28,21 +28,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 @dataclass
 class FitConfig:
     n_components: int = 2
-    max_iter: int = 200
-    tol: float = 1e-8          # stop when the log-likelihood gain drops below this
-    var_floor: float = 1e-6    # variances are floored, not inflated
+    max_iter = 200      # unannotated, so a constant like kmeans.MAX_ITER, not a field
+    tol = 1e-8          # stop when the log-likelihood gain drops below this
+    var_floor = 1e-6    # variances are floored, not inflated
 
     def __post_init__(self):
         if self.n_components < 1:
             raise ValidationError(f"n_components must be >= 1, got {self.n_components}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        # a NaN fails every comparison, so test finiteness first: tol=nan
-        # would switch off convergence, var_floor=nan would poison variances
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
-        if not (np.isfinite(self.var_floor) and self.var_floor > 0):
-            raise ValidationError(f"var_floor must be finite and > 0, got {self.var_floor}")
 
 
 @dataclass
@@ -181,13 +173,12 @@ def _finish(weights, means, variances, trace):
 class GmmGenerator:
     """Class-conditional generator for a single domain."""
 
-    domain_id: int
     mixtures: list = field(default_factory=list)   # one Mixture per class
     ll_traces: list = field(default_factory=list)
 
 
-def fit_generator(trainset: LabeledSet, domain_id: int, n_classes: int,
-                  config: FitConfig, seed: int) -> GmmGenerator:
+def fit_generator(trainset: LabeledSet, n_classes: int, config: FitConfig,
+                  seed: int) -> GmmGenerator:
     """Fit one diagonal GMM per class on a domain's training split.
 
     Every class size is checked before any fit. Classes with the same row
@@ -210,7 +201,7 @@ def fit_generator(trainset: LabeledSet, domain_id: int, n_classes: int,
                              [make_rng(seed, "class", c) for c in classes])
         for c, fit in zip(classes, stack):
             fits[c] = fit
-    gen = GmmGenerator(domain_id)
+    gen = GmmGenerator()
     for mix, trace in fits:
         gen.mixtures.append(mix)
         gen.ll_traces.append(trace)

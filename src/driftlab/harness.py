@@ -60,7 +60,6 @@ class RunRecord:
     strategy: str
     seed: int
     benchmark_label: str
-    n_domains: int
     matrix: AccuracyMatrix = None
     avg_accuracy: list = field(default_factory=list)   # A_t for t = 0..T-1
     bwt_final: float = None
@@ -132,7 +131,7 @@ def _new_records(cfg: ExperimentConfig, strategy_name: str, seeds) -> list:
         digest = config_hash.copy()
         digest.update(f"|{strategy_name}|{seed}".encode())
         records.append(RunRecord(digest.hexdigest()[:12], strategy_name, seed,
-                                 benchmark_label(cfg), cfg.benchmark.n_domains))
+                                 benchmark_label(cfg)))
     return records
 
 
@@ -193,7 +192,7 @@ def _run_steps(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int
     if strategy.router_kind is not None:
         record.router_kind = strategy.router_kind
         X = np.vstack([d.test.X for d in stream.domains])
-        true = np.concatenate([np.full(len(d.test), d.domain_id) for d in stream.domains])
+        true = np.concatenate([np.full(len(d.test), t) for t, d in enumerate(stream.domains)])
         routed = strategy.route(X)
         record.routing = routing_accuracy(routed, true, T)
         coords = pca_project_2d(X)
@@ -292,7 +291,7 @@ def _tables(records):
     done = [rec for rec in records if rec.ok]
     yield "matrix.csv", MATRIX_HEADER, (
         (rec.run_id, rec.strategy, str(rec.seed), str(s), str(t), _fmt(rec.matrix.entry(s, t)))
-        for rec in done for t in range(rec.n_domains) for s in range(t + 1))
+        for rec in done for t in range(rec.matrix.n_domains) for s in range(t + 1))
     yield "summary.csv", SUMMARY_HEADER, (
         (rec.run_id, rec.strategy, str(rec.seed), str(t), _fmt(a_t),
          "" if rec.bwt_final is None else _fmt(rec.bwt_final))

@@ -32,14 +32,12 @@ def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def update_replay_buffer(buffer: list, trainset: LabeledSet,
-                         domain_id: int, per_class_quota: int, seed: int) -> list:
+                         per_class_quota: int, seed: int) -> list:
     """Admit one domain: reservoir-sample quota items per class (all if the
-    class is smaller) and append. Existing entries are untouched; domains
-    arrive in order, so domain_id must equal len(buffer)."""
+    class is smaller) and append, so the new entry's position is its domain
+    id. Existing entries are untouched."""
     if per_class_quota < 1:
         raise ValidationError(f"per_class_quota must be >= 1, got {per_class_quota}")
-    if domain_id != len(buffer):
-        raise ValidationError(f"expected domain {len(buffer)} next, got {domain_id}")
     if buffer and trainset.dim != buffer[0].dim:
         raise ValidationError(
             f"feature dim {trainset.dim} does not match buffer dim {buffer[0].dim}"

@@ -215,7 +215,7 @@ class Er(Strategy):
         return compose_replay_trainset(guard.train(t), self.buffer)
 
     def _consolidate(self, t, guard):
-        update_replay_buffer(self.buffer, guard.train(t), t, self.hp.quota,
+        update_replay_buffer(self.buffer, guard.train(t), self.hp.quota,
                              derive(self.seed, "domain", t, "reservoir"))
 
 
@@ -246,9 +246,9 @@ def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
            *[(a.shape, a.dtype.str, hashlib.sha256(a.tobytes()).digest())
              for a in (data.X, data.y)])
     fits = {} if _fits is None else _fits
-    if key not in fits:
-        fits[key] = fit_generator(data, t, n_classes, config,
-                                  derive(seed, "domain", t, "generator"))
+    if key not in fits:   # config by keyword: perfbench's fit_generator span reads it there
+        fits[key] = fit_generator(data, n_classes, config=config,
+                                  seed=derive(seed, "domain", t, "generator"))
     return sample_buffer(fits[key], hp.n_per_class, derive(seed, "domain", t, "buffer"))
 
 
@@ -268,7 +268,7 @@ class GenReplay(Strategy):
     def _consolidate(self, t, guard):
         draw = _draw_buffer(self.seed, self.n_classes, guard.train(t), t, self.hp)
         # quota equals the per-class draw, so the whole draw is admitted
-        update_replay_buffer(self.synthetic, draw, t, self.hp.n_per_class,
+        update_replay_buffer(self.synthetic, draw, self.hp.n_per_class,
                              derive(self.seed, "domain", t, "reservoir"))
 
     def arrays(self):
@@ -483,7 +483,7 @@ def save_checkpoint(strategy: Strategy, out_dir):
 def read_arrays(path) -> dict:
     """Parse a checkpoint file into {name: ndarray}, bit-exact in dtype,
     shape and values."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if len(lines) % 2:
         raise ValidationError(f"{path}: the last block has no values line")

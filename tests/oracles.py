@@ -174,11 +174,11 @@ def fit_em_two_pass(X, config, rng):
     return weights, means, variances, np.asarray(trace)
 
 
-def fit_generator_one_class_at_a_time(trainset, domain_id, n_classes, config, seed):
+def fit_generator_one_class_at_a_time(trainset, n_classes, config, seed):
     """gmm.fit_generator as it was before a domain's classes fitted as one
     EM stack: each class is checked and then fitted alone, here by
     fit_em_two_pass, before the next class starts."""
-    gen = gmm.GmmGenerator(domain_id)
+    gen = gmm.GmmGenerator()
     for c in range(n_classes):
         Xc = trainset.X[trainset.y == c]
         if Xc.shape[0] < config.n_components:

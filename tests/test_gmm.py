@@ -1,5 +1,7 @@
 """EM soundness against naive densities and closed forms; buffer determinism."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +59,7 @@ def test_single_component_fit_equals_closed_form_mle():
 
 def test_variance_floor_holds_on_degenerate_data():
     X = np.tile([[2.0, -1.0]], (30, 1))  # zero spread in every coordinate
-    config = FitConfig(n_components=1, var_floor=1e-6)
+    config = FitConfig(n_components=1)
     mix, _ = fit_em_stack(X[None], config, [make_rng(0)])[0]
     assert (mix.variances >= config.var_floor).all()
     assert np.allclose(mix.means[0], [2.0, -1.0])
@@ -75,21 +77,6 @@ def test_em_recovers_well_separated_components():
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(n_components=0)
-    with pytest.raises(ValidationError):
-        FitConfig(var_floor=0.0)
-
-
-def test_fit_config_rejects_non_finite_tol_and_var_floor():
-    # nan < 0 is False, so a bare sign check lets NaN through: tol=nan would
-    # switch off convergence and var_floor=nan would make every variance NaN
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="tol"):
-            FitConfig(tol=bad)
-        with pytest.raises(ValidationError, match="var_floor"):
-            FitConfig(var_floor=bad)
-    with pytest.raises(ValidationError, match="tol"):
-        FitConfig(tol=-1e-9)
-    assert FitConfig(tol=0.0).tol == 0.0
 
 
 def assert_fit_matches_two_pass_oracle(X, config, seed):
@@ -130,13 +117,13 @@ def test_dead_component_is_reseeded_and_matches_the_oracle(monkeypatch):
     monkeypatch.setattr(gmm, "kmeans_pp_init", seed_one_far)
     X = blob_data(4, n=60)
     # one iteration is all rescue, so no M-step lands in the trace
-    _, trace = fit_em_stack(X[None], FitConfig(n_components=2, max_iter=1),
-                            [make_rng(0, "em")])[0]
+    with patch.object(FitConfig, "max_iter", 1):
+        _, trace = fit_em_stack(X[None], FitConfig(n_components=2), [make_rng(0, "em")])[0]
     assert trace.size == 0
 
-    config = FitConfig(n_components=2, max_iter=50)
-    mix, trace = assert_fit_matches_two_pass_oracle(X, config, 0)
-    assert 1 <= trace.size <= config.max_iter - 1
+    with patch.object(FitConfig, "max_iter", 50):
+        mix, trace = assert_fit_matches_two_pass_oracle(X, FitConfig(n_components=2), 0)
+    assert 1 <= trace.size < 50
     assert (np.diff(trace) >= -1e-9).all()
     for arr in (mix.weights, mix.means, mix.variances, trace):
         assert np.isfinite(arr).all()
@@ -146,8 +133,7 @@ def test_dead_component_is_reseeded_and_matches_the_oracle(monkeypatch):
 def test_fit_generator_one_mixture_per_class():
     rng = np.random.default_rng(1)
     data = LabeledSet(rng.normal(size=(60, 2)), np.repeat([0, 1, 2], 20))
-    gen = fit_generator(data, 4, 3, FitConfig(n_components=1), 99)
-    assert gen.domain_id == 4
+    gen = fit_generator(data, 3, FitConfig(n_components=1), 99)
     assert len(gen.mixtures) == len(gen.ll_traces) == 3
     assert all(mix.dim == 2 for mix in gen.mixtures)
 
@@ -155,7 +141,7 @@ def test_fit_generator_one_mixture_per_class():
 def test_fit_generator_rejects_classes_smaller_than_k():
     data = LabeledSet(np.zeros((5, 2)), np.array([0, 0, 0, 0, 1]))
     with pytest.raises(ValidationError, match="class 1"):
-        fit_generator(data, 0, 2, FitConfig(n_components=2), 0)
+        fit_generator(data, 2, FitConfig(n_components=2), 0)
 
 
 def test_fit_generator_checks_every_class_before_any_fit(monkeypatch):
@@ -165,19 +151,19 @@ def test_fit_generator_checks_every_class_before_any_fit(monkeypatch):
     monkeypatch.setattr(gmm, "fit_em_stack", no_fit)
     data = LabeledSet(np.zeros((8, 2)), np.array([0, 0, 0, 0, 1, 2, 2, 2]))
     with pytest.raises(ValidationError, match="class 1 has 1 samples"):
-        fit_generator(data, 0, 3, FitConfig(n_components=2), 0)
+        fit_generator(data, 3, FitConfig(n_components=2), 0)
 
 
 def assert_generator_matches_one_class_at_a_time(data, n_classes, config, seed):
     """fit_generator and the per-class oracle agree bit for bit, or both raise."""
     try:
-        want = oracles.fit_generator_one_class_at_a_time(data, 3, n_classes, config, seed)
+        want = oracles.fit_generator_one_class_at_a_time(data, n_classes, config, seed)
     except NumericError:
         with pytest.raises(NumericError):
-            fit_generator(data, 3, n_classes, config, seed)
+            fit_generator(data, n_classes, config, seed)
         return None
-    gen = fit_generator(data, 3, n_classes, config, seed)
-    assert gen.domain_id == 3 and len(gen.mixtures) == len(gen.ll_traces) == n_classes
+    gen = fit_generator(data, n_classes, config, seed)
+    assert len(gen.mixtures) == len(gen.ll_traces) == n_classes
     for got_mix, want_mix, got_trace, want_trace in zip(
             gen.mixtures, want.mixtures, gen.ll_traces, want.ll_traces):
         for g, w in ((got_mix.weights, want_mix.weights), (got_mix.means, want_mix.means),
@@ -202,8 +188,10 @@ def test_fit_generator_matches_one_class_at_a_time(n_classes, d, k, n_extra, rem
     X = centers[y] + rng.normal(size=(n_train, d)) * rng.uniform(0.1, 5.0, size=d)
     if decimals is not None:
         X = np.round(X, decimals)          # coarse grids repeat whole rows
-    config = FitConfig(n_components=k, max_iter=max_iter, tol=tol)
-    assert_generator_matches_one_class_at_a_time(LabeledSet(X, y), n_classes, config, seed)
+    # hypothesis rejects the function-scoped monkeypatch, so patch by hand
+    with patch.object(FitConfig, "max_iter", max_iter), patch.object(FitConfig, "tol", tol):
+        assert_generator_matches_one_class_at_a_time(LabeledSet(X, y), n_classes,
+                                                     FitConfig(n_components=k), seed)
 
 
 def three_classes():
@@ -227,12 +215,13 @@ def test_a_rescued_class_matches_one_class_at_a_time(monkeypatch):
     data = three_classes()
 
     # in the first iteration class 1 rescues while its stack siblings step
-    gen = assert_generator_matches_one_class_at_a_time(
-        data, 3, FitConfig(n_components=2, max_iter=1), 0)
+    config = FitConfig(n_components=2)
+    with patch.object(FitConfig, "max_iter", 1):
+        gen = assert_generator_matches_one_class_at_a_time(data, 3, config, 0)
     assert [t.size for t in gen.ll_traces] == [1, 0, 1]
 
-    config = FitConfig(n_components=2, max_iter=40)
-    gen = assert_generator_matches_one_class_at_a_time(data, 3, config, 0)
+    with patch.object(FitConfig, "max_iter", 40):
+        gen = assert_generator_matches_one_class_at_a_time(data, 3, config, 0)
     assert len({t.size for t in gen.ll_traces}) > 1     # the classes stop apart
     assert np.abs(gen.mixtures[1].means - 100.0).max() < 10.0   # the far seed was replaced
 
@@ -250,16 +239,17 @@ def test_a_later_rescue_restarts_only_its_own_trace(monkeypatch):
 
     monkeypatch.setattr(gmm, "_m_step", starve_class_1_at_the_first_step)
     data = three_classes()
-    config = FitConfig(n_components=2, max_iter=8, tol=0.0)
-    gen = fit_generator(data, 0, 3, config, 0)
-    # class 1 logs its first step, rescues in the second iteration and
-    # restarts its trace; its siblings step on and keep theirs
-    assert calls == [3, 2] + [3] * 6
-    assert [t.size for t in gen.ll_traces] == [8, 6, 8]
+    config = FitConfig(n_components=2)
+    with patch.object(FitConfig, "max_iter", 8), patch.object(FitConfig, "tol", 0.0):
+        gen = fit_generator(data, 3, config, 0)
+        # class 1 logs its first step, rescues in the second iteration and
+        # restarts its trace; its siblings step on and keep theirs
+        assert calls == [3, 2] + [3] * 6
+        assert [t.size for t in gen.ll_traces] == [8, 6, 8]
 
-    calls.clear()
-    mix, trace = fit_em_stack(data.X[data.y == 1][None], config,
-                              [make_rng(0, "class", 1)])[0]
+        calls.clear()
+        mix, trace = fit_em_stack(data.X[data.y == 1][None], config,
+                                  [make_rng(0, "class", 1)])[0]
     assert calls == [1, 0] + [1] * 6
     assert np.array_equal(trace, gen.ll_traces[1])
     assert np.array_equal(mix.means, gen.mixtures[1].means)
@@ -275,7 +265,7 @@ def test_one_non_finite_class_fails_the_whole_stack(monkeypatch):
 
     monkeypatch.setattr(gmm, "_m_step", poison_class_1)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
-        fit_generator(three_classes(), 0, 3, FitConfig(n_components=2), 0)
+        fit_generator(three_classes(), 3, FitConfig(n_components=2), 0)
 
 
 def test_sample_buffer_is_deterministic_and_balanced():
@@ -284,7 +274,7 @@ def test_sample_buffer_is_deterministic_and_balanced():
         np.vstack([rng.normal(0, 1, (40, 2)), rng.normal(5, 1, (40, 2))]),
         np.repeat([0, 1], 40),
     )
-    gen = fit_generator(data, 1, 2, FitConfig(n_components=1), 7)
+    gen = fit_generator(data, 2, FitConfig(n_components=1), 7)
     a = sample_buffer(gen, 15, 123)
     b = sample_buffer(gen, 15, 123)
     c = sample_buffer(gen, 15, 124)
@@ -306,7 +296,7 @@ def test_fingerprint_tracks_content():
 def test_buffers_round_trip_through_text(tmp_path):
     rng = np.random.default_rng(5)
     data = LabeledSet(rng.normal(size=(40, 2)), np.repeat([0, 1], 20))
-    gen = fit_generator(data, 0, 2, FitConfig(n_components=2), 11)
+    gen = fit_generator(data, 2, FitConfig(n_components=2), 11)
     buffers = [sample_buffer(gen, 10, s) for s in (1, 2)]
     strategy = strategy_dispatch("gen_replay", 0, 2, 2, StrategyConfig())
     strategy.synthetic = buffers

@@ -3,6 +3,7 @@ schemas, report rendering, failure isolation, and the CLI."""
 
 import csv
 import dataclasses
+import inspect
 import multiprocessing
 import os
 import re
@@ -158,7 +159,8 @@ def count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        # each call's arguments as positionals, however they were passed
+        calls.append(inspect.signature(original).bind(*args, **kwargs).args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -194,8 +196,8 @@ def test_the_winner_consolidates_with_its_own_point(monkeypatch):
     monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: next(scores))
     [winner] = strategies.run_lockstep([harness._select_and_train(strategy, grid, 0, guard)])
     assert winner.hp is grid[-1]
-    # update_replay_buffer(buffer, trainset, domain_id, quota, seed)
-    assert [args[3] for args in admitted] == [30]
+    # update_replay_buffer(buffer, trainset, quota, seed)
+    assert [args[2] for args in admitted] == [30]
 
 
 def test_only_the_winning_candidate_consolidates(monkeypatch):
@@ -208,8 +210,9 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
     assert len(fisher) == T
     [(rec, _)] = execute_run(cfg, cfg.strategies[1], [23])
     assert rec.ok
-    # update_replay_buffer(buffer, trainset, domain_id, ...): each domain once
-    assert [args[2] for args in admitted] == list(range(T))
+    # update_replay_buffer(buffer, trainset, quota, seed): each domain once
+    assert [args[3] for args in admitted] == [derive(23, "domain", t, "reservoir")
+                                              for t in range(T)]
 
 
 def consolidate_every_candidate(strategy, grid, t, guard):
@@ -444,7 +447,7 @@ def test_a_failed_rename_leaves_no_temp_file(tiny, tmp_path, monkeypatch):
 
 
 def test_a_failure_traceback_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
-    record = harness.RunRecord("0123456789ab", "seqft", 1, "covariate_shift/T2", 2,
+    record = harness.RunRecord("0123456789ab", "seqft", 1, "covariate_shift/T2",
                                failure="RuntimeError: boom", traceback="Traceback ...\n")
     run_dir = tmp_path / "runs" / record.run_id
 
@@ -833,14 +836,14 @@ out_dir: unused
 
 
 def fitted_draws(fits):
-    """(domain_id, seed) of each fit_generator(trainset, domain_id,
-    n_classes, config, seed) call."""
-    return [(args[1], args[4]) for args in fits]
+    """The seed of each fit_generator(trainset, n_classes, config, seed)
+    call, which derives from the run seed and the domain."""
+    return [args[3] for args in fits]
 
 
 def every_draw_once(cfg):
     """fitted_draws of one fit per (run seed, domain)."""
-    return sorted((t, derive(seed, "domain", t, "generator"))
+    return sorted(derive(seed, "domain", t, "generator")
                   for seed in cfg.seeds for t in range(cfg.benchmark.n_domains))
 
 
@@ -892,9 +895,9 @@ def test_shared_draws_close_when_run_experiment_returns(tmp_path, monkeypatch):
     seen = []
     fit_generator = strategies.fit_generator
 
-    def fit_and_look(*args):
+    def fit_and_look(*args, **kwargs):
         seen.append(strategies._fits is not None)
-        return fit_generator(*args)
+        return fit_generator(*args, **kwargs)
 
     monkeypatch.setattr(strategies, "fit_generator", fit_and_look)
     run_experiment(cfg, out_dir=str(tmp_path))
@@ -983,29 +986,55 @@ def test_cli_run_report_project_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == (out / "report.txt").read_text()
 
     g2d_id = next(row["run_id"] for row in read_rows(out / "routing.csv"))
-    assert cli.main(["project", g2d_id, "--router", "synthetic",
-                     "--dir", str(out)]) == 0
+    assert cli.main(["project", g2d_id, "--dir", str(out)]) == 0
     printed = capsys.readouterr().out
     stored = [line for line in (out / "projection.csv").read_text().splitlines()
               if line.startswith(f"{g2d_id},synthetic,")]
     assert len(stored) == 60
     assert printed == "\n".join([PROJECTION_HEADER, *stored]) + "\n"
 
-    assert cli.main(["project", "feedfeedfeed", "--router", "synthetic",
-                     "--dir", str(out)]) == 1
+    assert cli.main(["project", "feedfeedfeed", "--dir", str(out)]) == 1
     assert "no projection rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["a,b\n1,2\n",
-                                  "run_id,router_kind,domain\nfeedfeedfeed,synthetic,0\n",
-                                  ""], ids=["foreign", "short", "empty"])
-def test_cli_project_rejects_a_foreign_projection_file(tmp_path, capsys, text):
-    (tmp_path / "projection.csv").write_text(text)
-    assert cli.main(["project", "feedfeedfeed", "--router", "synthetic",
-                     "--dir", str(tmp_path)]) == 1
+@pytest.mark.parametrize("data", [b"a,b\n1,2\n",
+                                  b"run_id,router_kind,domain\nfeedfeedfeed,synthetic,0\n",
+                                  b"", PROJECTION_HEADER.encode() + b"\nfeedfeedfeed,caf\xe9\n"],
+                         ids=["foreign", "short", "empty", "latin1"])
+def test_cli_project_rejects_a_foreign_projection_file(tmp_path, capsys, data):
+    (tmp_path / "projection.csv").write_bytes(data)
+    assert cli.main(["project", "feedfeedfeed", "--dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "projection.csv" in captured.err
+
+
+def test_cli_report_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "report.txt").write_bytes(b"caf\xe9\n")     # Latin-1
+    assert cli.main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "report.txt" in captured.err
+
+
+def test_output_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # with the C locale and UTF-8 mode off, open() defaults to ASCII, so a
+    # non-ASCII failure text could not be written without an encoding
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from driftlab.files import write_text\n"
+              "from driftlab.strategies import read_arrays\n"
+              "write_text(sys.argv[1], 'failure.txt', 'ValueError: caf\\xe9\\n')\n"
+              "path = write_text(sys.argv[1], 'checkpoint.txt', 'caf\\xe9 int64 shape=\\n7\\n')\n"
+              "assert read_arrays(path) == {'caf\\xe9': 7}\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "failure.txt").read_bytes() == "ValueError: café\n".encode()
+    assert (tmp_path / "checkpoint.txt").read_bytes() == "café int64 shape=\n7\n".encode()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

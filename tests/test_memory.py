@@ -41,17 +41,17 @@ def test_reservoir_inclusion_is_roughly_uniform():
 
 def test_update_admits_quota_per_class():
     buffer = []
-    update_replay_buffer(buffer, labeled(40), domain_id=0, per_class_quota=6, seed=1)
+    update_replay_buffer(buffer, labeled(40), per_class_quota=6, seed=1)
     assert len(buffer) == 1
     assert np.bincount(buffer[0].y).tolist() == [6, 6]
 
 
 def test_update_is_append_only():
     buffer = []
-    update_replay_buffer(buffer, labeled(40, seed=1), 0, 5, seed=1)
+    update_replay_buffer(buffer, labeled(40, seed=1), 5, seed=1)
     first = buffer[0]
     frozen_X = first.X.copy()
-    update_replay_buffer(buffer, labeled(40, seed=2), 1, 5, seed=2)
+    update_replay_buffer(buffer, labeled(40, seed=2), 5, seed=2)
     assert buffer[0] is first
     assert np.array_equal(first.X, frozen_X)
     assert len(buffer) == 2
@@ -60,29 +60,24 @@ def test_update_is_append_only():
 def test_update_takes_all_of_small_classes():
     data = LabeledSet(np.zeros((5, 2)), np.array([0, 0, 0, 0, 1]))
     buffer = []
-    update_replay_buffer(buffer, data, 0, per_class_quota=3, seed=0)
+    update_replay_buffer(buffer, data, per_class_quota=3, seed=0)
     assert np.bincount(buffer[0].y).tolist() == [3, 1]
 
 
-def test_update_rejects_duplicate_domains_and_dim_changes():
+def test_update_rejects_dim_changes_and_zero_quota():
     buffer = []
-    with pytest.raises(ValidationError, match="expected domain 0 next, got 1"):
-        update_replay_buffer(buffer, labeled(20), 1, 5, seed=0)
-    update_replay_buffer(buffer, labeled(20), 0, 5, seed=0)
-    with pytest.raises(ValidationError, match="expected domain 1 next, got 0"):
-        update_replay_buffer(buffer, labeled(20), 0, 5, seed=0)
-    with pytest.raises(ValidationError, match="expected domain 1 next, got 2"):
-        update_replay_buffer(buffer, labeled(20), 2, 5, seed=0)
-    with pytest.raises(ValidationError):
-        update_replay_buffer(buffer, labeled(20, dim=3), 1, 5, seed=0)
-    with pytest.raises(ValidationError):
-        update_replay_buffer(buffer, labeled(20), 1, 0, seed=0)
+    update_replay_buffer(buffer, labeled(20), 5, seed=0)
+    with pytest.raises(ValidationError, match="feature dim 3"):
+        update_replay_buffer(buffer, labeled(20, dim=3), 5, seed=0)
+    with pytest.raises(ValidationError, match="per_class_quota"):
+        update_replay_buffer(buffer, labeled(20), 0, seed=0)
+    assert len(buffer) == 1
 
 
 def test_compose_prepends_current_and_flattens_buffer():
     buffer = []
-    update_replay_buffer(buffer, labeled(20, seed=3), 0, 4, seed=3)
-    update_replay_buffer(buffer, labeled(20, seed=4), 1, 4, seed=4)
+    update_replay_buffer(buffer, labeled(20, seed=3), 4, seed=3)
+    update_replay_buffer(buffer, labeled(20, seed=4), 4, seed=4)
     current = labeled(10, seed=5)
     combined = compose_replay_trainset(current, buffer)
     assert len(combined) == 10 + 8 + 8

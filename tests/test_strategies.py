@@ -221,9 +221,9 @@ def test_g2d_and_gen_replay_draw_bit_identical_buffers(monkeypatch):
     fits = []
     fit_generator = strategies.fit_generator
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         fits.append(args)
-        return fit_generator(*args)
+        return fit_generator(*args, **kwargs)
 
     monkeypatch.setattr(strategies, "fit_generator", counted)
     stream = small_stream()
@@ -241,9 +241,9 @@ def test_a_fit_is_shared_only_when_every_fit_input_matches(monkeypatch):
     fits = []
     fit_generator = strategies.fit_generator
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         fits.append(args)
-        return fit_generator(*args)
+        return fit_generator(*args, **kwargs)
 
     monkeypatch.setattr(strategies, "fit_generator", counted)
     data = small_stream().domains[0].train
@@ -357,7 +357,7 @@ def test_oracle_router_reads_only_seen_domains():
 def test_routers_separate_well_spread_domains():
     stream = small_stream(shift=10.0, n_train=100)
     X = np.vstack([d.test.X for d in stream.domains])
-    true = np.concatenate([np.full(len(d.test), d.domain_id) for d in stream.domains])
+    true = np.concatenate([np.full(len(d.test), t) for t, d in enumerate(stream.domains)])
     for name in ("g2d", "oracle_router", "centroid_router"):
         strategy = run_stream(name, stream, hp=small_hp(
             epochs=6, router_epochs=60, n_per_class=25))
