@@ -22,8 +22,7 @@ from .harness import (RunRecord, execute_run, persist_results, run_experiment,
 from .kmeans import CentroidRouter, fit_kmeans
 from .memory import (build_router_trainset, compose_replay_trainset,
                      update_replay_buffer)
-from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
-                      evaluate_accuracy, routing_accuracy)
+from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .nn import (Classifier, forward, init_classifier, layer_views, loss_and_grad,
                  predict, softmax)
 from .optim import OptimizerState, apply_step

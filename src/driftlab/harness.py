@@ -39,8 +39,7 @@ import numpy as np
 from .benchmarks import StreamGuard, build_stream
 from .config import ExperimentConfig, expand_grid, serialize_config
 from .files import write_text
-from .metrics import (AccuracyMatrix, RoutingReport, average_accuracy, bwt,
-                      evaluate_accuracy, routing_accuracy)
+from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .pca import pca_project_2d
 from .rng import derive
 from .strategies import lockstep, run_lockstep, save_checkpoint, shared_fits, strategy_dispatch
@@ -60,9 +59,7 @@ class RunRecord:
     strategy: str
     seed: int
     benchmark_label: str
-    matrix: AccuracyMatrix = None
-    avg_accuracy: list = field(default_factory=list)   # A_t for t = 0..T-1
-    bwt_final: float = None
+    matrix: np.ndarray = None   # (T, T) accuracies, NaN where s > t
     router_kind: str = None
     routing: RoutingReport = None
     projection: list = field(default_factory=list)     # rows for projection.csv
@@ -75,8 +72,18 @@ class RunRecord:
         return not self.failure
 
     @property
+    def avg_accuracy(self) -> list:
+        """A_t for t = 0..T-1."""
+        return [average_accuracy(self.matrix, t) for t in range(len(self.matrix))]
+
+    @property
     def final_accuracy(self) -> float:
-        return self.avg_accuracy[-1]
+        return average_accuracy(self.matrix, len(self.matrix) - 1)
+
+    @property
+    def bwt_final(self):
+        """Backward transfer, or None for a one-domain stream."""
+        return bwt(self.matrix) if len(self.matrix) >= 2 else None
 
 
 def run_id_for(cfg: ExperimentConfig, strategy_name: str, seed: int) -> str:
@@ -178,17 +185,13 @@ def _run_steps(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int
                                  stream.n_classes, grid[0])
     guard = StreamGuard(stream, privileged=strategy.privileged)
     T = stream.n_domains
-    matrix = AccuracyMatrix(T)
+    matrix = np.full((T, T), np.nan)
     for t in range(T):
         guard.advance(t)
         strategy = yield from _select_and_train(strategy, grid, t, guard)
         for s in range(t + 1):
-            test = stream.domains[s].test
-            matrix.record_alpha(s, t, strategy.predict(test.X), test.y)
-        record.avg_accuracy.append(average_accuracy(matrix, t))
+            matrix[s, t] = evaluate_accuracy(strategy.predict, stream.domains[s].test)
     record.matrix = matrix
-    if T >= 2:
-        record.bwt_final = bwt(matrix)
     if strategy.router_kind is not None:
         record.router_kind = strategy.router_kind
         X = np.vstack([d.test.X for d in stream.domains])
@@ -290,8 +293,8 @@ def _tables(records):
     (config order), then domain indices ascending."""
     done = [rec for rec in records if rec.ok]
     yield "matrix.csv", MATRIX_HEADER, (
-        (rec.run_id, rec.strategy, str(rec.seed), str(s), str(t), _fmt(rec.matrix.entry(s, t)))
-        for rec in done for t in range(rec.matrix.n_domains) for s in range(t + 1))
+        (rec.run_id, rec.strategy, str(rec.seed), str(s), str(t), _fmt(rec.matrix[s, t]))
+        for rec in done for t in range(len(rec.matrix)) for s in range(t + 1))
     yield "summary.csv", SUMMARY_HEADER, (
         (rec.run_id, rec.strategy, str(rec.seed), str(t), _fmt(a_t),
          "" if rec.bwt_final is None else _fmt(rec.bwt_final))

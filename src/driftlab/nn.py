@@ -138,6 +138,8 @@ def _check_batch(model: Classifier, batch: np.ndarray) -> np.ndarray:
 
 def _check_labels(model: Classifier, x: np.ndarray, labels) -> np.ndarray:
     y = np.asarray(labels)
+    if y.dtype.kind not in "iu":
+        raise ValidationError(f"labels must be integers, got dtype {y.dtype}")
     if x.shape[-2] == 0:
         raise ValidationError("empty batch")
     if y.shape != x.shape[:-1]:

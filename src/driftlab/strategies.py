@@ -492,10 +492,13 @@ def read_arrays(path) -> dict:
         head = lines[i].split(" ")
         if len(head) != 3 or not head[2].startswith("shape="):
             raise ValidationError(f"{path}: bad block header on line {i + 1}: {lines[i]!r}")
-        name, dtype, dims = head[0], np.dtype(head[1]), head[2][len("shape="):]
-        shape = tuple(int(d) for d in dims.split("x")) if dims else ()
-        parse = int if dtype.kind in "iu" else float
-        values = [parse(v) for v in lines[i + 1].split()]
+        try:
+            name, dtype, dims = head[0], np.dtype(head[1]), head[2][len("shape="):]
+            shape = tuple(int(d) for d in dims.split("x")) if dims else ()
+            parse = int if dtype.kind in "iu" else float
+            values = [parse(v) for v in lines[i + 1].split()]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad block on line {i + 1}: {exc}") from None
         if len(values) != int(np.prod(shape)) or name in arrays:
             raise ValidationError(f"{path}: block {name!r} on line {i + 1} is repeated "
                                   f"or does not hold {shape} values")

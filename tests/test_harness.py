@@ -108,7 +108,7 @@ def test_rerunning_a_run_reproduces_it_bit_for_bit(tiny):
     [(b, _)] = execute_run(cfg, cfg.strategies[1], [21])
     for t in range(2):
         for s in range(t + 1):
-            assert a.matrix.entry(s, t) == b.matrix.entry(s, t)
+            assert a.matrix[s, t] == b.matrix[s, t]
     assert a.avg_accuracy == b.avg_accuracy
     assert a.routing.accuracy == b.routing.accuracy
     assert a.projection == b.projection
@@ -124,8 +124,8 @@ def test_grid_selection_recovers_the_winning_scalar_run(tiny):
     [(gridded, _)] = execute_run(gridded_cfg, gridded_cfg.strategies[0], [21])
     for t in range(2):
         for s in range(t + 1):
-            assert gridded.matrix.entry(s, t) == scalar.matrix.entry(s, t)
-    assert gridded.matrix.entry(1, 1) > 0.8
+            assert gridded.matrix[s, t] == scalar.matrix[s, t]
+    assert gridded.matrix[1, 1] > 0.8
 
 
 GRID_DOC = """

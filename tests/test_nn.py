@@ -105,6 +105,10 @@ def test_loss_and_grad_validates_labels_and_batches():
         nn.loss_and_grad(model, X, np.full(len(y), model.n_outputs))
     with pytest.raises(ShapeError):
         nn.loss_and_grad(model, X, y[:-1])
+    # float labels would fail as indices; bool labels would pass as 0 and 1
+    for labels in (y.astype(float), y == 1):
+        with pytest.raises(ValidationError, match="integers"):
+            nn.loss_and_grad(model, X, labels)
 
 
 def test_predict_is_argmax_of_forward():

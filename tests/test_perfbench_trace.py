@@ -1,10 +1,15 @@
 """perfbench's span tracer still reads the library: its work counters take
 their inputs from the traced functions' arguments and results, so a
-signature change that breaks `perfbench/run.py --trace 1` fails here."""
+signature change that breaks `perfbench/run.py --trace 1` fails here, and
+so does a change that leaves a span a workload expects without calls."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
+from driftlab import config, harness
 from driftlab.config import parse_config
 from driftlab.harness import run_experiment
 
@@ -42,16 +47,22 @@ out_dir: unused
 """
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """A module of perfbench/, which is not a package, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_perfbench("spans")
+workloads = load_perfbench("workloads")
 
 
 def test_the_perfbench_tracer_counts_em_iterations_and_admissions(tmp_path):
-    tracer = load_spans().Tracer(str(tmp_path / "spool"))
+    tracer = spans.Tracer(str(tmp_path / "spool"))
     tracer.install()
     try:
         records = run_experiment(parse_config(TRACED_DOC), out_dir=str(tmp_path / "out"))
@@ -63,3 +74,31 @@ def test_the_perfbench_tracer_counts_em_iterations_and_admissions(tmp_path):
     assert fits["calls"] == 2 and fits["em_iters"] > 0 and fits["mixtures"] == 4
     # gen_replay admits each domain's draw, er each domain's real split
     assert tracer.stats["memory.update_replay_buffer"]["calls"] == 4
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_span_a_workload_expects_records_calls(name, tmp_path):
+    """Each workload, shrunk to tiny splits and one epoch, keeps its kind,
+    strategies, grids and jobs, and runs the way perfbench runs it:
+    load_config, run_experiment, persist_results, each looked up on its
+    module, where the tracer wraps it."""
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config(workloads.DEFAULT_SEED)
+    cfg["benchmark"] = {**cfg["benchmark"], "n_train": 60, "n_val": 10, "n_test": 10}
+    cfg["strategies"] = [{**sc, "epochs": 1} for sc in cfg["strategies"]]
+    path = workloads.write_config(cfg, str(tmp_path / "workload.yaml"))
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    tracer = spans.Tracer(str(spool))
+    tracer.install()
+    try:
+        out = str(tmp_path / "out")
+        records = harness.run_experiment(config.load_config(path), out_dir=out,
+                                         jobs=workload.jobs)
+        harness.persist_results(records, out)
+    finally:
+        tracer.uninstall()
+    tracer.collect()
+    assert [rec.failure for rec in records if not rec.ok] == []
+    silent = [span for span in workload.expects if not tracer.stats.get(span, {}).get("calls")]
+    assert silent == []

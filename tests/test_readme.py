@@ -1,7 +1,9 @@
 """The README matches the package: every module is listed in the Library
-layout, each CSV is documented with the header it is written with, and
-every command example parses."""
+layout, each CSV is documented with the header it is written with, every
+command example parses, and the committed goldens keep the README's
+promises about the arrays that runs share."""
 
+import csv
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from driftlab import cli
 from driftlab.harness import MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER, SUMMARY_HEADER
+from driftlab.strategies import read_arrays
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +54,41 @@ def test_every_driftlab_example_parses():
             assert parser.parse_args(argv).command == argv[0]
         except SystemExit:
             pytest.fail(f"the CLI rejects the README example {line!r}")
+
+
+def golden_checkpoints(name):
+    """{(strategy, seed): {block name: array}} of a committed golden;
+    summary.csv maps each run id to its (strategy, seed)."""
+    root = ROOT / "results" / name
+    with open(root / "summary.csv", encoding="utf-8") as fh:
+        runs = {(row["strategy"], int(row["seed"])): row["run_id"] for row in csv.DictReader(fh)}
+    return {run: read_arrays(root / "runs" / run_id / "checkpoint.txt")
+            for run, run_id in runs.items()}
+
+
+def blocks(arrays, prefix):
+    """The blocks whose names start with prefix, as {(rest of name): (dtype,
+    shape, bytes)}, so that == compares them bit for bit."""
+    return {name[len(prefix):]: (a.dtype, a.shape, a.tobytes())
+            for name, a in arrays.items() if name.startswith(prefix)}
+
+
+@pytest.mark.parametrize("name", ["quickstart", "flip_t2", "covariate_t4"])
+def test_committed_goldens_share_buffers_and_experts(name):
+    """For every seed: g2d and gen_replay hold the same synthetic buffers;
+    g2d, oracle_router and centroid_router hold the same expert bank; and
+    the last expert, fine-tuned from its predecessor like seqft's model, is
+    seqft's final model. flip_t2 runs only seqft and g2d."""
+    checkpoints = golden_checkpoints(name)
+    seeds = [seed for strategy, seed in checkpoints if strategy == "g2d"]
+    assert seeds
+    for seed in seeds:
+        g2d = checkpoints[("g2d", seed)]
+        assert blocks(g2d, "buffer")
+        if ("gen_replay", seed) in checkpoints:
+            assert blocks(g2d, "buffer") == blocks(checkpoints[("gen_replay", seed)], "buffer")
+        for bank in ("oracle_router", "centroid_router"):
+            if (bank, seed) in checkpoints:
+                assert blocks(g2d, "expert") == blocks(checkpoints[(bank, seed)], "expert")
+        last = len({block.split(".")[0] for block in g2d if block.startswith("expert")}) - 1
+        assert blocks(g2d, f"expert{last}.") == blocks(checkpoints[("seqft", seed)], "model.")

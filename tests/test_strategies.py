@@ -521,6 +521,13 @@ def test_read_arrays_rejects_malformed_blocks(tmp_path):
     path.write_text("model.W0 float64\n1.0\n")
     with pytest.raises(ValidationError, match="header"):
         read_arrays(path)
+    # an unknown dtype, a shape that is not a number, a value that is not one
+    for text, line in [("model.W0 foo shape=1\n1.0\n", 1),
+                       ("model.W0 float64 shape=x\n1.0\n", 1),
+                       ("model.b0 float64 shape=1\n0.5\nmodel.W0 float64 shape=1\nzz\n", 3)]:
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"line {line}:"):
+            read_arrays(path)
 
 
 def test_predictions_match_oracle_forward_pass():
