@@ -32,6 +32,18 @@ def test_evaluate_accuracy_with_callable_and_with_classifier():
         evaluate_accuracy(lambda X: rule(X)[:-1], data)
 
 
+def test_record_alpha_computes_the_fraction():
+    # the value the harness writes into an accuracy-matrix cell is the
+    # fraction of predictions that match the labels
+    X = np.zeros((4, 1))
+    data = LabeledSet(X, np.array([1, 1, 1, 0]))
+    assert evaluate_accuracy(lambda X: np.array([1, 0, 1, 1]), data) == 0.5
+    with pytest.raises(ValidationError):
+        evaluate_accuracy(lambda X: np.array([1]), LabeledSet(np.zeros((2, 1)), np.array([1, 0])))
+    with pytest.raises(ValidationError):
+        evaluate_accuracy(lambda X: np.array([]), LabeledSet(np.zeros((0, 1)), np.zeros(0, dtype=int)))
+
+
 def accuracy_matrix(cells, T):
     """A (T, T) accuracy matrix holding cells {(s, t): value}, NaN elsewhere."""
     m = np.full((T, T), np.nan)
