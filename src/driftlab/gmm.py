@@ -97,7 +97,8 @@ def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
     (K, S, n) pass; the responsibilities go back to a row-major (S, n, K)
     array, so every sum over rows and every BLAS product is one slice's.
     A slice with a dead component skips its M-step while the others take
-    theirs, and a slice that stops leaves the stack.
+    theirs, and a slice that stops is frozen: it stays in the stack, but
+    takes no further M-step and its trace ends.
     """
     S, n, _ = X.shape
     k = config.n_components
@@ -112,19 +113,21 @@ def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
     X2 = X ** 2
     lp = _log_prob_matrix(weights, means, variances, XT)
     log_norm = _log_norm(lp)                              # (S, n)
-    slots = list(range(S))                                # input slice of each stack slice
     traces = [[] for _ in range(S)]
     prev = [-np.inf] * S
-    fits = [None] * S
+    active = [True] * S                                   # False once a slice stops
     for _ in range(config.max_iter):
         resp = np.exp(lp - log_norm).transpose(1, 2, 0).copy()   # (S, n, K)
         mass = resp.sum(axis=1)                                   # (S, K)
         dead = mass < 1e-12
         rescued = dead.any(axis=1)
-        if rescued.any():
-            live = ~rescued
-            weights[live], means[live], variances[live] = _m_step(
-                resp[live], X[live], X2[live], mass[live], config.var_floor)
+        if all(active) and not rescued.any():             # every slice steps
+            weights, means, variances = _m_step(resp, X, X2, mass, config.var_floor)
+        else:
+            rescued &= active
+            step = active & ~rescued
+            weights[step], means[step], variances[step] = _m_step(
+                resp[step], X[step], X2[step], mass[step], config.var_floor)
             for s in np.flatnonzero(rescued):
                 worst = np.argmin(log_norm[s])
                 means[s, dead[s]] = X[s, worst]
@@ -133,35 +136,21 @@ def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
                 weights[s] /= weights[s].sum()
                 traces[s] = []                            # ascent restarts after a rescue
                 prev[s] = -np.inf
-        else:
-            weights, means, variances = _m_step(resp, X, X2, mass, config.var_floor)
 
         lp = _log_prob_matrix(weights, means, variances, XT)
         log_norm = _log_norm(lp)
-        done = []
         for s, ll in enumerate(log_norm.sum(axis=1).tolist()):
-            if rescued[s]:
+            if rescued[s] or not active[s]:
                 continue
             if not math.isfinite(ll):
                 raise NumericError("non-finite log-likelihood during EM")
             traces[s].append(ll)
             if ll - prev[s] <= config.tol and len(traces[s]) > 1:
-                done.append(s)
+                active[s] = False
             prev[s] = ll
-        if done:
-            for s in done:
-                fits[slots[s]] = _finish(weights[s], means[s], variances[s], traces[s])
-            keep = [s for s in range(len(slots)) if s not in done]
-            if not keep:
-                return fits
-            X, X2 = X[keep], X2[keep]
-            XT = X.transpose(2, 0, 1).copy()
-            weights, means, variances = weights[keep], means[keep], variances[keep]
-            lp, log_norm, global_var = lp[:, keep], log_norm[keep], global_var[keep]
-            slots, traces, prev = ([lst[s] for s in keep] for lst in (slots, traces, prev))
-    for s, slot in enumerate(slots):
-        fits[slot] = _finish(weights[s], means[s], variances[s], traces[s])
-    return fits
+        if not any(active):
+            break
+    return [_finish(weights[s], means[s], variances[s], traces[s]) for s in range(S)]
 
 
 def _finish(weights, means, variances, trace):

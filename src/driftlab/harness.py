@@ -42,7 +42,7 @@ from .files import write_text
 from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import lockstep, run_lockstep, save_checkpoint, shared_fits, strategy_dispatch
+from .strategies import run_lockstep, save_checkpoint, shared_fits, strategy_dispatch
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -107,19 +107,21 @@ class RunInterrupted(KeyboardInterrupt):
 
 def _select_and_train(strategy, grid, t, guard):
     """Per-domain model selection on the current domain's validation split,
-    as a generator that yields the training requests (Strategy.learn_steps).
+    as a generator that yields the training requests of every candidate
+    (Strategy.learn) once, as one round, and expects them trained when it
+    is resumed.
 
     The strategy itself is the first point's candidate, and each further
-    point learns a clone of it; each candidate takes its point as its hp,
-    and all of them learn in lockstep. The best current-domain validation
-    accuracy wins, ties resolving to the earliest point, and only the
-    winner consolidates, with its own hp (consolidation never changes a
-    prediction, so it cannot change the choice).
+    point learns a clone of it; each candidate takes its point as its hp.
+    The best current-domain validation accuracy wins, ties resolving to
+    the earliest point, and only the winner consolidates, with its own hp
+    (consolidation never changes a prediction, so it cannot change the
+    choice).
     """
     candidates = [strategy] + [strategy.clone() for _ in grid[1:]]
     for candidate, point in zip(candidates, grid):
         candidate.hp = point
-    yield from lockstep([candidate.learn_steps(t, guard) for candidate in candidates])
+    yield [req for candidate in candidates for req in candidate.learn(t, guard)]
     best = 0
     if len(grid) > 1:
         val = guard.val(t)

@@ -58,24 +58,24 @@ class Strategy:
     """Base contract: train_on_domain(t, guard) in stream order, then
     predict(x) without domain identity.
 
-    train_on_domain is learn_steps followed by consolidate. learn_steps(t)
-    does everything that can change predict; consolidate(t) keeps what
-    the finished domain leaves behind for later domains (an EWC anchor, a
-    replay admission, a generator's buffer) and changes no prediction.
-    Per-domain model selection learns every grid candidate and
-    consolidates only the winner. What domains leave behind is kept in
-    plain lists whose position is the domain id.
+    train_on_domain is learn, then train_requests, then consolidate.
+    learn(t) returns domain t's TrainRequests, which never read each
+    other's result; training them does everything that can change
+    predict. consolidate(t) keeps what the finished domain leaves behind
+    for later domains (an EWC anchor, a replay admission, a generator's
+    buffer) and changes no prediction. Per-domain model selection learns
+    every grid candidate and consolidates only the winner. What domains
+    leave behind is kept in plain lists whose position is the domain id.
 
     hp, the one source of the hyperparameters, is a config.StrategyConfig
     whose grid fields hold one scalar each (one point of
     config.expand_grid); every hook reads it as self.hp. The base keeps
-    one classifier, ``model``, and its _learn trains it on two hooks:
-    _trainset (replay composes, mtl takes the union afresh) and _penalty
-    (ewc's anchors and lam). Every model, expert and router included, is
-    built by _new_model and trained by _train, which yields a list of one
-    TrainRequest, so a caller can gather the requests of several runs
-    (lockstep) and train those sharing a stack_key as one stack
-    (run_lockstep). arrays() names the strategy's checkpoint blocks.
+    one classifier, ``model``, and its _learn requests its training on two
+    hooks: _trainset (replay composes, mtl takes the union afresh) and
+    _penalty (ewc's anchors and lam). Every model, expert and router
+    included, is built by _new_model and requested by _request, so a
+    caller can train the requests of several candidates and runs that
+    share a stack_key as one stack. arrays() names the checkpoint blocks.
     """
 
     name = "base"
@@ -92,21 +92,22 @@ class Strategy:
         self.model = None
 
     def train_on_domain(self, t: int, guard: StreamGuard):
-        run_lockstep([self.learn_steps(t, guard)])
+        train_requests(self.learn(t, guard))
         self.consolidate(t, guard)
 
-    def learn_steps(self, t: int, guard: StreamGuard):
-        """Train on domain t, as a generator that yields each training as a
-        list of TrainRequests and expects their models trained before it
-        is resumed; the previous domain must be consolidated."""
+    def learn(self, t: int, guard: StreamGuard) -> list:
+        """Domain t's TrainRequests; the previous domain must be
+        consolidated. Every request must be trained (train_requests)
+        before predict or consolidate is called."""
         if self.last_trained != self.last_consolidated:
-            raise ContractError(f"learn_steps({t}) before domain {self.last_trained} "
+            raise ContractError(f"learn({t}) before domain {self.last_trained} "
                                 f"is consolidated")
         if t != self.last_trained + 1:
             raise ContractError(f"domains must arrive in order: "
                                 f"expected {self.last_trained + 1}, got {t}")
-        yield from self._learn(t, guard)
+        requests = self._learn(t, guard)
         self.last_trained = t
+        return requests
 
     def consolidate(self, t: int, guard: StreamGuard):
         """Keep what domain t leaves behind; t must be the domain just learned."""
@@ -121,8 +122,8 @@ class Strategy:
         data = self._trainset(t, guard)
         if self.model is None:
             self.model = self._new_model(self.hp.hidden, self.n_classes, "init")
-        yield from self._train(self.model, data, t, "train", self.hp.epochs,
-                               self.hp.learning_rate, *self._penalty())
+        return [self._request(self.model, data, t, "train", self.hp.epochs,
+                              self.hp.learning_rate, *self._penalty())]
 
     def _trainset(self, t: int, guard: StreamGuard) -> LabeledSet:
         return guard.train(t)
@@ -137,12 +138,11 @@ class Strategy:
         dims = [self.dim, *hidden, n_outputs]
         return nn.init_classifier(dims, derive(self.seed, *seed_labels))
 
-    def _train(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
-               epochs: int, learning_rate: float, anchors=(), lam=0.0):
-        """Yield the request that trains model on data; return the model."""
-        yield [TrainRequest(model, data, epochs, self.hp.batch_size, self.hp.optimizer,
-                            learning_rate, derive(self.seed, "domain", t, role), anchors, lam)]
-        return model
+    def _request(self, model: nn.Classifier, data: LabeledSet, t: int, role: str,
+                 epochs: int, learning_rate: float, anchors=(), lam=0.0) -> TrainRequest:
+        """The request that trains model on data, seeded by (domain, role)."""
+        return TrainRequest(model, data, epochs, self.hp.batch_size, self.hp.optimizer,
+                            learning_rate, derive(self.seed, "domain", t, role), anchors, lam)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.model is None:
@@ -291,11 +291,13 @@ class _ExpertBank(Strategy):
     """Router strategies: a frozen expert per domain and a router that
     sends each point to one of them.
 
-    Expert t is a frozen copy of seqft's model after domain t: the base
-    _learn trains ``model``. Every router answers predict(X) with domain
-    ids and arrays(tag) with its checkpoint blocks: _OneDomain until the
-    strategy's own router replaces it, which is a Classifier over domain
-    ids retrained from scratch after each later domain or a CentroidRouter.
+    Expert t is seqft's model after domain t: the base _learn trains
+    ``model``, and each later domain first replaces it by a copy, so
+    finished experts stay frozen. Every router answers predict(X) with
+    domain ids and arrays(tag) with its checkpoint blocks: _OneDomain
+    until the strategy's own router replaces it, which is a Classifier
+    over domain ids retrained from scratch after each later domain or a
+    CentroidRouter.
     """
 
     def __init__(self, seed, dim, n_classes, hp):
@@ -304,13 +306,18 @@ class _ExpertBank(Strategy):
         self.router = _OneDomain()
 
     def _learn(self, t, guard):
-        yield from super()._learn(t, guard)
-        self.experts.append(self.model.copy())
+        if self.experts:
+            self.model = self.model.copy()
+        requests = super()._learn(t, guard)
+        self.experts.append(self.model)
+        return requests
 
-    def _train_router(self, trainset: LabeledSet, t: int):
-        router = self._new_model(self.hp.router_hidden, t + 1, "domain", t, "router_init")
-        self.router = yield from self._train(router, trainset, t, "router",
-                                             self.hp.router_epochs, self.hp.router_learning_rate)
+    def _router_request(self, trainset: LabeledSet, t: int) -> TrainRequest:
+        """Replace the router by a fresh model over t + 1 domains; return
+        the request that trains it."""
+        self.router = self._new_model(self.hp.router_hidden, t + 1, "domain", t, "router_init")
+        return self._request(self.router, trainset, t, "router",
+                             self.hp.router_epochs, self.hp.router_learning_rate)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
@@ -348,11 +355,12 @@ class G2d(_ExpertBank):
         self.synthetic = []
 
     def _learn(self, t, guard):
-        yield from super()._learn(t, guard)
+        requests = super()._learn(t, guard)
         # the buffer is drawn here, not in consolidate: the router trains on it
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, guard.train(t), t, self.hp))
         if t > 0:
-            yield from self._train_router(build_router_trainset(self.synthetic), t)
+            requests.append(self._router_request(build_router_trainset(self.synthetic), t))
+        return requests
 
     def arrays(self):
         yield from super().arrays()
@@ -370,10 +378,11 @@ class OracleRouter(_ExpertBank):
     privileged = True
 
     def _learn(self, t, guard):
-        yield from super()._learn(t, guard)
+        requests = super()._learn(t, guard)
         if t > 0:
             trainset = build_router_trainset([guard.train(i) for i in range(t + 1)])
-            yield from self._train_router(trainset, t)
+            requests.append(self._router_request(trainset, t))
+        return requests
 
 
 class CentroidRouted(_ExpertBank):
@@ -383,10 +392,11 @@ class CentroidRouted(_ExpertBank):
     router_kind = "centroid"
 
     def _learn(self, t, guard):
-        yield from super()._learn(t, guard)
+        requests = super()._learn(t, guard)
         if t == 0:
             self.router = CentroidRouter(self.hp.n_centroids, self.hp.n_neighbors)
         self.router.add_domain(guard.train(t).X, make_rng(self.seed, "domain", t, "centroids"))
+        return requests
 
 
 class Mtl(Strategy):
@@ -408,15 +418,11 @@ _REGISTRY = {cls.name: cls for cls in
 STRATEGY_NAMES = tuple(_REGISTRY)
 
 
-def lockstep(runs):
-    """Step generators that yield lists of TrainRequests (learn_steps, or
-    anything built on it) together, until each returns; return their
-    return values in order.
-
-    A generator itself: each round it yields the pending requests of every
-    run as one list, and resumes each run once that list is trained.
-    Nested, it stacks grid candidates within a run and runs across seeds.
-    """
+def run_lockstep(runs) -> list:
+    """Step generators that yield lists of TrainRequests together, until
+    each returns; return their return values in order. Each round trains
+    the pending requests of every run in one train_requests call, and
+    resumes each run once they are trained."""
     results = [None] * len(runs)
     pending = {}
 
@@ -430,27 +436,21 @@ def lockstep(runs):
     for i in range(len(runs)):
         advance(i)
     while pending:
-        yield [req for reqs in pending.values() for req in reqs]
+        train_requests([req for reqs in pending.values() for req in reqs])
         for i in list(pending):
             advance(i)
     return results
 
 
-def run_lockstep(runs) -> list:
-    """Drive lockstep(runs) to the end; return the runs' return values in
-    order. Each round, the requests that share a stack_key train as one
-    stack in one train_classifier call, each with its own anchors and lam."""
-    rounds = lockstep(runs)
-    while True:
-        try:
-            requests = next(rounds)
-        except StopIteration as done:
-            return done.value
-        groups = {}
-        for req in requests:
-            groups.setdefault(stack_key(req), []).append(req)
-        for group in groups.values():
-            train_classifier(group)
+def train_requests(requests):
+    """Train independent requests: those that share a stack_key train as
+    one stack in one train_classifier call, each with its own anchors and
+    lam."""
+    groups = {}
+    for req in requests:
+        groups.setdefault(stack_key(req), []).append(req)
+    for group in groups.values():
+        train_classifier(group)
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:
@@ -482,7 +482,8 @@ def save_checkpoint(strategy: Strategy, out_dir):
 
 def read_arrays(path) -> dict:
     """Parse a checkpoint file into {name: ndarray}, bit-exact in dtype,
-    shape and values."""
+    shape and values. Only the float and integer dtypes save_checkpoint
+    writes load; any malformed block is a ValidationError naming its line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if len(lines) % 2:
@@ -494,13 +495,15 @@ def read_arrays(path) -> dict:
             raise ValidationError(f"{path}: bad block header on line {i + 1}: {lines[i]!r}")
         try:
             name, dtype, dims = head[0], np.dtype(head[1]), head[2][len("shape="):]
+            if dtype.kind not in "fiu":
+                raise TypeError(f"save_checkpoint writes no {dtype.name} blocks")
             shape = tuple(int(d) for d in dims.split("x")) if dims else ()
             parse = int if dtype.kind in "iu" else float
-            values = [parse(v) for v in lines[i + 1].split()]
-        except (TypeError, ValueError) as exc:
+            array = np.array([parse(v) for v in lines[i + 1].split()], dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: bad block on line {i + 1}: {exc}") from None
-        if len(values) != int(np.prod(shape)) or name in arrays:
+        if array.size != int(np.prod(shape)) or name in arrays:
             raise ValidationError(f"{path}: block {name!r} on line {i + 1} is repeated "
                                   f"or does not hold {shape} values")
-        arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+        arrays[name] = array.reshape(shape)
     return arrays

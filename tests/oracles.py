@@ -454,7 +454,7 @@ def select_one_candidate_at_a_time(strategy, grid, t, guard):
     in lockstep: each candidate is cloned, learns and is scored before the
     next one starts, and only the winner consolidates."""
     if len(grid) == 1:
-        yield from strategy.learn_steps(t, guard)
+        yield strategy.learn(t, guard)
         strategy.consolidate(t, guard)
         return strategy
     val = guard.val(t)
@@ -462,7 +462,7 @@ def select_one_candidate_at_a_time(strategy, grid, t, guard):
     for hp in grid:
         candidate = strategy.clone()
         candidate.hp = hp
-        yield from candidate.learn_steps(t, guard)
+        yield candidate.learn(t, guard)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
             best, best_score = candidate, score

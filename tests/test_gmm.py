@@ -255,6 +255,19 @@ def test_a_later_rescue_restarts_only_its_own_trace(monkeypatch):
     assert np.array_equal(mix.means, gen.mixtures[1].means)
 
 
+def test_a_class_that_stops_early_stays_frozen_in_its_stack():
+    # class 1 is two points repeated 20 times each: k-means++ seeds one
+    # component on each, the second M-step floors both variances, and the
+    # third repeats its log-likelihood, long before its siblings converge
+    data = three_classes()
+    data.X[data.y == 1] = np.repeat([[100.0, 0.0], [103.0, 1.0]], 20, axis=0)
+    gen = assert_generator_matches_one_class_at_a_time(data, 3, FitConfig(n_components=2), 0)
+    sizes = [t.size for t in gen.ll_traces]
+    assert sizes[1] == 3
+    assert min(sizes[0], sizes[2]) > sizes[1] + 5
+    assert gen.ll_traces[1][1] == gen.ll_traces[1][2]
+
+
 def test_one_non_finite_class_fails_the_whole_stack(monkeypatch):
     m_step = gmm._m_step
 

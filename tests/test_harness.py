@@ -217,15 +217,15 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
 
 def consolidate_every_candidate(strategy, grid, t, guard):
     """Selection as it was before winner-only consolidation: every
-    candidate runs the whole of train_on_domain, learn_steps then consolidate.
-    A generator like harness._select_and_train, so its runs still step in
-    lockstep."""
+    candidate runs the whole of train_on_domain: learn, training, then
+    consolidate. A generator like harness._select_and_train, so its runs
+    still step in lockstep."""
     val = guard.val(t)
     best, best_score = None, -1.0
     for hp in grid:
         candidate = strategy.clone()
         candidate.hp = hp
-        yield from candidate.learn_steps(t, guard)
+        yield candidate.learn(t, guard)
         candidate.consolidate(t, guard)
         score = evaluate_accuracy(candidate.predict, val)
         if score > best_score:
@@ -716,8 +716,9 @@ def test_a_dead_worker_whose_failure_cannot_be_written_keeps_its_records(tmp_pat
 
 
 def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, monkeypatch):
-    # seed 22's first training row is NaN, so its slice of the stacked step
-    # turns non-finite; 21 and 23 must end as if each had run alone
+    # seed 22's first training row is NaN: seqft's slice of the stacked step
+    # turns non-finite, and g2d's generator fit, which comes before its
+    # trainings, fails in EM; 21 and 23 must end as if each had run alone
     cfg = parse_config(TINY_DOC.replace("seeds: [21, 22]", "seeds: [21, 22, 23]"))
     real_build_stream = harness.build_stream
 
@@ -745,10 +746,13 @@ def test_a_failing_seed_in_a_lockstep_group_leaves_its_siblings_alone(tmp_path, 
     persist_results(alone, str(tmp_path / "alone"))
     for rec in lockstep:
         if rec.seed == 22:
-            assert rec.failure.startswith("NumericError: non-finite loss")
+            failure, where = {"seqft": ("non-finite loss", "in train_classifier"),
+                              "g2d": ("non-finite log-likelihood during EM",
+                                      "in fit_em_stack")}[rec.strategy]
+            assert rec.failure.startswith(f"NumericError: {failure}")
             text = (tmp_path / "lockstep" / "runs" / rec.run_id / "failure.txt").read_text()
             assert text == rec.traceback
-            assert "in train_classifier" in text
+            assert where in text
             shutil.rmtree(tmp_path / "lockstep" / "runs" / rec.run_id)
     assert oracles.tree_mismatches(tmp_path / "lockstep", tmp_path / "alone") == []
 

@@ -11,8 +11,8 @@ from driftlab.benchmarks import BenchmarkConfig, LabeledSet, StreamGuard, build_
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
-from driftlab.strategies import (ROUTER_KINDS, STRATEGY_NAMES, read_arrays, run_lockstep,
-                                 save_checkpoint, strategy_dispatch)
+from driftlab.strategies import (ROUTER_KINDS, STRATEGY_NAMES, read_arrays, save_checkpoint,
+                                 strategy_dispatch, train_requests)
 
 import oracles
 
@@ -76,15 +76,38 @@ def test_consolidate_needs_the_domain_just_learned():
         guard.advance(0)
         with pytest.raises(ContractError, match="consolidate"):
             strategy.consolidate(0, guard)
-        run_lockstep([strategy.learn_steps(0, guard)])
+        train_requests(strategy.learn(0, guard))
         with pytest.raises(ContractError, match="before domain 0 is consolidated"):
-            run_lockstep([strategy.learn_steps(1, guard)])
+            strategy.learn(1, guard)
         strategy.consolidate(0, guard)
         with pytest.raises(ContractError, match="consolidate"):
             strategy.consolidate(0, guard)
         guard.advance(1)
         with pytest.raises(ContractError, match="consolidate"):
             strategy.consolidate(1, guard)
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_a_domains_requests_train_in_any_order(name, tmp_path):
+    """The requests of one domain hold distinct models and never read each
+    other's result: trained one at a time in reverse order, they leave the
+    checkpoint train_requests leaves."""
+    stream = small_stream()
+    together, reversed_ = (strategy_dispatch(name, 5, stream.dim, stream.n_classes, small_hp())
+                           for _ in range(2))
+    guard = StreamGuard(stream, privileged=together.privileged)
+    for t in range(stream.n_domains):
+        guard.advance(t)
+        requests = together.learn(t, guard)
+        assert len({id(req.model) for req in requests}) == len(requests)
+        train_requests(requests)
+        for req in reversed(reversed_.learn(t, guard)):
+            strategies.train_classifier([req])
+        for strategy, tag in ((together, "together"), (reversed_, "reversed")):
+            strategy.consolidate(t, guard)
+            save_checkpoint(strategy, tmp_path / f"{tag}{t}")
+        assert (tmp_path / f"together{t}" / "checkpoint.txt").read_text() == \
+            (tmp_path / f"reversed{t}" / "checkpoint.txt").read_text()
 
 
 def test_predict_before_training_is_a_contract_error():
@@ -521,10 +544,14 @@ def test_read_arrays_rejects_malformed_blocks(tmp_path):
     path.write_text("model.W0 float64\n1.0\n")
     with pytest.raises(ValidationError, match="header"):
         read_arrays(path)
-    # an unknown dtype, a shape that is not a number, a value that is not one
+    # an unknown dtype, a shape that is not a number, a value that is not one,
+    # a value out of its dtype's range, and dtypes save_checkpoint never writes
     for text, line in [("model.W0 foo shape=1\n1.0\n", 1),
                        ("model.W0 float64 shape=x\n1.0\n", 1),
-                       ("model.b0 float64 shape=1\n0.5\nmodel.W0 float64 shape=1\nzz\n", 3)]:
+                       ("model.b0 float64 shape=1\n0.5\nmodel.W0 float64 shape=1\nzz\n", 3),
+                       ("model.W0 int64 shape=1\n99999999999999999999999\n", 1),
+                       *((f"model.b0 float64 shape=1\n0.5\nmodel.W0 {dtype} shape=1\n1\n", 3)
+                         for dtype in ("datetime64", "V8", "object", "complex128", "U3"))]:
         path.write_text(text)
         with pytest.raises(ValidationError, match=f"line {line}:"):
             read_arrays(path)
