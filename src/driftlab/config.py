@@ -34,7 +34,7 @@ import yaml
 
 from .benchmarks import BenchmarkConfig, _is_count, _is_number, validate_benchmark
 from .errors import ConfigError
-from .strategies import STRATEGY_NAMES
+from .strategies import STRATEGY_FIELDS, STRATEGY_NAMES
 
 # scalar knobs that accept a list value for per-domain grid selection
 GRID_FIELDS = ("epochs", "batch_size", "learning_rate", "lam", "quota",
@@ -88,20 +88,26 @@ def _build_section(cls, raw, where, problems):
         return cls()
 
 
-def _check_positive_int(value, name, problems, minimum=1):
-    values = value if isinstance(value, list) else [value]
-    if not values:
+def _grid_values(value, name, problems):
+    """The values of a scalar or grid-list field; a grid list must hold
+    one or more values, none of them repeated."""
+    if not isinstance(value, list):
+        return [value]
+    if not value:
         problems.append(f"{name}: grid list is empty")
-    for v in values:
+    elif any(v in value[:i] for i, v in enumerate(value)):
+        problems.append(f"{name}: grid values repeat")
+    return value
+
+
+def _check_positive_int(value, name, problems, minimum=1):
+    for v in _grid_values(value, name, problems):
         if not _is_count(v, minimum):
             problems.append(f"{name}: expected integer >= {minimum}, got {v!r}")
 
 
 def _check_positive_float(value, name, problems, allow_zero=False):
-    values = value if isinstance(value, list) else [value]
-    if not values:
-        problems.append(f"{name}: grid list is empty")
-    for v in values:
+    for v in _grid_values(value, name, problems):
         if not _is_number(v) or (v < 0 if allow_zero else v <= 0):
             bound = ">= 0" if allow_zero else "> 0"
             problems.append(f"{name}: expected finite number {bound}, got {v!r}")
@@ -114,6 +120,13 @@ def _validate_strategy(sc: StrategyConfig, idx: int, n_train, per_class, problem
     if sc.name not in STRATEGY_NAMES:
         problems.append(f"{where}.name: {sc.name!r} is not a strategy; "
                         f"valid names: {', '.join(STRATEGY_NAMES)}")
+    else:
+        # a default is no setting: serialize_config writes every field
+        default = StrategyConfig()
+        for f in fields(StrategyConfig):
+            if (f.name not in ("name", *STRATEGY_FIELDS[sc.name])
+                    and getattr(sc, f.name) != getattr(default, f.name)):
+                problems.append(f"{where}.{f.name}: a {sc.name} strategy ignores this field")
     for field_name, value in (("hidden", sc.hidden), ("router_hidden", sc.router_hidden)):
         if not isinstance(value, list) or not all(_is_count(h) for h in value):
             problems.append(f"{where}.{field_name}: expected a list of integers >= 1")
@@ -196,7 +209,9 @@ def parse_config(text: str) -> ExperimentConfig:
         for s in seeds:
             if not isinstance(s, int) or isinstance(s, bool):
                 problems.append(f"seeds: expected integers, got {s!r}")
-        if len(set(seeds)) != len(seeds):
+            elif not 0 <= s < 2 ** 64:   # rng.derive masks a seed to 64 bits
+                problems.append(f"seeds: {s} is outside [0, 2**64)")
+        if any(s in seeds[:i] for i, s in enumerate(seeds)):   # a seed may not hash
             problems.append("seeds: duplicates present")
 
     out_dir = raw.get("out_dir", "results")

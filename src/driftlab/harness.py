@@ -3,8 +3,9 @@
 A run is one (strategy, seed) pair. The stream is rebuilt from the seed
 alone, so every strategy in a config sees byte-identical data under the
 same seed, no matter what its hyperparameters are. A task is one strategy
-with all of its seeds: the runs of a task step together, and their
-matching training requests train in lockstep. After each domain the
+with all of its seeds: one plain loop steps the runs of a task through
+their domains together, and each domain's training requests of every run
+train as one round. After each domain the
 strategy is evaluated on the test splits of all seen domains, filling the
 lower-triangular accuracy matrix; routing strategies are additionally
 scored on domain identification over the union of test sets.
@@ -42,7 +43,7 @@ from .files import write_text
 from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import run_lockstep, save_checkpoint, shared_fits, strategy_dispatch
+from .strategies import save_checkpoint, shared_fits, strategy_dispatch, train_requests
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -105,30 +106,36 @@ class RunInterrupted(KeyboardInterrupt):
         self.records = records
 
 
-def _select_and_train(strategy, grid, t, guard):
+def _select_and_train(strategies, grid, t, guards):
     """Per-domain model selection on the current domain's validation split,
-    as a generator that yields the training requests of every candidate
-    (Strategy.learn) once, as one round, and expects them trained when it
-    is resumed.
+    for the runs of one task at once; returns the winners in run order.
 
-    The strategy itself is the first point's candidate, and each further
-    point learns a clone of it; each candidate takes its point as its hp.
-    The best current-domain validation accuracy wins, ties resolving to
-    the earliest point, and only the winner consolidates, with its own hp
-    (consolidation never changes a prediction, so it cannot change the
-    choice).
+    In each run the strategy itself is the first point's candidate, and
+    each further point learns a clone of it; each candidate takes its point
+    as its hp. The learn requests of every candidate of every run train in
+    one train_requests call. In each run the best current-domain validation
+    accuracy wins, ties resolving to the earliest point, and only the
+    winner consolidates, with its own hp (consolidation never changes a
+    prediction, so it cannot change the choice).
     """
-    candidates = [strategy] + [strategy.clone() for _ in grid[1:]]
-    for candidate, point in zip(candidates, grid):
-        candidate.hp = point
-    yield [req for candidate in candidates for req in candidate.learn(t, guard)]
-    best = 0
-    if len(grid) > 1:
-        val = guard.val(t)
-        scores = [evaluate_accuracy(candidate.predict, val) for candidate in candidates]
-        best = scores.index(max(scores))
-    candidates[best].consolidate(t, guard)
-    return candidates[best]
+    runs, requests = [], []
+    for strategy, guard in zip(strategies, guards):
+        candidates = [strategy] + [strategy.clone() for _ in grid[1:]]
+        for candidate, point in zip(candidates, grid):
+            candidate.hp = point
+            requests += candidate.learn(t, guard)
+        runs.append(candidates)
+    train_requests(requests)
+    winners = []
+    for candidates, guard in zip(runs, guards):
+        best = 0
+        if len(grid) > 1:
+            val = guard.val(t)
+            scores = [evaluate_accuracy(candidate.predict, val) for candidate in candidates]
+            best = scores.index(max(scores))
+        candidates[best].consolidate(t, guard)
+        winners.append(candidates[best])
+    return winners
 
 
 def _new_records(cfg: ExperimentConfig, strategy_name: str, seeds) -> list:
@@ -151,8 +158,9 @@ def _fail(record: RunRecord, exc: Exception):
 
 
 def execute_run(cfg: ExperimentConfig, strategy_cfg, seeds):
-    """Every seed of one strategy, start to finish, stepped together so
-    that their matching training requests train in lockstep.
+    """Every seed of one strategy, start to finish, stepped through the
+    domains together (_run_seeds), so that each domain's training requests
+    of every run train as one round.
 
     Returns [(record, strategy), ...] in seed order, with the finished
     strategy, or None for a run that failed. If anything raises, each seed
@@ -164,8 +172,7 @@ def execute_run(cfg: ExperimentConfig, strategy_cfg, seeds):
     start = time.perf_counter()
     records = _new_records(cfg, strategy_cfg.name, seeds)
     try:
-        runs = [_run_steps(rec, cfg, strategy_cfg, seed) for rec, seed in zip(records, seeds)]
-        pairs = list(zip(records, run_lockstep(runs)))
+        pairs = list(zip(records, _run_seeds(records, cfg, strategy_cfg, seeds)))
     except Exception as exc:   # a failing run must not sink its siblings
         if len(seeds) > 1:
             pairs = [pair for seed in seeds for pair in execute_run(cfg, strategy_cfg, [seed])]
@@ -178,34 +185,38 @@ def execute_run(cfg: ExperimentConfig, strategy_cfg, seeds):
     return pairs
 
 
-def _run_steps(record: RunRecord, cfg: ExperimentConfig, strategy_cfg, seed: int):
-    """One run as a generator that yields its training requests: fills the
-    record and returns the finished strategy."""
-    stream = build_stream(cfg.benchmark, derive(seed, "stream"))
+def _run_seeds(records, cfg: ExperimentConfig, strategy_cfg, seeds):
+    """The runs of one task, stepped through their domains together: fills
+    the records and returns the finished strategies in seed order."""
     grid = expand_grid(strategy_cfg)
-    strategy = strategy_dispatch(strategy_cfg.name, seed, stream.dim,
-                                 stream.n_classes, grid[0])
-    guard = StreamGuard(stream, privileged=strategy.privileged)
-    T = stream.n_domains
-    matrix = np.full((T, T), np.nan)
+    streams = [build_stream(cfg.benchmark, derive(seed, "stream")) for seed in seeds]
+    strategies = [strategy_dispatch(strategy_cfg.name, seed, stream.dim, stream.n_classes,
+                                    grid[0]) for seed, stream in zip(seeds, streams)]
+    guards = [StreamGuard(stream, privileged=strategy.privileged)
+              for stream, strategy in zip(streams, strategies)]
+    T = cfg.benchmark.n_domains
+    matrices = [np.full((T, T), np.nan) for _ in seeds]
     for t in range(T):
-        guard.advance(t)
-        strategy = yield from _select_and_train(strategy, grid, t, guard)
-        for s in range(t + 1):
-            matrix[s, t] = evaluate_accuracy(strategy.predict, stream.domains[s].test)
-    record.matrix = matrix
-    if strategy.router_kind is not None:
-        record.router_kind = strategy.router_kind
-        X = np.vstack([d.test.X for d in stream.domains])
-        true = np.concatenate([np.full(len(d.test), t) for t, d in enumerate(stream.domains)])
-        routed = strategy.route(X)
-        record.routing = routing_accuracy(routed, true, T)
-        coords = pca_project_2d(X)
-        record.projection = [
-            (int(true[i]), i, float(coords[i, 0]), float(coords[i, 1]), int(routed[i]))
-            for i in range(len(true))
-        ]
-    return strategy
+        for guard in guards:
+            guard.advance(t)
+        strategies = _select_and_train(strategies, grid, t, guards)
+        for strategy, stream, matrix in zip(strategies, streams, matrices):
+            for s in range(t + 1):
+                matrix[s, t] = evaluate_accuracy(strategy.predict, stream.domains[s].test)
+    for record, strategy, stream, matrix in zip(records, strategies, streams, matrices):
+        record.matrix = matrix
+        if strategy.router_kind is not None:
+            record.router_kind = strategy.router_kind
+            X = np.vstack([d.test.X for d in stream.domains])
+            true = np.concatenate([np.full(len(d.test), t) for t, d in enumerate(stream.domains)])
+            routed = strategy.route(X)
+            record.routing = routing_accuracy(routed, true, T)
+            coords = pca_project_2d(X)
+            record.projection = [
+                (int(true[i]), i, float(coords[i, 0]), float(coords[i, 1]), int(routed[i]))
+                for i in range(len(true))
+            ]
+    return strategies
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):

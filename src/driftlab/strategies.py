@@ -52,6 +52,8 @@ from .training import TrainRequest, estimate_fisher_diag, stack_key, train_class
 # the router_kind of every self-routing strategy, in report column order:
 # non-parametric baseline, synthetic-trained discriminator, real-data bound
 ROUTER_KINDS = ("centroid", "synthetic", "oracle")
+# the hp fields of a router trained as a classifier over domain ids
+_ROUTER_FIELDS = ("router_hidden", "router_epochs", "router_learning_rate")
 
 
 class Strategy:
@@ -63,8 +65,10 @@ class Strategy:
     other's result; training them does everything that can change
     predict. consolidate(t) keeps what the finished domain leaves behind
     for later domains (an EWC anchor, a replay admission, a generator's
-    buffer) and changes no prediction. Per-domain model selection learns
-    every grid candidate and consolidates only the winner. What domains
+    buffer) and changes no prediction. Per-domain model selection
+    (harness._select_and_train) learns every grid candidate of every run
+    of a task, trains all their requests in one train_requests call, and
+    consolidates only each run's winner. What domains
     leave behind is kept in plain lists whose position is the domain id.
 
     hp, the one source of the hyperparameters, is a config.StrategyConfig
@@ -75,10 +79,12 @@ class Strategy:
     _penalty (ewc's anchors and lam). Every model, expert and router
     included, is built by _new_model and requested by _request, so a
     caller can train the requests of several candidates and runs that
-    share a stack_key as one stack. arrays() names the checkpoint blocks.
+    share a stack_key as one stack. arrays() names the checkpoint blocks,
+    and hp_fields the config fields that the hooks read.
     """
 
     name = "base"
+    hp_fields = ("hidden", "epochs", "batch_size", "learning_rate", "optimizer")
     privileged = False    # may the guard reveal past domains' real data?
     router_kind = None    # set by strategies that self-route
 
@@ -177,6 +183,7 @@ class Ewc(Strategy):
     """Sequential finetuning with a quadratic pull toward per-domain anchors."""
 
     name = "ewc"
+    hp_fields = Strategy.hp_fields + ("lam", "fisher_samples")
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
@@ -206,6 +213,7 @@ class Er(Strategy):
     """Experience replay: rehearse real samples kept under per-class quotas."""
 
     name = "er"
+    hp_fields = Strategy.hp_fields + ("quota",)
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
@@ -257,6 +265,7 @@ class GenReplay(Strategy):
     samples; the current domain contributes its real training split."""
 
     name = "gen_replay"
+    hp_fields = Strategy.hp_fields + ("n_per_class", "gmm_components")
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
@@ -348,6 +357,7 @@ class G2d(_ExpertBank):
     domain's buffer included)."""
 
     name = "g2d"
+    hp_fields = GenReplay.hp_fields + _ROUTER_FIELDS
     router_kind = "synthetic"
 
     def __init__(self, seed, dim, n_classes, hp):
@@ -374,6 +384,7 @@ class OracleRouter(_ExpertBank):
     give away. The expert bank is seeded identically to g2d's."""
 
     name = "oracle_router"
+    hp_fields = Strategy.hp_fields + _ROUTER_FIELDS
     router_kind = "oracle"
     privileged = True
 
@@ -389,6 +400,7 @@ class CentroidRouted(_ExpertBank):
     """g2d's expert bank with a k-means/KNN router over raw features."""
 
     name = "centroid_router"
+    hp_fields = Strategy.hp_fields + ("n_centroids", "n_neighbors")
     router_kind = "centroid"
 
     def _learn(self, t, guard):
@@ -416,30 +428,7 @@ class Mtl(Strategy):
 _REGISTRY = {cls.name: cls for cls in
              (SeqFT, Ewc, Er, GenReplay, G2d, OracleRouter, CentroidRouted, Mtl)}
 STRATEGY_NAMES = tuple(_REGISTRY)
-
-
-def run_lockstep(runs) -> list:
-    """Step generators that yield lists of TrainRequests together, until
-    each returns; return their return values in order. Each round trains
-    the pending requests of every run in one train_requests call, and
-    resumes each run once they are trained."""
-    results = [None] * len(runs)
-    pending = {}
-
-    def advance(i):
-        try:
-            pending[i] = next(runs[i])
-        except StopIteration as done:
-            pending.pop(i, None)
-            results[i] = done.value
-
-    for i in range(len(runs)):
-        advance(i)
-    while pending:
-        train_requests([req for reqs in pending.values() for req in reqs])
-        for i in list(pending):
-            advance(i)
-    return results
+STRATEGY_FIELDS = {name: cls.hp_fields for name, cls in _REGISTRY.items()}
 
 
 def train_requests(requests):

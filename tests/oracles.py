@@ -10,7 +10,7 @@ fits one class at a time through fit_em_two_pass, train_one_at_a_time,
 which steps one model with driftlab's own loss and optimizer,
 fisher_one_row_at_a_time, which backprops one row at a time through
 driftlab's own backprop body, and select_one_candidate_at_a_time, which
-trains one grid candidate at a time through driftlab's strategies,
+trains one grid point at a time through driftlab's strategies,
 nothing here imports from driftlab, so agreement between the two routes
 is meaningful. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
@@ -28,6 +28,7 @@ from driftlab.errors import NumericError, ValidationError
 from driftlab.metrics import evaluate_accuracy
 from driftlab.optim import apply_step
 from driftlab.rng import make_rng
+from driftlab.strategies import train_requests
 
 
 def gmm_log_likelihood_naive(X, weights, means, variances):
@@ -449,22 +450,28 @@ def fisher_one_row_at_a_time(model, data, seed, n_samples=None):
     return fisher / len(idx)
 
 
-def select_one_candidate_at_a_time(strategy, grid, t, guard):
+def select_one_candidate_at_a_time(strategies, grid, t, guards):
     """harness._select_and_train as it was before grid candidates trained
-    in lockstep: each candidate is cloned, learns and is scored before the
-    next one starts, and only the winner consolidates."""
+    in lockstep: each point's candidates, a clone per run, learn, train in
+    one train_requests call and are scored before the next point's
+    candidates are cloned, and only each run's winner consolidates."""
     if len(grid) == 1:
-        yield strategy.learn(t, guard)
-        strategy.consolidate(t, guard)
-        return strategy
-    val = guard.val(t)
-    best, best_score = None, -1.0
-    for hp in grid:
-        candidate = strategy.clone()
-        candidate.hp = hp
-        yield candidate.learn(t, guard)
-        score = evaluate_accuracy(candidate.predict, val)
-        if score > best_score:
-            best, best_score = candidate, score
-    best.consolidate(t, guard)
-    return best
+        train_requests([req for strategy, guard in zip(strategies, guards)
+                        for req in strategy.learn(t, guard)])
+        winners = strategies
+    else:
+        best = [(-1.0, None)] * len(strategies)
+        for hp in grid:
+            candidates = [strategy.clone() for strategy in strategies]
+            for candidate in candidates:
+                candidate.hp = hp
+            train_requests([req for candidate, guard in zip(candidates, guards)
+                            for req in candidate.learn(t, guard)])
+            for i, (candidate, guard) in enumerate(zip(candidates, guards)):
+                score = evaluate_accuracy(candidate.predict, guard.val(t))
+                if score > best[i][0]:
+                    best[i] = (score, candidate)
+        winners = [candidate for _, candidate in best]
+    for winner, guard in zip(winners, guards):
+        winner.consolidate(t, guard)
+    return winners

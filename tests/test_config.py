@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from driftlab import cli
 from driftlab.benchmarks import (BENCHMARK_KINDS, BenchmarkConfig, _domains,
                                  build_stream)
-from driftlab.config import (GRID_FIELDS, expand_grid, load_config, parse_config,
-                             serialize_config)
+from driftlab.config import (GRID_FIELDS, StrategyConfig, expand_grid, load_config,
+                             parse_config, serialize_config)
 from driftlab.errors import ConfigError
-from driftlab.strategies import STRATEGY_NAMES
+from driftlab.strategies import STRATEGY_FIELDS, STRATEGY_NAMES
 
 VALID_DOC = """
 benchmark:
@@ -261,16 +261,19 @@ def test_configs_that_can_never_run_are_rejected():
         doc = VALID_DOC.replace("name: seqft\n    epochs: 10",
                                 f"name: ewc\n    epochs: 10\n    {knob}: {value}")
         assert any(f"{knob}: expected finite number" in p for p in violations(doc))
-    # strategies without generators ignore gmm_components
-    parse_config(small.replace("epochs: 10\n  - name: g2d",
-                               "epochs: 10\n    gmm_components: 7\n  - name: g2d"))
+    # a strategy without generators reads no gmm_components, so setting it
+    # is a mistake, however large
+    assert violations(small.replace("epochs: 10\n  - name: g2d",
+                                    "epochs: 10\n    gmm_components: 7\n  - name: g2d")) == [
+        "strategies[0].gmm_components: a seqft strategy ignores this field"]
 
 
 def test_centroid_router_knobs_are_not_grid_fields():
     # the router is built once, at domain 0, so a grid over either knob
     # would silently keep its first value
     for knob, value in (("n_centroids", "[1, 10]"), ("n_neighbors", "[1, 3]")):
-        doc = VALID_DOC.replace("name: g2d", f"name: centroid_router\n    {knob}: {value}")
+        doc = VALID_DOC.replace("name: g2d\n    epochs: 10\n    n_per_class: 20",
+                                f"name: centroid_router\n    {knob}: {value}")
         assert any(f"strategies[1].{knob}: expected one integer, not a grid list" in p
                    for p in violations(doc))
         assert violations(doc.replace(value, "0"))
@@ -280,7 +283,15 @@ def test_centroid_router_knobs_are_not_grid_fields():
 def test_seed_list_validation():
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[]")))
     assert any("seeds" in p for p in violations(VALID_DOC.replace("[1, 2]", "[1, two]")))
+    assert violations(VALID_DOC.replace("[1, 2]", "[[1], 2]")) == [
+        "seeds: expected integers, got [1]"]
     assert any("duplicates" in p for p in violations(VALID_DOC.replace("[1, 2]", "[4, 4]")))
+    # seeds are masked to 64 bits, so -1 would run the stream of 2**64 - 1
+    assert violations(VALID_DOC.replace("[1, 2]", "[-1, 18446744073709551615]")) == [
+        "seeds: -1 is outside [0, 2**64)"]
+    assert violations(VALID_DOC.replace("[1, 2]", "[18446744073709551616]")) == [
+        "seeds: 18446744073709551616 is outside [0, 2**64)"]
+    assert parse_config(VALID_DOC.replace("[1, 2]", "[0, 18446744073709551615]"))
 
 
 def test_strategy_knob_validation():
@@ -294,9 +305,14 @@ def test_strategy_knob_validation():
         ("epochs: 10\n    n_per_class: 20", "quota: 0"),
         ("epochs: 10\n    n_per_class: 20", "router_epochs: -1"),
         ("epochs: 10\n    n_per_class: 20", "epochs: []"),
+        ("epochs: 10\n    n_per_class: 20", "learning_rate: [0.05, 0.05]"),
+        ("epochs: 10\n    n_per_class: 20", "router_epochs: [1, 2, 1.0]"),
     ]
     for old, new in pairs:
         assert violations(VALID_DOC.replace(old, new))
+    # a repeated value would train an identical candidate that never wins a tie
+    assert violations(VALID_DOC.replace(*pairs[-2])) == [
+        "strategies[1].learning_rate: grid values repeat"]
 
 
 def test_epochs_zero_is_a_legal_no_op():
@@ -326,11 +342,11 @@ def test_grid_expansion_counts_and_defaults():
 def test_grid_order_varies_later_fields_fastest():
     cfg = parse_config(VALID_DOC.replace(
         "epochs: 10\n    n_per_class: 20",
-        "epochs: [5, 10]\n    lam: [0.1, 0.2]"))
+        "epochs: [5, 10]\n    n_per_class: [10, 20]"))
     combos = expand_grid(cfg.strategies[1])
-    assert GRID_FIELDS.index("epochs") < GRID_FIELDS.index("lam")
-    assert [(hp.epochs, hp.lam) for hp in combos] == \
-        [(5, 0.1), (5, 0.2), (10, 0.1), (10, 0.2)]
+    assert GRID_FIELDS.index("epochs") < GRID_FIELDS.index("n_per_class")
+    assert [(hp.epochs, hp.n_per_class) for hp in combos] == \
+        [(5, 10), (5, 20), (10, 10), (10, 20)]
 
 
 # The per-domain values a parsed benchmark section stands for: one
@@ -454,14 +470,15 @@ def test_random_benchmark_sections_are_rejected_or_build_finite_streams(section,
 
 
 # Random valid strategy sections over a fixed benchmark whose smallest class
-# has 10 training samples: each knob is set or left at its default, and a
-# grid knob is a scalar or a list of one to three values.
+# has 10 training samples: each knob the strategy reads is set or left at
+# its default, and a grid knob is a scalar or a list of one to three
+# distinct values.
 SMALL_BENCHMARK = {"n_domains": 2, "class_means": [[0.0, 0.0], [0.0, 4.0]],
                    "domain_shift": [3.0, 0.0], "n_train": 20, "n_val": 4, "n_test": 4}
 
 
 def grid_knob(values):
-    return st.one_of(values, st.lists(values, min_size=1, max_size=3))
+    return st.one_of(values, st.lists(values, min_size=1, max_size=3, unique=True))
 
 
 RATES = st.floats(1e-6, 1e3)
@@ -490,16 +507,27 @@ def strategy_sections(draw):
                           unique=True))
     sections = []
     for name in names:
-        knobs = draw(st.lists(st.sampled_from(sorted(STRATEGY_KNOBS)), unique=True))
+        knobs = draw(st.lists(st.sampled_from(sorted(STRATEGY_FIELDS[name])), unique=True))
         sections.append({"name": name, **{k: draw(STRATEGY_KNOBS[k]) for k in knobs}})
     return sections
 
 
 @settings(max_examples=40, deadline=None)
-@given(sections=strategy_sections())
-def test_random_strategy_sections_parse_as_written_and_round_trip(sections):
+@given(sections=strategy_sections(), data=st.data())
+def test_random_strategy_sections_parse_as_written_and_round_trip(sections, data):
     cfg = parse_config(yaml.safe_dump({"benchmark": SMALL_BENCHMARK,
                                        "strategies": sections, "seeds": [1]}))
     for sc, section in zip(cfg.strategies, sections):
         assert {k: getattr(sc, k) for k in section} == section
     assert parse_config(serialize_config(cfg)) == cfg
+    # any other value than its default in a field the strategy never reads
+    # is rejected
+    i = data.draw(st.integers(0, len(sections) - 1))
+    name = sections[i]["name"]
+    knob = data.draw(st.sampled_from(sorted(set(STRATEGY_KNOBS) - set(STRATEGY_FIELDS[name]))))
+    default = getattr(StrategyConfig(), knob)
+    changed = [*sections]
+    changed[i] = {**sections[i], knob: data.draw(STRATEGY_KNOBS[knob].filter(
+        lambda value: value != default))}
+    assert f"strategies[{i}].{knob}: a {name} strategy ignores this field" in violations(
+        yaml.safe_dump({"benchmark": SMALL_BENCHMARK, "strategies": changed, "seeds": [1]}))

@@ -27,7 +27,8 @@ from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
 from driftlab.harness_report import _mean_std, render_report
 from driftlab.metrics import evaluate_accuracy
 from driftlab.rng import derive
-from driftlab.strategies import read_arrays, save_checkpoint, strategy_dispatch
+from driftlab.strategies import (read_arrays, save_checkpoint, strategy_dispatch,
+                                 train_requests)
 
 import oracles
 
@@ -178,7 +179,7 @@ def test_the_strategy_is_its_first_candidate_and_only_later_points_clone(monkeyp
     clones = count_calls(monkeypatch, strategies.Strategy, "clone")
     # every candidate ties, so the first one wins
     monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: 0.5)
-    [winner] = strategies.run_lockstep([harness._select_and_train(strategy, grid, 0, guard)])
+    [winner] = harness._select_and_train([strategy], grid, 0, [guard])
     assert winner is strategy
     assert len(clones) == len(grid) - 1
     assert all(args[0] is strategy for args in clones)
@@ -194,7 +195,7 @@ def test_the_winner_consolidates_with_its_own_point(monkeypatch):
     admitted = count_calls(monkeypatch, strategies, "update_replay_buffer")
     scores = iter([0.1, 0.2, 0.3])   # the last point wins
     monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: next(scores))
-    [winner] = strategies.run_lockstep([harness._select_and_train(strategy, grid, 0, guard)])
+    [winner] = harness._select_and_train([strategy], grid, 0, [guard])
     assert winner.hp is grid[-1]
     # update_replay_buffer(buffer, trainset, quota, seed)
     assert [args[2] for args in admitted] == [30]
@@ -215,22 +216,24 @@ def test_only_the_winning_candidate_consolidates(monkeypatch):
                                               for t in range(T)]
 
 
-def consolidate_every_candidate(strategy, grid, t, guard):
+def consolidate_every_candidate(strategies, grid, t, guards):
     """Selection as it was before winner-only consolidation: every
     candidate runs the whole of train_on_domain: learn, training, then
-    consolidate. A generator like harness._select_and_train, so its runs
-    still step in lockstep."""
-    val = guard.val(t)
-    best, best_score = None, -1.0
+    consolidate. A point's candidates, one per run, train in one
+    train_requests call, as the runs of a task do in the harness."""
+    best = [(-1.0, None)] * len(strategies)
     for hp in grid:
-        candidate = strategy.clone()
-        candidate.hp = hp
-        yield candidate.learn(t, guard)
-        candidate.consolidate(t, guard)
-        score = evaluate_accuracy(candidate.predict, val)
-        if score > best_score:
-            best, best_score = candidate, score
-    return best
+        candidates = [strategy.clone() for strategy in strategies]
+        for candidate in candidates:
+            candidate.hp = hp
+        train_requests([req for candidate, guard in zip(candidates, guards)
+                        for req in candidate.learn(t, guard)])
+        for i, (candidate, guard) in enumerate(zip(candidates, guards)):
+            candidate.consolidate(t, guard)
+            score = evaluate_accuracy(candidate.predict, guard.val(t))
+            if score > best[i][0]:
+                best[i] = (score, candidate)
+    return [candidate for _, candidate in best]
 
 
 def test_winner_only_consolidation_keeps_checkpoints_byte_identical(tmp_path, monkeypatch):
@@ -274,7 +277,8 @@ def test_a_zero_lam_candidate_walks_the_seqft_trajectory(monkeypatch):
     # every candidate ties, so the first one (lam = 0) wins every domain,
     # while the lam = 5 candidates train beside it
     cfg = parse_config(LAM_GRID_DOC)
-    seqft = parse_config(LAM_GRID_DOC.replace("name: ewc", "name: seqft")).strategies[0]
+    seqft = parse_config(LAM_GRID_DOC.replace("name: ewc", "name: seqft")
+                         .replace("    lam: [0.0, 5.0]\n", "")).strategies[0]
     monkeypatch.setattr(harness, "evaluate_accuracy", lambda predict, data: 0.5)
     ewc_runs = execute_run(cfg, cfg.strategies[0], cfg.seeds)
     seqft_runs = execute_run(cfg, seqft, cfg.seeds)

@@ -76,12 +76,12 @@ def test_the_perfbench_tracer_counts_em_iterations_and_admissions(tmp_path):
     assert tracer.stats["memory.update_replay_buffer"]["calls"] == 4
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_every_span_a_workload_expects_records_calls(name, tmp_path):
-    """Each workload, shrunk to tiny splits and one epoch, keeps its kind,
-    strategies, grids and jobs, and runs the way perfbench runs it:
-    load_config, run_experiment, persist_results, each looked up on its
-    module, where the tracer wraps it."""
+def trace_shrunk_workload(name, tmp_path):
+    """Run a workload, shrunk to tiny splits and one epoch, under a tracer;
+    it keeps its kind, strategies, grids and jobs, and runs the way
+    perfbench runs it: load_config, run_experiment, persist_results, each
+    looked up on its module, where the tracer wraps it. Returns the tracer,
+    with every worker's spans collected, and the records."""
     workload = workloads.WORKLOADS[name]
     cfg = workload.config(workloads.DEFAULT_SEED)
     cfg["benchmark"] = {**cfg["benchmark"], "n_train": 60, "n_val": 10, "n_test": 10}
@@ -99,6 +99,24 @@ def test_every_span_a_workload_expects_records_calls(name, tmp_path):
     finally:
         tracer.uninstall()
     tracer.collect()
+    return tracer, records
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_span_a_workload_expects_records_calls(name, tmp_path):
+    tracer, records = trace_shrunk_workload(name, tmp_path)
     assert [rec.failure for rec in records if not rec.ok] == []
-    silent = [span for span in workload.expects if not tracer.stats.get(span, {}).get("calls")]
+    silent = [span for span in workloads.WORKLOADS[name].expects
+              if not tracer.stats.get(span, {}).get("calls")]
     assert silent == []
+
+
+def test_selection_nests_the_training_it_drives(tmp_path):
+    # train_loop: 3 strategies without grids, 3 seeds, 4 domains; a task's
+    # seeds select together, once per domain
+    tracer, records = trace_shrunk_workload("train_loop", tmp_path)
+    assert len(records) == 9 and all(rec.ok for rec in records)
+    select = tracer.stats["harness.select"]
+    assert select["calls"] == 3 * 4
+    assert select["candidates"] == select["calls"]
+    assert select["s"] >= 0.99 * tracer.stats["training.train_classifier"]["s"]
