@@ -43,7 +43,7 @@ from .files import write_text
 from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .pca import pca_project_2d
 from .rng import derive
-from .strategies import save_checkpoint, shared_fits, strategy_dispatch, train_requests
+from .strategies import save_checkpoint, shared_work, strategy_dispatch, train_requests
 from .harness_report import render_report
 
 MATRIX_HEADER = "run_id,strategy,seed,s,t,alpha"
@@ -232,16 +232,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     the runs of a task whose worker dies (BrokenProcessPool) become failed
     records too, while the tasks that finished keep theirs. A
     KeyboardInterrupt comes out as RunInterrupted with the records of the
-    tasks finished so far. Within the call (strategies.shared_fits), each
+    tasks finished so far. Within the call (strategies.shared_work), each
     process fits each distinct generator once, and every run and grid
-    candidate that asks for a draw samples its own buffer from it.
+    candidate that asks for a draw samples its own buffer from it; and
+    trains each distinct request once (train_requests), so the experts of
+    every expert bank, seqft's models by construction, train once.
     Persisting the aggregate CSVs is a separate step (persist_results).
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     tasks = [(cfg, sc, out) for sc in cfg.strategies]
     done = []
     try:
-        with shared_fits():
+        with shared_work():
             if jobs <= 1:
                 for task in tasks:
                     done.append(_run_task(task))

@@ -150,14 +150,18 @@ def _check_labels(model: Classifier, x: np.ndarray, labels) -> np.ndarray:
     return y
 
 
-def _activations(model: Classifier, x: np.ndarray) -> list:
-    """Post-activation values of every layer: the input first, logits last."""
-    out = [x]
+def _activations(model: Classifier, x: np.ndarray, out=None) -> list:
+    """Post-activation values of every layer: the input first, logits last;
+    written into ``out``, one buffer per layer, when it is given."""
+    acts = [x]
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = out[-1] @ w + b[..., None, :]
-        out.append(np.maximum(a, 0.0) if i < last else a)
-    return out
+        a = np.matmul(acts[-1], w, out=None if out is None else out[i])
+        a += b[..., None, :]
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
 def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
@@ -165,53 +169,80 @@ def forward(model: Classifier, batch: np.ndarray) -> np.ndarray:
     return _activations(model, _check_batch(model, batch))[-1]
 
 
+class Workspace:
+    """Buffers for backprop on batches of one shape, (n,) for one model,
+    (S, n) for a stack, (rows, 1) for a stack of one-row batches: each
+    layer's activations, the exps and deltas, the ReLU masks, and ``grad``,
+    (*shape[:-1], P), with its layer ``views``. Each use overwrites them."""
+
+    def __init__(self, model: Classifier, shape):
+        hidden = model.layer_dims[1:-1]
+        self.grad = np.empty((*shape[:-1], model.params.shape[-1]))
+        self.views = layer_views(model, self.grad)
+        self.acts = [np.empty((*shape, d)) for d in model.layer_dims[1:]]
+        self.deltas = [np.empty((*shape, d)) for d in hidden]
+        self.masks = [np.empty((*shape, d), dtype=bool) for d in hidden]
+        self.exps = np.empty((*shape, model.n_outputs))
+        self.col = np.empty((*shape, 1))
+        # where each row starts in the logits flattened to one vector
+        self.starts = np.arange(np.prod(shape, dtype=np.intp)) * model.n_outputs
+
+
 def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray, *,
-                  checked: bool = False):
+                  workspace: Workspace = None):
     """Mean softmax cross-entropy and its exact gradients.
 
     Returns (loss, grad) with grad one vector in the layout of
     ``model.params``. For a stack of S models, batch is (S, n, d), labels
     (S, n), loss an (S,) vector and grad an (S, P) matrix; each slice is
-    computed exactly as the single model would compute it. checked=True
-    skips the shape and label checks, for a caller that has already
-    checked the sets its batches are drawn from.
+    computed exactly as the single model would compute it. A caller that
+    passes a workspace, built for the labels' shape, has checked the sets
+    its batches come from: the checks are skipped, and grad is the
+    workspace's buffer, overwritten by the next call on it. Without one,
+    the batch and labels are checked and grad is a fresh array.
     """
-    if not checked:
+    if workspace is None:
         batch = _check_batch(model, batch)
         labels = _check_labels(model, batch, labels)
-    grad = np.empty_like(model.params)
-    loss = _loss_and_grad_into(model, batch, labels, layer_views(model, grad))
-    return loss, grad
+        workspace = Workspace(model, labels.shape)
+    loss = _loss_and_grad_into(model, batch, labels, workspace)
+    return loss, workspace.grad
 
 
-def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, views):
+def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, ws: Workspace):
     """The backprop body behind loss_and_grad, without its checks: returns
-    the loss and writes the gradient into ``views`` (layer_views of an
-    array shaped like ``model.params``).
+    the loss and writes the gradient into ``ws.grad``, computing in ws's
+    buffers alone.
 
     Forward caches post-activation values per layer; backward applies the
     standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
     """
-    n = x.shape[-2]
-    activations = _activations(model, x)
-    logits = activations[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    # (row, label) pairs of every slice, over the rows flattened to (S*n, C)
-    picked = (np.arange(y.size), y.reshape(-1))
-    c = logits.shape[-1]
-    loss = -log_probs.reshape(-1, c)[picked].reshape(y.shape).sum(axis=-1) / n
+    n, c = x.shape[-2], model.n_outputs
+    activations = _activations(model, x, ws.acts)
+    # the logits turn into log-probabilities in place; the row max is exact,
+    # and a -0.0/0.0 tie cannot outlive the log-sum-exp, so any order serves
+    logits, col = activations[-1], ws.col
+    np.maximum(logits[..., :1], logits[..., -1:], out=col)
+    for j in range(1, c - 1):
+        np.maximum(col, logits[..., j:j + 1], out=col)
+    np.subtract(logits, col, out=logits)
+    np.add.reduce(np.exp(logits, out=ws.exps), axis=-1, keepdims=True, out=col)
+    np.subtract(logits, np.log(col, out=col), out=logits)
+    # each row's label entry, over every slice's logits flattened to one vector
+    picked = np.add(ws.starts, y.reshape(-1), dtype=np.intp)
+    loss = -np.add.reduce(logits.reshape(-1)[picked].reshape(y.shape), axis=-1) / n
 
-    delta = np.exp(log_probs)
-    delta.reshape(-1, c)[picked] -= 1.0
+    delta = np.exp(logits, out=ws.exps)
+    delta.reshape(-1)[picked] -= 1.0
     delta /= n
 
     for i in range(model.n_layers - 1, -1, -1):
-        dw, db = views[i]
-        dw[...] = activations[i].mT @ delta
-        db[...] = delta.sum(axis=-2)
+        dw, db = ws.views[i]
+        np.matmul(activations[i].mT, delta, out=dw)
+        np.add.reduce(delta, axis=-2, out=db)
         if i > 0:
-            delta = (delta @ model.weights[i].mT) * (activations[i] > 0.0)
+            delta = np.matmul(delta, model.weights[i].mT, out=ws.deltas[i - 1])
+            delta *= np.greater(activations[i], 0.0, out=ws.masks[i - 1])
     return loss
 
 

@@ -17,8 +17,9 @@ class OptimizerState:
     """Per-model optimizer state.
 
     kind is "sgd" or "adam". Adam keeps first/second moments shaped like
-    ``Classifier.params`` (an (S, P) matrix for a stack of S models) plus a
-    step counter; SGD keeps only the counter. The counter increments by
+    ``Classifier.params`` (an (S, P) matrix for a stack of S models), two
+    buffers of that shape for each step's temporaries, and a step counter;
+    SGD keeps only the counter. The counter increments by
     exactly one per applied step.
     """
 
@@ -32,6 +33,7 @@ class OptimizerState:
         self.step_count = 0
         self.m = None
         self.v = None
+        self.scratch = None
 
 
 def apply_step(model: Classifier, grad: np.ndarray, state: OptimizerState) -> Classifier:
@@ -55,14 +57,18 @@ def apply_step(model: Classifier, grad: np.ndarray, state: OptimizerState) -> Cl
         model.params -= state.learning_rate * grad
         return model
     if state.m is None:
-        state.m = np.zeros_like(grad)
-        state.v = np.zeros_like(grad)
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+        state.scratch = np.empty_like(grad), np.empty_like(grad)
     t = state.step_count
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPS
-    m, v = state.m, state.v
+    m, v, (num, den) = state.m, state.v, state.scratch
     m *= b1
-    m += (1 - b1) * grad
+    m += np.multiply(1 - b1, grad, out=num)
     v *= b2
-    v += (1 - b2) * grad * grad
-    model.params -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    v += np.multiply(np.multiply(1 - b2, grad, out=num), grad, out=num)
+    # params -= (lr * (m / c1)) / (sqrt(v / c2) + eps), in that order
+    np.multiply(lr, np.divide(m, 1.0 - b1 ** t, out=num), out=num)
+    np.sqrt(np.divide(v, 1.0 - b2 ** t, out=den), out=den)
+    den += eps
+    model.params -= np.divide(num, den, out=num)
     return model

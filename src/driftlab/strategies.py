@@ -227,32 +227,37 @@ class Er(Strategy):
                              derive(self.seed, "domain", t, "reservoir"))
 
 
-_fits = None    # {fit inputs: GmmGenerator} while shared_fits is open
+_fits = None       # {fit inputs: GmmGenerator} while shared_work is open
+_trained = None    # {training inputs: trained params} while shared_work is open
 
 
 @contextlib.contextmanager
-def shared_fits():
-    """Within the block, _draw_buffer fits each distinct generator once."""
-    global _fits
-    _fits = {}
+def shared_work():
+    """Within the block, _draw_buffer fits each distinct generator once and
+    train_requests trains each distinct request once."""
+    global _fits, _trained
+    _fits, _trained = {}, {}
     try:
         yield
     finally:
-        _fits = None
+        _fits = _trained = None
+
+
+def _digests(*arrays) -> tuple:
+    """The shape, dtype and SHA-256 of the bytes of each array: a memo key part."""
+    return tuple((a.shape, a.dtype.str, hashlib.sha256(a.tobytes()).digest()) for a in arrays)
 
 
 def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
     """Fit domain t's generator and draw one synthetic buffer from it.
 
     The seeds depend only on (run seed, domain), so gen_replay and g2d draw
-    byte-identical buffers under the same run seed. Within shared_fits, a
+    byte-identical buffers under the same run seed. Within shared_work, a
     fit whose every input was seen before reuses the stored generator;
     outside it, every call fits. Each call samples a buffer of its own.
     """
     config = FitConfig(n_components=hp.gmm_components)
-    key = (seed, t, n_classes, repr(config),
-           *[(a.shape, a.dtype.str, hashlib.sha256(a.tobytes()).digest())
-             for a in (data.X, data.y)])
+    key = (seed, t, n_classes, repr(config), *_digests(data.X, data.y))
     fits = {} if _fits is None else _fits
     if key not in fits:   # config by keyword: perfbench's fit_generator span reads it there
         fits[key] = fit_generator(data, n_classes, config=config,
@@ -434,12 +439,24 @@ STRATEGY_FIELDS = {name: cls.hp_fields for name, cls in _REGISTRY.items()}
 def train_requests(requests):
     """Train independent requests: those that share a stack_key train as
     one stack in one train_classifier call, each with its own anchors and
-    lam."""
+    lam. Within shared_work, a request whose every input an earlier call
+    trained (stack_key, seed, lam, and the bytes of its initial params,
+    data and anchors) copies the stored result, the bits it would train
+    to, instead. Requests of one call train even if they are equal."""
+    trained = {} if _trained is None else _trained
     groups = {}
     for req in requests:
-        groups.setdefault(stack_key(req), []).append(req)
+        key = (stack_key(req), req.seed, req.lam,
+               *_digests(req.model.params, req.data.X, req.data.y,
+                         *[a for anchor in req.anchors for a in anchor]))
+        if key in trained:
+            req.model.params[...] = trained[key]
+        else:
+            groups.setdefault(stack_key(req), []).append((key, req))
     for group in groups.values():
-        train_classifier(group)
+        train_classifier([req for _, req in group])
+        for key, req in group:
+            trained[key] = req.model.params.copy()
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:

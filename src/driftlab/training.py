@@ -89,8 +89,11 @@ def train_classifier(requests) -> TrainLog:
     stacked = nn.stack([req.model for req in requests])
     X = np.stack([req.data.X for req in requests])
     Y = np.stack([req.data.y for req in requests])
-    # checked once here, so that every step skips loss_and_grad's checks
+    # checked once here, so that every step skips loss_and_grad's checks;
+    # one workspace for the full batches and one for a ragged last batch
     nn._check_labels(stacked, nn._check_batch(stacked, X), Y)
+    spaces = {k: nn.Workspace(stacked, (S, k))
+              for k in {min(batch_size, n), (n - 1) % batch_size + 1}}
     anchors = [tuple(np.stack(arrays) for arrays in zip(*domain))
                for domain in zip(*(req.anchors for req in requests))]
     lam = np.array([req.lam for req in requests], dtype=float)
@@ -109,7 +112,7 @@ def train_classifier(requests) -> TrainLog:
             for b, start in enumerate(range(0, n, batch_size)):
                 rows = slice(start, start + batch_size)
                 loss, grad = nn.loss_and_grad(stacked, X_epoch[:, rows], Y_epoch[:, rows],
-                                              checked=True)
+                                              workspace=spaces[min(batch_size, n - start)])
                 if anchors:
                     ploss, pgrad = ewc_penalty(stacked, anchors, lam)
                     loss += ploss
@@ -169,17 +172,16 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
     cdf /= cdf[:, -1:]
     y_hat = (cdf <= rng.random(len(idx))[:, None]).sum(axis=1)
 
-    fisher = np.zeros_like(model.params)
-    grad = np.empty((FISHER_BLOCK, model.params.size))
+    fisher, ws = np.zeros_like(model.params), None
     for start in range(0, len(idx), FISHER_BLOCK):
         x = X[start:start + FISHER_BLOCK, None, :]   # a stack of one-row batches
-        block = grad[:len(x)]
+        if ws is None or len(ws.grad) != len(x):   # full blocks share one, a ragged last not
+            ws = nn.Workspace(model, x.shape[:-1])
         # single-sample cross-entropy gradient == gradient of -log p(y_hat|x)
-        nn._loss_and_grad_into(model, x, y_hat[start:start + len(x), None],
-                               nn.layer_views(model, block))
-        block **= 2
-        block[0] += fisher
-        fisher = np.add.accumulate(block, axis=0)[-1]
+        nn._loss_and_grad_into(model, x, y_hat[start:start + len(x), None], ws)
+        ws.grad **= 2
+        ws.grad[0] += fisher
+        fisher = np.add.accumulate(ws.grad, axis=0)[-1]
     return fisher / len(idx)
 
 

@@ -34,10 +34,15 @@ def traceback_on_hang(request):
 
 
 @pytest.fixture(autouse=True)
-def shared_fits_closed():
-    """Fail a test that leaves strategies.shared_fits open: a later test
-    would silently reuse its generators instead of fitting."""
+def shared_work_closed():
+    """Fail a test that leaves strategies.shared_work open, its memos empty
+    or not: a later test would silently reuse its generators or trained
+    models instead of fitting and training."""
     yield
-    if strategies._fits is not None:
-        strategies._fits = None
-        pytest.fail("strategies.shared_fits was left open")
+    left = {name: memo for name, memo in (("fit", strategies._fits),
+                                          ("training", strategies._trained))
+            if memo is not None}
+    if left:
+        strategies._fits = strategies._trained = None
+        pytest.fail("strategies.shared_work was left open, holding "
+                    + ", ".join(f"{len(memo)} {name} entries" for name, memo in left.items()))

@@ -9,7 +9,8 @@ driftlab's k-means++ seeds, fit_generator_one_class_at_a_time, which
 fits one class at a time through fit_em_two_pass, train_one_at_a_time,
 which steps one model with driftlab's own loss and optimizer,
 fisher_one_row_at_a_time, which backprops one row at a time through
-driftlab's own backprop body, and select_one_candidate_at_a_time, which
+driftlab's own backprop body, loss_and_grad_allocating, which cuts its
+gradient with driftlab's layer_views, and select_one_candidate_at_a_time, which
 trains one grid point at a time through driftlab's strategies,
 nothing here imports from driftlab, so agreement between the two routes
 is meaningful. tree_mismatches and
@@ -401,6 +402,53 @@ def buffer_fingerprint(data) -> str:
     return h.hexdigest()[:16]
 
 
+def loss_and_grad_allocating(model, x, y):
+    """nn.loss_and_grad's backprop body as it was before its buffers were
+    allocated once per stack: every array of every step is a fresh one.
+    Returns (loss, grad) for a batch of any leading shape, unchecked."""
+    n = x.shape[-2]
+    activations = [x]
+    last = model.n_layers - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = activations[-1] @ w + b[..., None, :]
+        activations.append(np.maximum(a, 0.0) if i < last else a)
+    logits = activations[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = (np.arange(y.size), y.reshape(-1))
+    c = logits.shape[-1]
+    loss = -log_probs.reshape(-1, c)[picked].reshape(y.shape).sum(axis=-1) / n
+
+    delta = np.exp(log_probs)
+    delta.reshape(-1, c)[picked] -= 1.0
+    delta /= n
+    grad = np.empty((*y.shape[:-1], model.params.shape[-1]))
+    views = nn.layer_views(model, grad)
+    for i in range(model.n_layers - 1, -1, -1):
+        dw, db = views[i]
+        dw[...] = activations[i].mT @ delta
+        db[...] = delta.sum(axis=-2)
+        if i > 0:
+            delta = (delta @ model.weights[i].mT) * (activations[i] > 0.0)
+    return loss, grad
+
+
+def step_allocating(params, grad, kind, lr, moments, t,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """optim.apply_step's update of params in place as it was before Adam's
+    temporaries were allocated next to its moments: step t (from 1) of SGD,
+    or of Adam with moments = [m, v], which it updates in place."""
+    if kind == "sgd":
+        params -= lr * grad
+        return
+    m, v = moments
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad * grad
+    params -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+
+
 def train_one_at_a_time(model, data, *, epochs, batch_size, opt, seed, penalty=None):
     """The per-model training loop that lockstep training replaced: one
     loss_and_grad and one apply_step per batch of one model. Returns the
@@ -441,12 +489,11 @@ def fisher_one_row_at_a_time(model, data, seed, n_samples=None):
     X = data.X[idx]
     probs = nn.softmax(nn.forward(model, X))
     fisher = np.zeros_like(model.params)
-    grad = np.empty_like(model.params)
-    views = nn.layer_views(model, grad)
+    workspace = nn.Workspace(model, (1,))
     for i, row in enumerate(probs):
         y_hat = np.array([rng.choice(model.n_outputs, p=row)])
-        nn._loss_and_grad_into(model, X[i:i + 1], y_hat, views)
-        fisher += grad ** 2
+        nn._loss_and_grad_into(model, X[i:i + 1], y_hat, workspace)
+        fisher += workspace.grad ** 2
     return fisher / len(idx)
 
 

@@ -910,12 +910,13 @@ def test_shared_draws_close_when_run_experiment_returns(tmp_path, monkeypatch):
     monkeypatch.setattr(strategies, "fit_generator", fit_and_look)
     run_experiment(cfg, out_dir=str(tmp_path))
     assert seen and all(seen)
-    assert strategies._fits is None
+    assert strategies._fits is None and strategies._trained is None
 
 
 def test_shared_draws_close_when_run_experiment_raises(tmp_path, monkeypatch):
     def broken(*args):
-        assert strategies._fits is not None
+        # both memos are open, and empty on entry
+        assert strategies._fits == {} and strategies._trained == {}
         raise RuntimeError("broken harness")
 
     # execute_run contains every failure of a run, so only a fault of the
@@ -923,7 +924,7 @@ def test_shared_draws_close_when_run_experiment_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "execute_run", broken)
     with pytest.raises(RuntimeError, match="broken harness"):
         run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
-    assert strategies._fits is None
+    assert strategies._fits is None and strategies._trained is None
 
 
 def test_shared_draws_close_when_a_run_is_interrupted(tmp_path, monkeypatch):
@@ -938,13 +939,13 @@ def test_shared_draws_close_when_a_run_is_interrupted(tmp_path, monkeypatch):
     with pytest.raises(harness.RunInterrupted) as stopped:
         run_experiment(parse_config(SHARED_DOC), out_dir=str(tmp_path))
     assert [rec.strategy for rec in stopped.value.records] == ["g2d", "g2d"]
-    assert strategies._fits is None
+    assert strategies._fits is None and strategies._trained is None
 
 
 def test_consumers_of_one_fit_own_their_buffers(monkeypatch):
     cfg = parse_config(SHARED_DOC)
     fits = count_calls(monkeypatch, strategies, "fit_generator")
-    with strategies.shared_fits():
+    with strategies.shared_work():
         [(_, g2d)] = execute_run(cfg, cfg.strategies[0], [31])
         [(_, again)] = execute_run(cfg, cfg.strategies[0], [31])
     assert len(fits) == cfg.benchmark.n_domains
@@ -953,6 +954,54 @@ def test_consumers_of_one_fit_own_their_buffers(monkeypatch):
             assert a.dtype == b.dtype and np.array_equal(a, b)
             assert a.flags.writeable and b.flags.writeable
             assert not np.shares_memory(a, b)
+
+
+BANK_DOC = """
+benchmark:
+  kind: covariate_shift
+  n_domains: 3
+  class_means: [[0.0, -1.5], [0.0, 1.5]]
+  variance: 1.0
+  domain_shift: [6.0, 0.0]
+  n_train: 60
+  n_val: 20
+  n_test: 30
+strategies:
+  - name: seqft
+    epochs: 2
+    batch_size: 16
+    hidden: [8]
+  - name: oracle_router
+    epochs: 2
+    batch_size: 16
+    hidden: [8]
+    router_hidden: [8]
+    router_epochs: 4
+  - name: centroid_router
+    epochs: 2
+    batch_size: 16
+    hidden: [8]
+seeds: [33, 34]
+out_dir: unused
+"""
+
+
+def test_an_experiment_trains_each_distinct_request_once(tmp_path, monkeypatch):
+    cfg = parse_config(BANK_DOC)
+    T = cfg.benchmark.n_domains
+    trained = count_calls(monkeypatch, strategies, "train_classifier")
+    assert all(r.ok for r in run_experiment(cfg, out_dir=str(tmp_path / "shared")))
+    shared = len(trained)
+    trained.clear()
+    for sc in cfg.strategies:   # outside the memo, every request trains
+        for record, strategy in execute_run(cfg, sc, cfg.seeds):
+            save_checkpoint(strategy, str(tmp_path / "alone" / "runs" / record.run_id))
+    # seqft trains once per domain and oracle_router each later router; the
+    # experts of both banks are seqft's models and take seqft's rows
+    assert (shared, len(trained)) == (T + (T - 1), 3 * T + (T - 1))
+    assert len(list((tmp_path / "alone" / "runs").iterdir())) == 3 * len(cfg.seeds)
+    assert oracles.tree_mismatches(tmp_path / "shared" / "runs",
+                                   tmp_path / "alone" / "runs") == []
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftlab import nn
 from driftlab.errors import ShapeError, ValidationError
+from driftlab.optim import OptimizerState, apply_step
 
 import oracles
 
@@ -128,3 +131,31 @@ def test_no_hidden_layer_model_is_linear():
     model = nn.init_classifier([4, 3], 2)
     X = np.random.default_rng(0).normal(size=(5, 4))
     assert np.allclose(nn.forward(model, X), X @ model.weights[0] + model.biases[0])
+
+
+@given(data=st.data(), S=st.integers(1, 4),
+       hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+       d=st.integers(1, 5), n_classes=st.integers(2, 4), batch_size=st.integers(2, 9),
+       kind=st.sampled_from(["sgd", "adam"]), seed=st.integers(0, 2 ** 16))
+def test_reused_workspaces_match_the_allocating_kernels(data, S, hidden, d, n_classes,
+                                                        batch_size, kind, seed):
+    # full batches and ragged ones take turns, each shape on one workspace,
+    # so a value left over from an earlier step would show; the last is ragged
+    ragged = data.draw(st.integers(1, batch_size - 1))
+    sizes = [*data.draw(st.lists(st.sampled_from([batch_size, ragged]), min_size=1,
+                                 max_size=5)), ragged]
+    dims = [d, *hidden, n_classes]
+    rng = np.random.default_rng(seed)
+    stacked = nn.stack([nn.init_classifier(dims, seed + s) for s in range(S)])
+    alone = nn.stack([nn.init_classifier(dims, seed + s) for s in range(S)])
+    spaces = {k: nn.Workspace(stacked, (S, k)) for k in (batch_size, ragged)}
+    opt, moments = OptimizerState(kind, 0.05), [np.zeros_like(alone.params) for _ in "mv"]
+    for t, k in enumerate(sizes, start=1):
+        x = rng.normal(size=(S, k, d)) * 2.0
+        y = rng.integers(0, n_classes, size=(S, k))
+        loss, grad = nn.loss_and_grad(stacked, x, y, workspace=spaces[k])
+        want_loss, want_grad = oracles.loss_and_grad_allocating(alone, x, y)
+        assert np.array_equal(loss, want_loss) and np.array_equal(grad, want_grad)
+        apply_step(stacked, grad, opt)
+        oracles.step_allocating(alone.params, want_grad, kind, 0.05, moments, t)
+        assert np.array_equal(stacked.params, alone.params)

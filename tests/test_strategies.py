@@ -271,7 +271,7 @@ def test_a_fit_is_shared_only_when_every_fit_input_matches(monkeypatch):
     monkeypatch.setattr(strategies, "fit_generator", counted)
     data = small_stream().domains[0].train
     hp = small_hp(gmm_components=1)
-    with strategies.shared_fits():
+    with strategies.shared_work():
         first = strategies._draw_buffer(7, 2, data, 0, hp)
         same = strategies._draw_buffer(7, 2, LabeledSet(data.X.copy(), data.y.copy()), 0, hp)
         assert len(fits) == 1
