@@ -20,14 +20,19 @@ from .rng import make_rng
 
 
 def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Classic single-pass reservoir (Algorithm R) over range(n), keeping k."""
+    """Classic single-pass reservoir (Algorithm R) over range(n), keeping k.
+
+    Item i >= k draws its slot j from [0, i] and replaces slot j if j < k.
+    Every j is drawn in one call, the same draws, in the same order, as
+    one scalar draw per i, and a slot keeps the last (largest) i it drew.
+    """
     if k >= n:
         return np.arange(n)
     keep = np.arange(k)
-    for i in range(k, n):
-        j = int(rng.integers(0, i + 1))
-        if j < k:
-            keep[j] = i
+    i = np.arange(k, n)
+    j = rng.integers(0, i + 1)
+    hit = j < k
+    np.maximum.at(keep, j[hit], i[hit])
     return np.sort(keep)
 
 

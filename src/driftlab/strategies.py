@@ -439,24 +439,27 @@ STRATEGY_FIELDS = {name: cls.hp_fields for name, cls in _REGISTRY.items()}
 def train_requests(requests):
     """Train independent requests: those that share a stack_key train as
     one stack in one train_classifier call, each with its own anchors and
-    lam. Within shared_work, a request whose every input an earlier call
-    trained (stack_key, seed, lam, and the bytes of its initial params,
-    data and anchors) copies the stored result, the bits it would train
-    to, instead. Requests of one call train even if they are equal."""
+    lam. A request is keyed by every input it has: stack_key, seed, lam
+    (0 without anchors, where training never reads it) and the bytes of
+    its initial params, data and anchors. The first request of each key
+    trains, unless within shared_work an earlier call trained the key,
+    and every request takes its key's trained row, the bits it would
+    train to."""
     trained = {} if _trained is None else _trained
-    groups = {}
+    keyed, groups = [], {}
     for req in requests:
-        key = (stack_key(req), req.seed, req.lam,
+        key = (stack_key(req), req.seed, req.lam if req.anchors else 0.0,
                *_digests(req.model.params, req.data.X, req.data.y,
                          *[a for anchor in req.anchors for a in anchor]))
-        if key in trained:
-            req.model.params[...] = trained[key]
-        else:
-            groups.setdefault(stack_key(req), []).append((key, req))
+        keyed.append((key, req))
+        if key not in trained:
+            groups.setdefault(stack_key(req), {}).setdefault(key, req)
     for group in groups.values():
-        train_classifier([req for _, req in group])
-        for key, req in group:
+        train_classifier(list(group.values()))
+        for key, req in group.items():
             trained[key] = req.model.params.copy()
+    for key, req in keyed:
+        req.model.params[...] = trained[key]
 
 
 def strategy_dispatch(name: str, seed: int, dim: int, n_classes: int, hp) -> Strategy:

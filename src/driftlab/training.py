@@ -97,6 +97,7 @@ def train_classifier(requests) -> TrainLog:
     anchors = [tuple(np.stack(arrays) for arrays in zip(*domain))
                for domain in zip(*(req.anchors for req in requests))]
     lam = np.array([req.lam for req in requests], dtype=float)
+    penalty = PenaltyWorkspace(stacked, anchors, lam) if anchors else None
 
     rngs = [make_rng(req.seed, "shuffle") for req in requests]
     slices = np.arange(S)[:, None]
@@ -113,8 +114,8 @@ def train_classifier(requests) -> TrainLog:
                 rows = slice(start, start + batch_size)
                 loss, grad = nn.loss_and_grad(stacked, X_epoch[:, rows], Y_epoch[:, rows],
                                               workspace=spaces[min(batch_size, n - start)])
-                if anchors:
-                    ploss, pgrad = ewc_penalty(stacked, anchors, lam)
+                if penalty is not None:
+                    ploss, pgrad = ewc_penalty(stacked, anchors, lam, workspace=penalty)
                     loss += ploss
                     grad += pgrad
                 if not np.isfinite(loss).all():
@@ -185,7 +186,34 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
     return fisher / len(idx)
 
 
-def ewc_penalty(model: nn.Classifier, anchors, lam):
+class PenaltyWorkspace:
+    """What ewc_penalty computes with, for one model or stack and its
+    anchors and lam, checked and built once: the snapshots and Fishers
+    stacked to (A, *params.shape), ``0.5 * lam`` and ``lam * F``, and the
+    buffers that every call overwrites."""
+
+    def __init__(self, model: nn.Classifier, anchors, lam):
+        lam = np.asarray(lam, dtype=float)
+        if (lam < 0).any():
+            raise ValidationError(f"penalty strength must be >= 0, got {lam}")
+        shape = model.params.shape
+        self.snapshots = np.empty((len(anchors), *shape))
+        self.fisher = np.empty((len(anchors), *shape))
+        for a, (anchor, fisher) in enumerate(anchors):
+            if anchor.shape != shape or fisher.shape != shape:
+                raise ValidationError("anchor shapes do not match the model")
+            self.snapshots[a], self.fisher[a] = anchor, fisher
+        self.half_lam = 0.5 * lam
+        self.lam_fisher = lam[..., None] * self.fisher
+        self.diff = np.empty_like(self.snapshots)
+        self.grad_terms = np.empty_like(self.snapshots)
+        self.grad = np.empty(shape)
+        # row 0 stays 0.0, rows 1..A take each anchor's loss
+        self.loss_terms = np.zeros((len(anchors) + 1, *shape[:-1]))
+        self.loss_sums = np.empty_like(self.loss_terms)
+
+
+def ewc_penalty(model: nn.Classifier, anchors, lam, *, workspace: PenaltyWorkspace = None):
     """Quadratic pull toward every anchor, weighted by its Fisher diagonal.
 
     anchors is a list of (parameter snapshot, diagonal Fisher) pairs shaped
@@ -195,17 +223,24 @@ def ewc_penalty(model: nn.Classifier, anchors, lam):
 
     loss = (lam / 2) * sum_a sum_i F_a_i (theta_i - theta*_a_i)^2
     grad = lam * sum_a F_a (theta - theta*_a)
-    """
-    lam = np.asarray(lam, dtype=float)
-    if (lam < 0).any():
-        raise ValidationError(f"penalty strength must be >= 0, got {lam}")
-    loss = np.zeros(model.params.shape[:-1])
-    grad = np.zeros_like(model.params)
-    for anchor, fisher in anchors:
-        if anchor.shape != model.params.shape or fisher.shape != model.params.shape:
-            raise ValidationError("anchor shapes do not match the model")
-        d = model.params - anchor
-        loss += 0.5 * lam * (fisher * d ** 2).sum(axis=-1)
-        grad += lam[..., None] * fisher * d
-    return loss, grad
 
+    Every anchor is computed at once, and the terms add in anchor order
+    from 0.0, so each bit is the one a loop over the anchors gives: the
+    gradient's reduce runs its inner loop over the P > 1 parameters, and
+    the loss, whose anchor axis a reduce may sum pairwise, accumulates
+    from a zero row. A caller that passes a workspace, built from these
+    anchors and lam, gets loss and grad in its buffers, overwritten by the
+    next call on it; without one, the anchors and lam are checked and a
+    one-off workspace is built.
+    """
+    ws = workspace if workspace is not None else PenaltyWorkspace(model, anchors, lam)
+    d = np.subtract(model.params, ws.snapshots, out=ws.diff)
+    np.multiply(ws.lam_fisher, d, out=ws.grad_terms)
+    np.add.reduce(ws.grad_terms, axis=0, out=ws.grad, initial=0.0)
+    np.multiply(d, d, out=d)
+    np.multiply(ws.fisher, d, out=d)
+    terms = ws.loss_terms[1:]
+    np.add.reduce(d, axis=-1, out=terms)
+    np.multiply(ws.half_lam, terms, out=terms)
+    np.add.accumulate(ws.loss_terms, axis=0, out=ws.loss_sums)
+    return ws.loss_sums[-1], ws.grad

@@ -13,7 +13,8 @@ driftlab's own backprop body, loss_and_grad_allocating, which cuts its
 gradient with driftlab's layer_views, and select_one_candidate_at_a_time, which
 trains one grid point at a time through driftlab's strategies,
 nothing here imports from driftlab, so agreement between the two routes
-is meaningful. tree_mismatches and
+is meaningful. ewc_penalty_per_anchor and reservoir_one_draw_at_a_time
+are the loops that one call per array replaced. tree_mismatches and
 buffer_fingerprint are plain comparison helpers shared by the tests.
 """
 
@@ -380,6 +381,33 @@ def finite_diff_check(model, batch, labels, h: float = 1e-5, *,
         if rel > worst:
             worst = rel
     return worst
+
+
+def ewc_penalty_per_anchor(model, anchors, lam):
+    """training.ewc_penalty as it was before its anchors were stacked: one
+    pass per anchor, each allocating its own temporaries, adding into a
+    zero loss and gradient in anchor order."""
+    lam = np.asarray(lam, dtype=float)
+    loss = np.zeros(model.params.shape[:-1])
+    grad = np.zeros_like(model.params)
+    for anchor, fisher in anchors:
+        d = model.params - anchor
+        loss += 0.5 * lam * (fisher * d ** 2).sum(axis=-1)
+        grad += lam[..., None] * fisher * d
+    return loss, grad
+
+
+def reservoir_one_draw_at_a_time(n, k, rng):
+    """memory.reservoir_indices as Algorithm R reads: one scalar draw of
+    j in [0, i] per item i >= k, which replaces slot j if j < k."""
+    if k >= n:
+        return np.arange(n)
+    keep = np.arange(k)
+    for i in range(k, n):
+        j = int(rng.integers(0, i + 1))
+        if j < k:
+            keep[j] = i
+    return np.sort(keep)
 
 
 def tree_mismatches(left, right):

@@ -293,12 +293,42 @@ def test_train_classifier_runs_once_per_domain_and_stack(monkeypatch):
     T = cfg.benchmark.n_domains
     trained = count_calls(monkeypatch, strategies, "train_classifier")
     execute_run(cfg, cfg.strategies[0], cfg.seeds)
-    # domain 0 has no anchors, so every candidate of both seeds is one stack;
-    # later the lam = 0 candidates (no anchors) and lam = 5 candidates split
-    assert [len(requests) for (requests,) in trained] == [4] + [2, 2] * (T - 1)
+    # domain 0 has no anchors, so a seed's candidates are one training and
+    # both seeds one stack; later the lam = 0 candidates (no anchors) and
+    # lam = 5 candidates split
+    assert [len(requests) for (requests,) in trained] == [2] + [2, 2] * (T - 1)
     trained.clear()
-    execute_run(cfg, cfg.strategies[1], cfg.seeds)   # er, 3 quota candidates
-    assert [len(requests) for (requests,) in trained] == [6] * T
+    # er's 3 quota candidates: only the winner admits, so the candidates of
+    # a seed are one training at every domain
+    execute_run(cfg, cfg.strategies[1], cfg.seeds)
+    assert [len(requests) for (requests,) in trained] == [2] * T
+
+
+def test_grid_candidates_under_the_memo_keep_every_output(tmp_path, monkeypatch):
+    # seqft beside LAM_GRID_DOC's ewc and er: ewc's domain 0, its lam = 0
+    # candidates and er's domain 0 ask for seqft's trainings, and er's
+    # quota candidates for one another's
+    cfg = parse_config(LAM_GRID_DOC.replace(
+        "strategies:\n", "strategies:\n  - name: seqft\n    epochs: 4\n"
+        "    batch_size: 16\n    hidden: [8]\n"))
+    assert [sc.name for sc in cfg.strategies] == ["seqft", "ewc", "er"]
+    trained = count_calls(monkeypatch, strategies, "train_classifier")
+    memo = run_experiment(cfg, out_dir=str(tmp_path / "memo"))
+    persist_results(memo, str(tmp_path / "memo"))
+    shared = sum(len(requests) for (requests,) in trained)
+    trained.clear()
+    # outside the memo: every request of every candidate trains, alone
+    monkeypatch.setattr(harness, "train_requests", lambda requests: [
+        strategies.train_classifier([req]) for req in requests])
+    alone = run_experiment(cfg, out_dir=str(tmp_path / "alone"))
+    persist_results(alone, str(tmp_path / "alone"))
+    T, seeds = cfg.benchmark.n_domains, len(cfg.seeds)
+    assert sum(len(requests) for (requests,) in trained) == (1 + 2 + 3) * T * seeds
+    # under the memo, seqft trains at every domain, and ewc's lam = 5
+    # candidates and one er candidate at each later one; the rest copy
+    assert shared == (T + 2 * (T - 1)) * seeds
+    assert all(rec.ok for rec in memo + alone)
+    assert oracles.tree_mismatches(tmp_path / "memo", tmp_path / "alone") == []
 
 
 def test_stacked_candidates_match_the_sequential_candidate_loop(tmp_path, monkeypatch):

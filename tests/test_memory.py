@@ -3,6 +3,8 @@ per-class quotas, composition rules."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.benchmarks import LabeledSet
 from driftlab.errors import ValidationError
@@ -10,6 +12,8 @@ from driftlab.memory import (build_router_trainset, compose_replay_trainset,
                              concat_sets, reservoir_indices,
                              update_replay_buffer)
 from driftlab.rng import make_rng
+
+import oracles
 
 
 def labeled(n, dim=2, n_classes=2, seed=0):
@@ -37,6 +41,17 @@ def test_reservoir_inclusion_is_roughly_uniform():
         hits[reservoir_indices(n, k, make_rng(trial, "res"))] += 1
     freq = hits / trials
     assert (np.abs(freq - k / n) < 0.05).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 600), k=st.integers(0, 80))
+def test_reservoir_draws_as_one_scalar_draw_per_item(seed, n, k):
+    rng, loop_rng = make_rng(seed, "reservoir"), make_rng(seed, "reservoir")
+    idx = reservoir_indices(n, k, rng)
+    expected = oracles.reservoir_one_draw_at_a_time(n, k, loop_rng)
+    assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
+    # the same draws, so the generator is left where the loop leaves it
+    assert str(rng.bit_generator.state) == str(loop_rng.bit_generator.state)
 
 
 def test_update_admits_quota_per_class():

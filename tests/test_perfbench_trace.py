@@ -120,3 +120,13 @@ def test_selection_nests_the_training_it_drives(tmp_path):
     assert select["calls"] == 3 * 4
     assert select["candidates"] == select["calls"]
     assert select["s"] >= 0.99 * tracer.stats["training.train_classifier"]["s"]
+
+
+def test_ewc_grid_trains_each_distinct_candidate_once(tmp_path):
+    # 5 domains: ewc's three lam candidates are one training at domain 0,
+    # where no anchor reads lam, and one stack at each later domain; er's
+    # two quota candidates are one training at every domain, and its
+    # domain 0 is ewc's
+    tracer, records = trace_shrunk_workload("ewc_grid", tmp_path)
+    assert len(records) == 2 and all(rec.ok for rec in records)
+    assert tracer.stats["training.train_classifier"]["calls"] == 5 + 4

@@ -13,6 +13,7 @@ from driftlab.errors import ConfigError, ContractError, ValidationError
 from driftlab.memory import compose_replay_trainset, concat_sets
 from driftlab.strategies import (ROUTER_KINDS, STRATEGY_NAMES, read_arrays, save_checkpoint,
                                  strategy_dispatch, train_requests)
+from driftlab.training import train_classifier
 
 import oracles
 
@@ -288,6 +289,62 @@ def test_a_fit_is_shared_only_when_every_fit_input_matches(monkeypatch):
         for n, (seed, split, t, other) in enumerate(refits, start=2):
             strategies._draw_buffer(seed, 2, split, t, other)
             assert len(fits) == n, (seed, t, other.gmm_components)
+
+
+def memo_request(seed=4, lam=0.0, anchors=(), model_seed=9):
+    """An EWC-shaped request on small_stream's first split, with a fresh
+    model of its own."""
+    data = small_stream().domains[0].train
+    model = nn.init_classifier([data.dim, 8, 2], model_seed)
+    return strategies.TrainRequest(model, data, 2, 16, "adam", 0.02, seed, anchors, lam)
+
+
+def recorded_trainings(monkeypatch) -> list:
+    """The requests of every train_classifier call train_requests makes."""
+    calls = []
+    train_classifier = strategies.train_classifier
+
+    def recorded(requests):
+        calls.append(list(requests))
+        return train_classifier(requests)
+
+    monkeypatch.setattr(strategies, "train_classifier", recorded)
+    return calls
+
+
+def test_equal_requests_of_one_call_train_once(monkeypatch):
+    size = memo_request().model.params.size
+    anchors = [(np.linspace(-1.0, 1.0, size), np.full(size, 0.5))]
+    equal = [memo_request(lam=2.0, anchors=anchors) for _ in range(3)]
+    other = memo_request(seed=5, lam=2.0, anchors=anchors)
+    trained = recorded_trainings(monkeypatch)
+    train_requests([equal[0], other, *equal[1:]])
+    # outside shared_work too: one stack of the two distinct requests, and
+    # the later equal requests copy the first one's row
+    assert trained == [[equal[0], other]]
+    for req in [*equal, other]:
+        solo = memo_request(seed=req.seed, lam=2.0, anchors=anchors)
+        train_classifier([solo])
+        assert req.model.params.tobytes() == solo.model.params.tobytes()
+    assert not any(np.shares_memory(a.model.params, b.model.params)
+                   for a, b in zip(equal, equal[1:]))
+
+
+def test_a_request_without_anchors_hits_the_memo_whatever_its_lam(monkeypatch):
+    trained = recorded_trainings(monkeypatch)
+    with strategies.shared_work():
+        first = memo_request(lam=0.0)
+        train_requests([first])
+        for lam in (0.5, 50.0):
+            again = memo_request(lam=lam)
+            train_requests([again])
+            assert again.model.params.tobytes() == first.model.params.tobytes()
+        # with anchors lam is read, so two lams are two trainings
+        size = first.model.params.size
+        anchors = [(np.zeros(size), np.ones(size))]
+        train_requests([memo_request(lam=0.5, anchors=anchors),
+                        memo_request(lam=50.0, anchors=anchors)])
+    assert [[req.lam for req in requests] for requests in trained] == [[0.0], [0.5, 50.0]]
 
 
 def arrays_held(obj, seen=None):

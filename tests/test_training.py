@@ -12,8 +12,8 @@ from driftlab.optim import OptimizerState
 from driftlab.benchmarks import BenchmarkConfig, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.strategies import strategy_dispatch
-from driftlab.training import (TrainRequest, estimate_fisher_diag, ewc_penalty,
-                               train_classifier)
+from driftlab.training import (PenaltyWorkspace, TrainRequest, estimate_fisher_diag,
+                               ewc_penalty, train_classifier)
 
 import oracles
 
@@ -332,6 +332,37 @@ def test_penalty_negative_lam_rejected():
     model = fresh_model()
     with pytest.raises(ValidationError):
         ewc_penalty(model, [], -0.5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), A=st.integers(1, 12), S=st.integers(1, 4), stacked=st.booleans(),
+       dims=st.lists(st.integers(1, 5), min_size=2, max_size=3), seed=st.integers(0, 2 ** 16))
+def test_penalty_matches_the_per_anchor_loop_bit_for_bit(data, A, S, stacked, dims, seed):
+    # one model, or a stack of S; every magnitude from 1e-8 to 1e8, and
+    # exact zeros in the Fisher and in the difference, so that -0.0 terms
+    # occur; two calls take turns on one workspace, half the params moving
+    rng = np.random.default_rng(seed)
+    model = nn.init_classifier(dims, seed)
+    if stacked:
+        model = nn.stack([nn.init_classifier(dims, seed + s) for s in range(S)])
+
+    def values(keep=None):
+        sign = rng.choice([-1.0, 1.0], size=model.params.shape)
+        new = sign * 10.0 ** rng.uniform(-8.0, 8.0, size=model.params.shape)
+        return new if keep is None else np.where(rng.random(new.shape) < 0.5, keep, new)
+
+    model.params[...] = values()
+    anchors = [(values(keep=model.params), np.abs(values(keep=0.0))) for _ in range(A)]
+    lams = st.sampled_from([0.0, 1e-8, 0.5, 5.0, 1e8])
+    lam = np.array(data.draw(st.lists(lams, min_size=S, max_size=S))) if stacked \
+        else data.draw(lams)
+    workspace = PenaltyWorkspace(model, anchors, lam)
+    for _ in range(2):
+        expected = oracles.ewc_penalty_per_anchor(model, anchors, lam)
+        for got in (ewc_penalty(model, anchors, lam),
+                    ewc_penalty(model, anchors, lam, workspace=workspace)):
+            assert [np.asarray(a).tobytes() for a in got] == [a.tobytes() for a in expected]
+        model.params[...] = values(keep=model.params)
 
 
 def test_snapshot_is_decoupled_from_the_live_model():
