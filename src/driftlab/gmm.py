@@ -60,7 +60,11 @@ def _log_prob_matrix(weights, means, variances, XT):
     on feature-major (d, S, n) data.
 
     The (d, K, S, n) terms run along the contiguous n axis and add over d
-    left to right, one vectorised add per feature.
+    left to right, one vectorised add per feature. NumPy adds a contiguous
+    last axis that way only below 8 terms, so for d < 8 these are the bits
+    of the row-major (n, K, d) sum, and from d = 8 on the last bit may
+    differ. A leading-axis sum turns pairwise only when K = S = n = 1,
+    where every term is 0.
     """
     quad = XT[:, None] - means.transpose(2, 1, 0)[..., None]     # (d, K, S, n)
     np.square(quad, out=quad)
@@ -70,7 +74,8 @@ def _log_prob_matrix(weights, means, variances, XT):
 
 
 def _log_norm(lp: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the K axis of a (K, ...) log-probability matrix: log p(x_i)."""
+    """Log-sum-exp over the K axis of a (K, ...) log-probability matrix:
+    log p(x_i), its K terms added left to right as in _log_prob_matrix."""
     top = lp.max(axis=0)
     return top + np.log(np.exp(lp - top).sum(axis=0))
 
@@ -98,7 +103,8 @@ def fit_em_stack(X: np.ndarray, config: FitConfig, rngs) -> list:
     array, so every sum over rows and every BLAS product is one slice's.
     A slice with a dead component skips its M-step while the others take
     theirs, and a slice that stops is frozen: it stays in the stack, but
-    takes no further M-step and its trace ends.
+    takes no further M-step and its trace ends. One data set X is a stack
+    of one: fit_em_stack(X[None], config, [rng])[0].
     """
     S, n, _ = X.shape
     k = config.n_components

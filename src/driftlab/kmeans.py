@@ -40,7 +40,9 @@ def _assign(XT: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest center of each column of the (d, n) data XT.
 
     The (d, K, n) squared differences add over d left to right, one
-    vectorised add per feature.
+    vectorised add per feature: the bits of a row-major sum for d < 8 (see
+    gmm._log_prob_matrix). With one center and one row, where the sum turns
+    pairwise, argmin has one choice.
     """
     d2 = XT[:, None, :] - centers.T[:, :, None]           # (d, K, n)
     np.square(d2, out=d2)

@@ -21,7 +21,7 @@ from .errors import ContractError, ValidationError
 
 def evaluate_accuracy(predictor, data: LabeledSet) -> float:
     """Fraction of correct predictions; predictor maps (n, d) features to
-    one label per row."""
+    one label per row, and predictions of another shape raise."""
     if len(data) == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
     predictions = np.asarray(predictor(data.X))
@@ -32,7 +32,8 @@ def evaluate_accuracy(predictor, data: LabeledSet) -> float:
 
 
 def average_accuracy(matrix: np.ndarray, t: int) -> float:
-    """Mean test accuracy over all domains seen through step t."""
+    """Mean test accuracy over all domains seen through step t; a NaN
+    cell among them raises."""
     if not 0 <= t < len(matrix):
         raise ContractError(f"step {t} outside a {len(matrix)}-domain stream")
     col = matrix[: t + 1, t]

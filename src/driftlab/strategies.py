@@ -15,10 +15,10 @@ answer predict(x) with no domain identity attached. The roster:
                       purely on the synthetic buffers (labels = domain ids);
                       inference routes each point to one expert.
 * oracle_router    -- g2d's expert bank, but the router trains on real past
-                      data (privileged upper bound for routing).
+                      data (a privileged baseline for routing).
 * centroid_router  -- g2d's expert bank with a k-means/KNN router.
 * mtl              -- retrained from scratch on the union of all seen
-                      domains (privileged upper bound for accuracy).
+                      domains (a privileged baseline for accuracy).
 
 gen_replay and g2d draw their synthetic buffers from identically seeded
 generators, so both consume bit-identical synthetic samples; the two
@@ -234,7 +234,9 @@ _trained = None    # {training inputs: trained params} while shared_work is open
 @contextlib.contextmanager
 def shared_work():
     """Within the block, _draw_buffer fits each distinct generator once and
-    train_requests trains each distinct request once."""
+    train_requests trains each distinct request once. The memos start
+    empty and go however the block ends; they keep fits and trained
+    parameter rows, never data."""
     global _fits, _trained
     _fits, _trained = {}, {}
     try:
@@ -253,8 +255,9 @@ def _draw_buffer(seed: int, n_classes: int, data: LabeledSet, t: int, hp):
 
     The seeds depend only on (run seed, domain), so gen_replay and g2d draw
     byte-identical buffers under the same run seed. Within shared_work, a
-    fit whose every input was seen before reuses the stored generator;
-    outside it, every call fits. Each call samples a buffer of its own.
+    fit whose every input (not n_per_class, which it never reads) was seen
+    before reuses the stored generator; outside it, every call fits. Each
+    call samples a buffer of its own.
     """
     config = FitConfig(n_components=hp.gmm_components)
     key = (seed, t, n_classes, repr(config), *_digests(data.X, data.y))
@@ -419,7 +422,7 @@ class CentroidRouted(_ExpertBank):
 class Mtl(Strategy):
     """Joint training on every seen domain, retrained from scratch per step.
 
-    Privileged upper bound: after the final domain it has trained on the
+    A privileged baseline: after the final domain it has trained on the
     union of all training splits simultaneously."""
 
     name = "mtl"
@@ -507,6 +510,8 @@ def read_arrays(path) -> dict:
             if dtype.kind not in "fiu":
                 raise TypeError(f"save_checkpoint writes no {dtype.name} blocks")
             shape = tuple(int(d) for d in dims.split("x")) if dims else ()
+            if any(d < 0 for d in shape):
+                raise ValueError(f"negative dimension in shape {dims}")
             parse = int if dtype.kind in "iu" else float
             array = np.array([parse(v) for v in lines[i + 1].split()], dtype=dtype)
         except (TypeError, ValueError, OverflowError) as exc:

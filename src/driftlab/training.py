@@ -68,7 +68,9 @@ def train_classifier(requests) -> TrainLog:
     copy of the models' parameters (nn.stack), with one fresh
     OptimizerState for all S. With anchors, each step adds ewc_penalty of
     every model's own anchors and lam to its loss and gradient. At the end,
-    each model's own params takes the bits it would get if trained alone;
+    each model's own params takes the bits it would get if trained alone,
+    because batched np.matmul runs the same BLAS call on every slice (a
+    BLAS that blocks a stacked product otherwise fails the oracle tests);
     a raise leaves the models as they were. The log records each model's
     mean total loss (data + penalty) per epoch.
     """

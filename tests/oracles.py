@@ -13,11 +13,66 @@ driftlab's own backprop body, loss_and_grad_allocating, which cuts its
 gradient with driftlab's layer_views, and select_one_candidate_at_a_time, which
 trains one grid point at a time through driftlab's strategies,
 nothing here imports from driftlab, so agreement between the two routes
-is meaningful. ewc_penalty_per_anchor and reservoir_one_draw_at_a_time
-are the loops that one call per array replaced. tree_mismatches and
-buffer_fingerprint are plain comparison helpers shared by the tests.
-"""
+is meaningful. tree_mismatches and buffer_fingerprint are plain
+comparison helpers shared by the tests.
 
+Eleven oracles keep an older form of a kernel, so that the current one
+can be held to it bit for bit:
+
+* fit_em_two_pass builds the row-major log-probability matrix twice per
+  EM iteration, and fit_generator_one_class_at_a_time fits one class
+  after another through it;
+* centroid_vote_loop votes one query row at a time;
+* routing_shares_from_confusion takes per-domain routing accuracy from a
+  confusion matrix;
+* train_one_at_a_time trains one model with one loss_and_grad and one
+  apply_step per batch;
+* fisher_one_row_at_a_time draws each Fisher label with rng.choice and
+  backprops one row at a time;
+* loss_and_grad_allocating and step_allocating are the backprop body and
+  the optimizer step with a fresh array for every value;
+* ewc_penalty_per_anchor adds one anchor's penalty at a time;
+* reservoir_one_draw_at_a_time draws one reservoir slot per item;
+* select_one_candidate_at_a_time trains and scores one grid point after
+  another, a candidate per run.
+
+The hypothesis tests that compare with them, by np.array_equal or by
+bytes, draw these cases:
+
+* test_fit_em_matches_the_two_pass_oracle: d up to 12, k up to 10,
+  rounded data with repeated rows (a forced rescue is its own test).
+* test_fit_generator_matches_one_class_at_a_time: 1 to 4 classes whose
+  sizes may differ by one row, so two stacks form, d up to 12, k up to
+  6, random max_iter and tol patched onto FitConfig's class constants,
+  so classes stop at different iterations (a rescue of one class while
+  its siblings step, and a class that stops at its third iteration while
+  its siblings run on, are tests of their own).
+* test_assignments_match_the_brute_force_scan: k-means assignment, d up
+  to 12, against nearest_centroid_scan.
+* test_vote_matches_the_per_row_loop: CentroidRouter.predict on
+  integer-grid features, so exact distance ties occur.
+* test_per_domain_shares_match_the_confusion_matrix: 1 to 6 domains.
+* test_lockstep_matches_the_per_model_loop: 1 to 4 models in lockstep,
+  random layer dims, a ragged last batch, 0 to 3 epochs, SGD and Adam,
+  and an EWC penalty with its own lam and 0 to 3 anchors per model; it
+  compares each model's parameters and per-epoch losses.
+* test_fisher_matches_the_per_row_loop: 1 to 3 layers, 1 to 700 rows,
+  all rows or a subsample.
+* test_reused_workspaces_match_the_allocating_kernels: 1 to 4 stacked
+  models of 1 to 3 layers, SGD or Adam, full and ragged batches taking
+  turns on their reused workspaces, every loss, gradient and step
+  compared, so no stale buffer value can hide.
+* test_penalty_matches_the_per_anchor_loop_bit_for_bit: 1 to 12 anchors,
+  one model or a stack of 1 to 4, magnitudes from 1e-8 to 1e8, lam from
+  0 to 1e8, exact zeros in the Fisher and in the difference, two calls
+  taking turns on one workspace.
+* test_reservoir_draws_as_one_scalar_draw_per_item: n up to 600, k up to
+  80, the generator state after the draws included.
+
+The harness tests run whole experiments through
+select_one_candidate_at_a_time, and with every request trained alone
+outside the training memo, and compare every output file byte for byte.
+"""
 from __future__ import annotations
 
 import filecmp

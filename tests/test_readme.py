@@ -1,7 +1,7 @@
 """The README matches the package: every module is listed in the Library
 layout, each CSV is documented with the header it is written with, every
-command example parses, and the committed goldens keep the README's
-promises about the arrays that runs share."""
+command example parses, every test it cites exists, and the committed
+goldens keep the README's promises about the arrays that runs share."""
 
 import csv
 import re
@@ -54,6 +54,18 @@ def test_every_driftlab_example_parses():
             assert parser.parse_args(argv).command == argv[0]
         except SystemExit:
             pytest.fail(f"the CLI rejects the README example {line!r}")
+
+
+def test_every_cited_test_exists():
+    """Each test_* name in the README is a test function of the suite, so a
+    renamed or deleted test cannot leave a promise pointing at nothing."""
+    text = (ROOT / "README.md").read_text()
+    cited = {name for name in re.findall(r"\btest_\w+(?:\.py)?", text)
+             if not name.endswith(".py")}
+    defined = {name for path in (ROOT / "tests").glob("test_*.py")
+               for name in re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M)}
+    assert cited
+    assert sorted(cited - defined) == []
 
 
 def golden_checkpoints(name):

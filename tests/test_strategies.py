@@ -601,10 +601,14 @@ def test_read_arrays_rejects_malformed_blocks(tmp_path):
     path.write_text("model.W0 float64\n1.0\n")
     with pytest.raises(ValidationError, match="header"):
         read_arrays(path)
-    # an unknown dtype, a shape that is not a number, a value that is not one,
-    # a value out of its dtype's range, and dtypes save_checkpoint never writes
+    # an unknown dtype, a shape that is not a number or has a negative
+    # dimension, a value that is not one, a value out of its dtype's range,
+    # and dtypes save_checkpoint never writes
     for text, line in [("model.W0 foo shape=1\n1.0\n", 1),
                        ("model.W0 float64 shape=x\n1.0\n", 1),
+                       ("a float64 shape=0x-1\n\n", 1),
+                       ("a float64 shape=-2x-3\n1 2 3 4 5 6\n", 1),
+                       ("a float64 shape=-1x-1\n1\n", 1),
                        ("model.b0 float64 shape=1\n0.5\nmodel.W0 float64 shape=1\nzz\n", 3),
                        ("model.W0 int64 shape=1\n99999999999999999999999\n", 1),
                        *((f"model.b0 float64 shape=1\n0.5\nmodel.W0 {dtype} shape=1\n1\n", 3)
