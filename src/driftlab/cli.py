@@ -59,6 +59,7 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     out = args.out if args.out is not None else cfg.out_dir
+    os.makedirs(out, exist_ok=True)   # an out dir that cannot be made fails before the runs
     try:
         records = run_experiment(cfg, out_dir=out, jobs=args.jobs)
     except RunInterrupted as stop:

@@ -200,25 +200,17 @@ def loss_and_grad(model: Classifier, batch: np.ndarray, labels: np.ndarray, *,
     its batches come from: the checks are skipped, and grad is the
     workspace's buffer, overwritten by the next call on it. Without one,
     the batch and labels are checked and grad is a fresh array.
-    """
-    if workspace is None:
-        batch = _check_batch(model, batch)
-        labels = _check_labels(model, batch, labels)
-        workspace = Workspace(model, labels.shape)
-    loss = _loss_and_grad_into(model, batch, labels, workspace)
-    return loss, workspace.grad
-
-
-def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, ws: Workspace):
-    """The backprop body behind loss_and_grad, without its checks: returns
-    the loss and writes the gradient into ``ws.grad``, computing in ws's
-    buffers alone.
 
     Forward caches post-activation values per layer; backward applies the
     standard recursion. At the output, dL/dlogits = (softmax - onehot) / n.
     """
-    n, c = x.shape[-2], model.n_outputs
-    activations = _activations(model, x, ws.acts)
+    ws = workspace
+    if ws is None:
+        batch = _check_batch(model, batch)
+        labels = _check_labels(model, batch, labels)
+        ws = Workspace(model, labels.shape)
+    n, c = batch.shape[-2], model.n_outputs
+    activations = _activations(model, batch, ws.acts)
     # the logits turn into log-probabilities in place; the row max is exact,
     # and a -0.0/0.0 tie cannot outlive the log-sum-exp, so any order serves
     logits, col = activations[-1], ws.col
@@ -229,8 +221,8 @@ def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, ws: Wor
     np.add.reduce(np.exp(logits, out=ws.exps), axis=-1, keepdims=True, out=col)
     np.subtract(logits, np.log(col, out=col), out=logits)
     # each row's label entry, over every slice's logits flattened to one vector
-    picked = np.add(ws.starts, y.reshape(-1), dtype=np.intp)
-    loss = -np.add.reduce(logits.reshape(-1)[picked].reshape(y.shape), axis=-1) / n
+    picked = np.add(ws.starts, labels.reshape(-1), dtype=np.intp)
+    loss = -np.add.reduce(logits.reshape(-1)[picked].reshape(labels.shape), axis=-1) / n
 
     delta = np.exp(logits, out=ws.exps)
     delta.reshape(-1)[picked] -= 1.0
@@ -243,7 +235,7 @@ def _loss_and_grad_into(model: Classifier, x: np.ndarray, y: np.ndarray, ws: Wor
         if i > 0:
             delta = np.matmul(delta, model.weights[i].mT, out=ws.deltas[i - 1])
             delta *= np.greater(activations[i], 0.0, out=ws.masks[i - 1])
-    return loss
+    return loss, ws.grad
 
 
 def predict(model: Classifier, batch: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ def estimate_fisher_diag(model: nn.Classifier, data: LabeledSet, seed: int,
         if ws is None or len(ws.grad) != len(x):   # full blocks share one, a ragged last not
             ws = nn.Workspace(model, x.shape[:-1])
         # single-sample cross-entropy gradient == gradient of -log p(y_hat|x)
-        nn._loss_and_grad_into(model, x, y_hat[start:start + len(x), None], ws)
+        nn.loss_and_grad(model, x, y_hat[start:start + len(x), None], workspace=ws)
         ws.grad **= 2
         ws.grad[0] += fisher
         fisher = np.add.accumulate(ws.grad, axis=0)[-1]

@@ -9,7 +9,7 @@ driftlab's k-means++ seeds, fit_generator_one_class_at_a_time, which
 fits one class at a time through fit_em_two_pass, train_one_at_a_time,
 which steps one model with driftlab's own loss and optimizer,
 fisher_one_row_at_a_time, which backprops one row at a time through
-driftlab's own backprop body, loss_and_grad_allocating, which cuts its
+driftlab's nn.loss_and_grad, loss_and_grad_allocating, which cuts its
 gradient with driftlab's layer_views, and select_one_candidate_at_a_time, which
 trains one grid point at a time through driftlab's strategies,
 nothing here imports from driftlab, so agreement between the two routes
@@ -575,7 +575,7 @@ def fisher_one_row_at_a_time(model, data, seed, n_samples=None):
     workspace = nn.Workspace(model, (1,))
     for i, row in enumerate(probs):
         y_hat = np.array([rng.choice(model.n_outputs, p=row)])
-        nn._loss_and_grad_into(model, X[i:i + 1], y_hat, workspace)
+        nn.loss_and_grad(model, X[i:i + 1], y_hat, workspace=workspace)
         fisher += workspace.grad ** 2
     return fisher / len(idx)
 

@@ -1047,16 +1047,30 @@ def test_cli_validate_accepts_and_rejects(tmp_path, capsys):
     assert "invalid config" in err and "sqft" in err
 
 
-def test_python_dash_m_driftlab_runs_the_cli():
+def run_fresh_python(*args):
+    """A fresh interpreter at the repo root with this checkout's src/ first
+    on PYTHONPATH; returns the CompletedProcess."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "driftlab", "validate", "configs/quickstart.yaml"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_driftlab_runs_the_cli():
+    done = run_fresh_python("-m", "driftlab", "validate", "configs/quickstart.yaml")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok:")
+
+
+def test_import_driftlab_loads_only_what_it_is_asked_for():
+    done = run_fresh_python("-c", "import sys, driftlab\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('driftlab.')))\n"
+                            "from driftlab.config import load_config\n"
+                            "print('driftlab.harness' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "False"]
 
 
 def test_cli_run_report_project_round_trip(tmp_path, capsys):
@@ -1124,10 +1138,20 @@ def test_output_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert (tmp_path / "checkpoint.txt").read_bytes() == "café int64 shape=\n7\n".encode()
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(tmp_path / "absent.yaml")]) == 1
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 1
     capsys.readouterr()
+
+    # an --out that names a file fails before any run starts
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(TINY_DOC)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran before --out was made"))
+        assert cli.main(["run", str(config_path), "--out", str(a_file)]) == 2
+    assert "error:" in capsys.readouterr().err
 
     failing = tmp_path / "failing.yaml"
     failing.write_text(DIVERGING_DOC.replace("seeds: [21, 22]", "seeds: [21]"))

@@ -1,7 +1,8 @@
 """The README matches the package: every module is listed in the Library
-layout, each CSV is documented with the header it is written with, every
-command example parses, every test it cites exists, and the committed
-goldens keep the README's promises about the arrays that runs share."""
+layout, the grid sentence names GRID_FIELDS in order, each CSV is
+documented with the header it is written with, every command example
+parses, every test it cites exists, and the committed goldens keep the
+README's promises about the arrays that runs share."""
 
 import csv
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from driftlab import cli
+from driftlab.config import GRID_FIELDS
 from driftlab.harness import MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER, SUMMARY_HEADER
 from driftlab.strategies import read_arrays
 
@@ -37,6 +39,12 @@ def test_outputs_give_each_csv_its_written_header():
     assert documented == [("matrix.csv", MATRIX_HEADER), ("summary.csv", SUMMARY_HEADER),
                           ("routing.csv", ROUTING_HEADER),
                           ("projection.csv", PROJECTION_HEADER)]
+
+
+def test_grid_sentence_names_every_grid_field_in_order():
+    sentence = re.search(r"Any scalar hyperparameter among (.*?) may be a list",
+                         section("Configuration"), re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == GRID_FIELDS
 
 
 def test_every_driftlab_example_parses():
