@@ -7,9 +7,11 @@ Subcommands:
 * project <run_id> [--dir DIR]          print one run's PCA rows
 * validate <config>                     check a config, list every violation
 
-Exit codes: 0 success, 1 validation failure (bad config, unknown run id,
-missing or non-UTF-8 result files), 2 runtime failure, 130 interrupted
-(Ctrl-C) with the results of the strategies finished so far written.
+Exit codes: 0 success, 1 validation failure (bad config, --jobs below 1,
+unknown run id, missing, unreadable or non-UTF-8 result paths), 2 runtime
+failure, 130 interrupted (Ctrl-C) with the results of the strategies
+finished so far written. A command line argparse rejects (an unknown
+subcommand, a non-integer --jobs) exits 2 with its usage message.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _cmd_run(args) -> int:
 
 
 def _read(out_dir, name) -> str:
-    """The text of a result file; a missing or non-UTF-8 one is a ValidationError."""
+    """The text of a result file; an unreadable or non-UTF-8 one is a ValidationError."""
     path = os.path.join(out_dir, name)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -89,6 +91,8 @@ def _read(out_dir, name) -> str:
         raise ValidationError(f"no {name} under {out_dir!r}; run an experiment first") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_report(args) -> int:

@@ -40,6 +40,7 @@ import numpy as np
 from .benchmarks import StreamGuard, build_stream
 from .config import ExperimentConfig, expand_grid, serialize_config
 from .files import write_text
+from .memory import build_router_trainset
 from .metrics import RoutingReport, average_accuracy, bwt, evaluate_accuracy, routing_accuracy
 from .pca import pca_project_2d
 from .rng import derive
@@ -207,8 +208,8 @@ def _run_seeds(records, cfg: ExperimentConfig, strategy_cfg, seeds):
         record.matrix = matrix
         if strategy.router_kind is not None:
             record.router_kind = strategy.router_kind
-            X = np.vstack([d.test.X for d in stream.domains])
-            true = np.concatenate([np.full(len(d.test), t) for t, d in enumerate(stream.domains)])
+            union = build_router_trainset([d.test for d in stream.domains])
+            X, true = union.X, union.y
             routed = strategy.route(X)
             record.routing = routing_accuracy(routed, true, T)
             coords = pca_project_2d(X)

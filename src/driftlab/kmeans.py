@@ -140,9 +140,7 @@ class CentroidRouter:
         return np.argmax(votes, axis=1)
 
     def arrays(self, tag: str):
-        """Checkpoint blocks: none over one domain, where every point goes."""
-        if self.n_domains < 2:
-            return
+        """Checkpoint blocks: both knobs, the centroids and their domain ids."""
         yield f"{tag}.k", np.array(self.n_centroids)
         yield f"{tag}.knn", np.array(self.n_neighbors)
         yield f"{tag}.centroids", self.centroids

@@ -293,34 +293,23 @@ class GenReplay(Strategy):
         yield from _buffer_blocks(self.synthetic)
 
 
-class _OneDomain:
-    """The router of a bank that has seen one domain: every point goes to
-    expert 0, and there is no state to keep."""
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros(X.shape[0], dtype=int)
-
-    def arrays(self, tag: str):
-        return ()
-
-
 class _ExpertBank(Strategy):
     """Router strategies: a frozen expert per domain and a router that
     sends each point to one of them.
 
     Expert t is seqft's model after domain t: the base _learn trains
     ``model``, and each later domain first replaces it by a copy, so
-    finished experts stay frozen. Every router answers predict(X) with
-    domain ids and arrays(tag) with its checkpoint blocks: _OneDomain
-    until the strategy's own router replaces it, which is a Classifier
-    over domain ids retrained from scratch after each later domain or a
-    CentroidRouter.
+    finished experts stay frozen. A bank over one expert sends it every
+    point and writes no router blocks. Over more, the router answers
+    predict(X) with domain ids and arrays(tag) with its checkpoint blocks:
+    a Classifier over domain ids, retrained from scratch after each later
+    domain (_router_request), or a CentroidRouter.
     """
 
     def __init__(self, seed, dim, n_classes, hp):
         super().__init__(seed, dim, n_classes, hp)
         self.experts = []
-        self.router = _OneDomain()
+        self.router = None
 
     def _learn(self, t, guard):
         if self.experts:
@@ -329,21 +318,23 @@ class _ExpertBank(Strategy):
         self.experts.append(self.model)
         return requests
 
-    def _router_request(self, trainset: LabeledSet, t: int) -> TrainRequest:
-        """Replace the router by a fresh model over t + 1 domains; return
-        the request that trains it."""
+    def _router_request(self, sets, t: int) -> list:
+        """[] at domain 0; later, replace the router by a fresh model over
+        t + 1 domains and return the one request that trains it on the
+        per-domain sets, relabeled by domain id (build_router_trainset)."""
+        if t == 0:
+            return []
         self.router = self._new_model(self.hp.router_hidden, t + 1, "domain", t, "router_init")
-        return self._request(self.router, trainset, t, "router",
-                             self.hp.router_epochs, self.hp.router_learning_rate)
+        return [self._request(self.router, build_router_trainset(sets), t, "router",
+                              self.hp.router_epochs, self.hp.router_learning_rate)]
 
     def route(self, X: np.ndarray) -> np.ndarray:
         if not self.experts:
             raise ContractError("route before any training")
-        return self.router.predict(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        return self.router.predict(X) if len(self.experts) > 1 else np.zeros(len(X), dtype=int)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.experts:
-            raise ContractError("predict before any training")
         X = np.asarray(X, dtype=float)
         routed = self.route(X)
         out = np.empty(X.shape[0], dtype=int)
@@ -355,7 +346,8 @@ class _ExpertBank(Strategy):
     def arrays(self):
         for t, expert in enumerate(self.experts):
             yield from expert.arrays(f"expert{t}")
-        yield from self.router.arrays("router")
+        if len(self.experts) > 1:
+            yield from self.router.arrays("router")
 
 
 class G2d(_ExpertBank):
@@ -376,9 +368,7 @@ class G2d(_ExpertBank):
         requests = super()._learn(t, guard)
         # the buffer is drawn here, not in consolidate: the router trains on it
         self.synthetic.append(_draw_buffer(self.seed, self.n_classes, guard.train(t), t, self.hp))
-        if t > 0:
-            requests.append(self._router_request(build_router_trainset(self.synthetic), t))
-        return requests
+        return requests + self._router_request(self.synthetic, t)
 
     def arrays(self):
         yield from super().arrays()
@@ -398,10 +388,7 @@ class OracleRouter(_ExpertBank):
 
     def _learn(self, t, guard):
         requests = super()._learn(t, guard)
-        if t > 0:
-            trainset = build_router_trainset([guard.train(i) for i in range(t + 1)])
-            requests.append(self._router_request(trainset, t))
-        return requests
+        return requests + self._router_request([guard.train(i) for i in range(t + 1)], t)
 
 
 class CentroidRouted(_ExpertBank):

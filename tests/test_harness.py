@@ -1151,7 +1151,22 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran before --out was made"))
         assert cli.main(["run", str(config_path), "--out", str(a_file)]) == 2
+        # --jobs below 1 is a validation failure; argparse's usage errors exit 2
+        assert cli.main(["run", str(config_path), "--jobs", "0"]) == 1
+        for argv in (["bogus"], ["run", str(config_path), "--jobs", "abc"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert exit_.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+    # a result path that is a file, or a result file that is a directory
+    dir_results = tmp_path / "dir_results"
+    (dir_results / "report.txt").mkdir(parents=True)
+    (dir_results / "projection.csv").mkdir()
+    for where in (a_file, dir_results):
+        for argv in (["report", str(where)], ["project", "0123456789ab", "--dir", str(where)]):
+            assert cli.main(argv) == 1, argv
+            assert "error: cannot read" in capsys.readouterr().err, argv
 
     failing = tmp_path / "failing.yaml"
     failing.write_text(DIVERGING_DOC.replace("seeds: [21, 22]", "seeds: [21]"))

@@ -112,6 +112,16 @@ def test_router_caps_centroids_by_domain_size():
     assert router.centroids.shape == (2, 2)
 
 
+def test_arrays_are_the_same_four_blocks_over_one_domain():
+    router = CentroidRouter(n_centroids=2, n_neighbors=1)
+    router.add_domain(np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]]), make_rng(0, "c"))
+    blocks = dict(router.arrays("router"))
+    assert list(blocks) == ["router.k", "router.knn", "router.centroids", "router.domain_ids"]
+    assert blocks["router.k"] == 2 and blocks["router.knn"] == 1
+    assert blocks["router.centroids"] is router.centroids
+    assert blocks["router.domain_ids"].tolist() == [0, 0]
+
+
 def test_a_mismatched_domain_is_rejected_before_any_fit(monkeypatch):
     router = CentroidRouter(n_centroids=2, n_neighbors=1)
     router.add_domain(np.zeros((4, 2)), make_rng(0, "c"))

@@ -1,8 +1,9 @@
 """The README matches the package: every module is listed in the Library
-layout, the grid sentence names GRID_FIELDS in order, each CSV is
-documented with the header it is written with, every command example
-parses, every test it cites exists, and the committed goldens keep the
-README's promises about the arrays that runs share."""
+layout, the grid sentence names GRID_FIELDS in order, the field sentence
+gives each strategy its STRATEGY_FIELDS, each CSV is documented with the
+header it is written with, every command example parses, every test it
+cites exists, and the committed goldens keep the README's promises about
+the arrays that runs share."""
 
 import csv
 import re
@@ -14,7 +15,7 @@ import pytest
 from driftlab import cli
 from driftlab.config import GRID_FIELDS
 from driftlab.harness import MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER, SUMMARY_HEADER
-from driftlab.strategies import read_arrays
+from driftlab.strategies import STRATEGY_FIELDS, STRATEGY_NAMES, read_arrays
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +46,19 @@ def test_grid_sentence_names_every_grid_field_in_order():
     sentence = re.search(r"Any scalar hyperparameter among (.*?) may be a list",
                          section("Configuration"), re.S).group(1)
     assert tuple(re.findall(r"`(\w+)`", sentence)) == GRID_FIELDS
+
+
+def test_field_sentence_lists_what_each_strategy_reads():
+    text = re.search(r"Each strategy reads only some fields: every strategy (.*?); "
+                     r"beyond those: (.*?) \(`test_", section("Configuration"), re.S)
+    shared = set(re.findall(r"`(\w+)`", text.group(1)))
+    clauses = [clause.split() for clause in text.group(2).split(";")]
+    for name in STRATEGY_NAMES:
+        named = [words for words in clauses if words[0] == name]
+        assert len(named) == 1, name
+        fields = set(re.findall(r"`(\w+)`", " ".join(named[0])))
+        assert shared | fields == set(STRATEGY_FIELDS[name]), name
+    assert len(clauses) == len(STRATEGY_NAMES)
 
 
 def test_every_driftlab_example_parses():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import nn, strategies
+from driftlab import kmeans, nn, strategies
 from driftlab.benchmarks import BenchmarkConfig, LabeledSet, StreamGuard, build_stream
 from driftlab.config import StrategyConfig
 from driftlab.errors import ConfigError, ContractError, ValidationError
@@ -165,12 +165,18 @@ def router_blocks(path):
 
 
 @pytest.mark.parametrize("name", ["g2d", "oracle_router", "centroid_router"])
-def test_router_checkpoint_blocks_are_its_arrays(name, tmp_path):
-    """After one domain routing is constant and no router block is
-    written; after two, the router.* blocks are router.arrays("router")."""
+def test_router_checkpoint_blocks_are_its_arrays(name, tmp_path, monkeypatch):
+    """After one domain routing is constant, the bank consults no router
+    and no router block is written; after two, the router.* blocks are
+    router.arrays("router")."""
     stream = small_stream(n_domains=1)
     one = run_stream(name, stream)
-    assert (one.route(stream.domains[0].test.X) == 0).all()
+    with monkeypatch.context() as m:
+        m.setattr(kmeans.CentroidRouter, "predict",
+                  lambda *a: pytest.fail("consulted the router over one domain"))
+        assert (one.route(stream.domains[0].test.X) == 0).all()
+    if name != "centroid_router":
+        assert one.router is None
     save_checkpoint(one, tmp_path / "one")
     assert router_blocks(tmp_path / "one") == []
 
