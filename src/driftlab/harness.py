@@ -33,7 +33,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,9 @@ class RunRecord:
     matrix: np.ndarray = None   # (T, T) accuracies, NaN where s > t
     router_kind: str = None
     routing: RoutingReport = None
-    projection: list = field(default_factory=list)     # rows for projection.csv
+    # a routed run's union of test splits as arrays: (domain ids, (n, 2) PCA
+    # coordinates, routed domains); projection.csv's rows are made at persist
+    projection: tuple = None
     duration: float = 0.0    # an equal share of its task's wall time
     failure: str = ""        # "Type: message"; empty for a run that finished
     traceback: str = ""      # the failure's full traceback
@@ -212,11 +214,7 @@ def _run_seeds(records, cfg: ExperimentConfig, strategy_cfg, seeds):
             X, true = union.X, union.y
             routed = strategy.route(X)
             record.routing = routing_accuracy(routed, true, T)
-            coords = pca_project_2d(X)
-            record.projection = [
-                (int(true[i]), i, float(coords[i, 0]), float(coords[i, 1]), int(routed[i]))
-                for i in range(len(true))
-            ]
+            record.projection = (true, pca_project_2d(X), routed)
     return strategies
 
 
@@ -322,7 +320,9 @@ def _tables(records):
                                  ("overall", rec.routing.accuracy)])
     yield "projection.csv", PROJECTION_HEADER, (
         (rec.run_id, rec.router_kind, str(domain), str(idx), _fmt(pc1), _fmt(pc2), str(routed))
-        for rec in done for domain, idx, pc1, pc2, routed in rec.projection)
+        for rec in done if rec.projection is not None
+        for idx, (domain, (pc1, pc2), routed)
+        in enumerate(zip(*(column.tolist() for column in rec.projection))))
 
 
 def persist_results(records, out_dir) -> dict:

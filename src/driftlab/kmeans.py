@@ -16,6 +16,9 @@ from .errors import ShapeError, ValidationError
 # Lloyd stops after MAX_ITER rounds or once no center moves more than MOVE_TOL
 MAX_ITER = 100
 MOVE_TOL = 1e-6
+# CentroidRouter.predict votes this many rows at a time, so its distance
+# temporary stays (PREDICT_BLOCK, K, d) however many rows are routed
+PREDICT_BLOCK = 256
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,22 +125,33 @@ class CentroidRouter:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Domain id of each row of X, voted PREDICT_BLOCK rows at a time.
+
+        Each row's distances, sort and vote depend on that row alone, so
+        every block size routes every row to the same domain.
+        """
         if self.centroids is None:
             raise ValidationError("router has seen no domains")
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.centroids.shape[1]:
             raise ShapeError(f"expected batch of shape (n, {self.centroids.shape[1]}), got {X.shape}")
-        d2 = ((X[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
         m = min(self.n_neighbors, self.centroids.shape[0])
-        # stable sort keeps centroid order (grouped by ascending domain) on
-        # exact distance ties, and argmax takes the first of tied vote counts,
-        # so both kinds of tie fall to the lowest domain id
-        near = self.domain_ids[np.argsort(d2, axis=1, kind="stable")[:, :m]]
-        votes = np.zeros((X.shape[0], self.n_domains), dtype=int)
-        rows = np.arange(X.shape[0])
-        for r in range(m):
-            votes[rows, near[:, r]] += 1
-        return np.argmax(votes, axis=1)
+        n_domains = self.n_domains
+        routed = np.empty(X.shape[0], dtype=int)
+        for start in range(0, X.shape[0], PREDICT_BLOCK):
+            block = X[start:start + PREDICT_BLOCK]
+            d2 = block[:, None, :] - self.centroids[None, :, :]
+            np.square(d2, out=d2)
+            # stable sort keeps centroid order (grouped by ascending domain) on
+            # exact distance ties, and argmax takes the first of tied vote counts,
+            # so both kinds of tie fall to the lowest domain id
+            near = self.domain_ids[np.argsort(d2.sum(axis=2), axis=1, kind="stable")[:, :m]]
+            votes = np.zeros((block.shape[0], n_domains), dtype=int)
+            rows = np.arange(block.shape[0])
+            for r in range(m):
+                votes[rows, near[:, r]] += 1
+            routed[start:start + PREDICT_BLOCK] = np.argmax(votes, axis=1)
+        return routed
 
     def arrays(self, tag: str):
         """Checkpoint blocks: both knobs, the centroids and their domain ids."""

@@ -50,7 +50,9 @@ bytes, draw these cases:
 * test_assignments_match_the_brute_force_scan: k-means assignment, d up
   to 12, against nearest_centroid_scan.
 * test_vote_matches_the_per_row_loop: CentroidRouter.predict on
-  integer-grid features, so exact distance ties occur.
+  integer-grid features, so exact distance ties occur, 0 to 40 queries,
+  and a block size of 1 to 7 rows patched onto kmeans.PREDICT_BLOCK, so
+  the queries span several blocks with a ragged last one.
 * test_per_domain_shares_match_the_confusion_matrix: 1 to 6 domains.
 * test_lockstep_matches_the_per_model_loop: 1 to 4 models in lockstep,
   random layer dims, a ragged last batch, 0 to 3 epochs, SGD and Adam,

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -25,8 +26,9 @@ from driftlab.harness import (MATRIX_HEADER, PROJECTION_HEADER, ROUTING_HEADER,
                               SUMMARY_HEADER, benchmark_label, execute_run,
                               persist_results, run_experiment, run_id_for)
 from driftlab.harness_report import _mean_std, render_report
+from driftlab.kmeans import CentroidRouter
 from driftlab.metrics import evaluate_accuracy
-from driftlab.rng import derive
+from driftlab.rng import derive, make_rng
 from driftlab.strategies import (read_arrays, save_checkpoint, strategy_dispatch,
                                  train_requests)
 
@@ -112,7 +114,7 @@ def test_rerunning_a_run_reproduces_it_bit_for_bit(tiny):
             assert a.matrix[s, t] == b.matrix[s, t]
     assert a.avg_accuracy == b.avg_accuracy
     assert a.routing.accuracy == b.routing.accuracy
-    assert a.projection == b.projection
+    assert all(np.array_equal(x, y) for x, y in zip(a.projection, b.projection, strict=True))
     assert strategy.name == "g2d"
     assert not hasattr(a, "_strategy")
 
@@ -413,6 +415,26 @@ def test_projection_rows_walk_the_union_test_set(tiny):
         assert row["routed_domain"] in {"0", "1"}
 
 
+def test_routing_memory_does_not_grow_as_rows_times_centroids(tiny):
+    router = CentroidRouter(n_centroids=10, n_neighbors=3)
+    rng = np.random.default_rng(0)
+    for t in range(4):
+        router.add_domain(rng.normal(t, 1.0, size=(50, 4)), make_rng(t, "c"))
+    X = rng.normal(size=(20_000, 4))
+    tracemalloc.start()
+    try:
+        router.predict(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20   # an unblocked (n, K, d) temporary is 25.6 MB
+    for rec in tiny[1]:
+        if rec.routing is not None:
+            domains, coords, routed = rec.projection
+            assert all(isinstance(a, np.ndarray) for a in rec.projection)
+            assert len(domains) == len(routed) == 60 and coords.shape == (60, 2)
+
+
 def test_a_one_domain_experiment_has_no_bwt_and_constant_routing(tmp_path):
     cfg = parse_config(TINY_DOC.replace("n_domains: 2", "n_domains: 1")
                        .replace("seeds: [21, 22]", "seeds: [21]"))
@@ -549,7 +571,7 @@ def test_one_dimensional_routed_run_keeps_its_results(tmp_path):
     assert all(r.ok for r in records), [r.failure for r in records]
     g2d = [r for r in records if r.strategy == "g2d"]
     assert all(r.routing is not None and r.projection for r in g2d)
-    assert all(pc2 == 0.0 for r in g2d for _, _, _, pc2, _ in r.projection)
+    assert all((r.projection[1][:, 1] == 0.0).all() for r in g2d)
 
 
 # a valid config whose g2d runs diverge: every SGD step overflows
